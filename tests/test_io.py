@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import docgen
 from ranslicer.errors import DocumentError
 from ranslicer.io import (
+    SliceRequest,
     emit_onboarding_bundle,
     envelope_for,
     parse_document,
@@ -19,7 +20,7 @@ from ranslicer.io import (
     write_bundle,
 )
 from ranslicer.model import FronthaulTech, GnbSubsetKey, Sst
-from ranslicer.planner import plan_slice
+from ranslicer.planner import PlannerConfig, plan_slice
 
 
 @pytest.mark.parametrize("kind", sorted(docgen.GENERATORS))
@@ -183,3 +184,177 @@ def test_write_atomic_replaces_content(tmp_path):
     write_atomic(target, "two\n")
     assert target.read_text() == "two\n"
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+_DROP = object()
+
+# One single-fault document per decoder branch: (kind, location of the fault
+# inside the body, value written there or _DROP to delete it) and the exact
+# (code, path, message) the parser must report.
+_DIAGNOSTIC_CASES = {
+    "wrong-type-string": (
+        "CATALOG", ("nssts", 0, "nsst_id"), 5,
+        ("PARSE_ERROR", "body.nssts[0].nsst_id", "expected a string"),
+    ),
+    "wrong-type-int": (
+        "PLANNER_CONFIG", ("exact_solver_limit",), True,
+        ("PARSE_ERROR", "body.exact_solver_limit", "expected an integer"),
+    ),
+    "wrong-type-number": (
+        "PLANNER_CONFIG", ("cu_du_latency_budget_ms",), "fast",
+        ("PARSE_ERROR", "body.cu_du_latency_budget_ms", "expected a number"),
+    ),
+    "wrong-type-optional-number": (
+        "SLICE_REQUEST", ("requirements", "reliability_pct"), "high",
+        ("PARSE_ERROR", "body.requirements.reliability_pct", "expected a number"),
+    ),
+    "wrong-type-optional-int": (
+        "CATALOG", ("du_vnfds", 0, "flavors", 0, "split_option"), "7",
+        ("PARSE_ERROR", "body.du_vnfds[0].flavors[0].split_option", "expected an integer"),
+    ),
+    "wrong-type-object": (
+        "CATALOG", ("ru_pnfds", 0, "location"), [],
+        ("PARSE_ERROR", "body.ru_pnfds[0].location", "expected an object, got list"),
+    ),
+    "wrong-type-array": (
+        "TOPOLOGY", ("regions", 0, "cell_sites"), "cs-cc-01",
+        ("PARSE_ERROR", "body.regions[0].cell_sites", "expected an array"),
+    ),
+    "wrong-type-array-item": (
+        "TOPOLOGY", ("regions", 0, "cell_sites", 1), 7,
+        ("PARSE_ERROR", "body.regions[0].cell_sites[1]", "expected a string"),
+    ),
+    "non-finite-number": (
+        "TOPOLOGY", ("links", 0, "latency_ms"), float("inf"),
+        ("PARSE_ERROR", "body.links[0].latency_ms", "numbers must be finite"),
+    ),
+    "bad-enum": (
+        "TOPOLOGY", ("regions", 0, "fronthaul_tech"), "WIFI",
+        ("PARSE_ERROR", "body.regions[0].fronthaul_tech", "expected one of 'CPRI', 'ECPRI', got 'WIFI'"),
+    ),
+    "bad-enum-in-set": (
+        "CATALOG", ("gnb_nsds", 0, "flavors", 0, "fronthaul_techs", 0), "WIFI",
+        ("PARSE_ERROR", "body.gnb_nsds[0].flavors[0].fronthaul_techs[0]",
+         "expected one of 'CPRI', 'ECPRI', got 'WIFI'"),
+    ),
+    "unknown-field": (
+        "CATALOG", ("ru_pnfds", 0, "location", "z_km"), 0.0,
+        ("PARSE_ERROR", "body.ru_pnfds[0].location", "unknown field(s): z_km"),
+    ),
+    "missing-field": (
+        "CATALOG", ("ru_pnfds", 0, "location", "x_km"), _DROP,
+        ("PARSE_ERROR", "body.ru_pnfds[0].location", "missing field(s): x_km"),
+    ),
+    "unknown-role-kind": (
+        "CATALOG", ("du_vnfds", 0, "flavors", 0, "il_subsets", 0, "levels", 0, "role", "kind"), "RU",
+        ("PARSE_ERROR", "body.du_vnfds[0].flavors[0].il_subsets[0].levels[0].role", "unknown role kind 'RU'"),
+    ),
+    "untagged-role": (
+        "CATALOG", ("du_vnfds", 0, "flavors", 0, "il_subsets", 0, "levels", 0, "role", "kind"), _DROP,
+        ("PARSE_ERROR", "body.du_vnfds[0].flavors[0].il_subsets[0].levels[0].role",
+         "expected a role object with a 'kind' tag"),
+    ),
+    "role-field-for-other-kind": (
+        "CATALOG", ("cu_vnfds", 0, "flavors", 0, "il_subsets", 0, "levels", 0, "role", "kind"), "DU",
+        ("PARSE_ERROR", "body.cu_vnfds[0].flavors[0].il_subsets[0].levels[0].role",
+         "unknown field(s): max_dus"),
+    ),
+    "unknown-subset-key-kind": (
+        "CATALOG", ("cu_vnfds", 0, "flavors", 0, "il_subsets", 0, "key", "kind"), "RU",
+        ("PARSE_ERROR", "body.cu_vnfds[0].flavors[0].il_subsets[0].key", "unknown subset key kind 'RU'"),
+    ),
+    "untagged-subset-key": (
+        "CATALOG", ("cu_vnfds", 0, "flavors", 0, "il_subsets", 0, "key"), [],
+        ("PARSE_ERROR", "body.cu_vnfds[0].flavors[0].il_subsets[0].key",
+         "expected a subset key with a 'kind' tag"),
+    ),
+    "malformed-served-regions-pair": (
+        "CATALOG", ("gnb_nsds", 0, "flavors", 0, "il_subsets", 0, "key", "served_regions", 0), ["SUBURBAN"],
+        ("PARSE_ERROR", "body.gnb_nsds[0].flavors[0].il_subsets[0].key.served_regions[0]",
+         "expected a [region_class, fronthaul_tech] pair"),
+    ),
+    "served-regions-pair-item": (
+        "CATALOG", ("gnb_nsds", 0, "flavors", 0, "il_subsets", 0, "key", "served_regions", 0, 1), "WIFI",
+        ("PARSE_ERROR", "body.gnb_nsds[0].flavors[0].il_subsets[0].key.served_regions[0]",
+         "expected one of 'CPRI', 'ECPRI', got 'WIFI'"),
+    ),
+    "malformed-threshold-pair": (
+        "PROFILER_POLICY", ("latency_to_mu_thresholds", 1), [2.0, 1, 0],
+        ("PARSE_ERROR", "body.latency_to_mu_thresholds[1]", "expected a [max_latency_ms, mu] pair"),
+    ),
+    "threshold-pair-item": (
+        "PROFILER_POLICY", ("latency_to_mu_thresholds", 0, 1), 1.5,
+        ("PARSE_ERROR", "body.latency_to_mu_thresholds[0]", "expected an integer"),
+    ),
+    "sst-out-of-range": (
+        "SLICE_REQUEST", ("sst",), 4,
+        ("PARSE_ERROR", "body.sst", "sst must be 1, 2 or 3"),
+    ),
+    "plan-sst-out-of-range": (
+        "SLICE_PLAN", ("s_nssai", "sst"), 4,
+        ("PARSE_ERROR", "body.s_nssai.sst", "sst must be 1, 2 or 3"),
+    ),
+    "bad-request-sd": (
+        "SLICE_REQUEST", ("sd",), "xyz!",
+        ("PARSE_ERROR", "body.sd", "sd must be at most 6 hex characters, got 'xyz!'"),
+    ),
+    "bad-s-nssai-sd": (
+        "SLICE_PLAN", ("s_nssai", "sd"), "",
+        ("PARSE_ERROR", "body.s_nssai", "sd must be non-empty when present"),
+    ),
+    "non-object-offered-load": (
+        "SLICE_PLAN", ("offered_load_mbps",), [],
+        ("PARSE_ERROR", "body.offered_load_mbps", "expected an object of region -> Mbps"),
+    ),
+    "offered-load-value": (
+        "SLICE_PLAN", ("offered_load_mbps", "industrial"), "lots",
+        ("PARSE_ERROR", "body.offered_load_mbps.industrial", "expected a number"),
+    ),
+    "model-value-error": (
+        "CATALOG", ("nssts", 0, "radio_config", "bands", 0, "carrier_bandwidth_mhz"), 1000,
+        ("PARSE_ERROR", "body.nssts[0].radio_config.bands[0]",
+         "carrier bandwidth 1000.0 MHz outside [5.0, 100.0] for SUB6_450_6000"),
+    ),
+    "body-value-error": (
+        "PLANNER_CONFIG", ("activity_factor",), 2,
+        ("PARSE_ERROR", "body", "activity factor must lie in (0, 1]"),
+    ),
+    "host-capacity-field": (
+        "TOPOLOGY", ("pops", 0, "host_capacity", "vcpu"), 1.5,
+        ("PARSE_ERROR", "body.pops[0].host_capacity.vcpu", "expected an integer"),
+    ),
+    "host-capacity-shape": (
+        "TOPOLOGY", ("pops", 0, "host_capacity", "cores"), 4,
+        ("PARSE_ERROR", "body.pops[0].host_capacity", "unknown field(s): cores"),
+    ),
+    "invalid-topology": (
+        "TOPOLOGY", ("regions", 0, "aggregation_pop"), "pop-nowhere",
+        ("PARSE_ERROR", "body",
+         "invalid deployment area: INVALID_TOPOLOGY: region city-center: aggregation PoP "
+         "pop-nowhere missing"),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def document_bodies(catalog, area, policy, requests):
+    plan = plan_slice(requests[Sst.MMTC], Sst.MMTC, area, catalog)
+    bodies = (catalog, area, SliceRequest(Sst.EMBB, None, requests[Sst.EMBB]), plan, policy,
+              PlannerConfig())
+    return {envelope_for(b).kind: serialize_document(envelope_for(b)) for b in bodies}
+
+
+@pytest.mark.parametrize("case", sorted(_DIAGNOSTIC_CASES))
+def test_single_fault_diagnostics(case, document_bodies):
+    kind, where, value, expected = _DIAGNOSTIC_CASES[case]
+    raw = json.loads(document_bodies[kind])
+    parent = raw["body"]
+    for step in where[:-1]:
+        parent = parent[step]
+    if value is _DROP:
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = value
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(raw))
+    assert (err.value.code, err.value.path, err.value.args[0]) == expected
