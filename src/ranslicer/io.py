@@ -6,56 +6,74 @@ is strict (unknown or missing fields are diagnostics, not warnings) and
 serialization is canonical: sorted keys, two-space indent, trailing
 newline, so equal documents always render to equal bytes and
 ``serialize(parse(serialize(x))) == serialize(x)``.
+
+A body is one of the model's frozen dataclasses, and a single codec maps
+every dataclass to JSON from its fields and their type hints.  Fields map
+one-to-one to keys of the same name; ``str``, ``int`` and ``float`` are
+written as they are (numbers must be finite, booleans are not numbers);
+``X | None`` also admits ``null``; tuples are arrays; a frozenset of enums
+is a sorted array; enums are written by value; nested dataclasses are
+objects.  ``_OVERRIDES`` lists every place where the JSON departs from
+that rule:
+
+* ``InstantiationLevel.role_capacity`` is written under the key ``role``;
+* the role-capacity and subset-key unions are objects tagged with
+  ``kind`` ``DU``, ``CU`` or ``GNB``;
+* ``Pop.host_capacity_vcpu`` and ``host_capacity_ram_gb`` nest as
+  ``host_capacity: {vcpu, ram_gb}``;
+* ``SlicePlan.offered_load_mbps`` is an object of region id -> Mbps;
+* ``Sst`` is the integer 1, 2 or 3;
+* ``GnbSubsetKey.served_regions`` and
+  ``ProfilerPolicy.latency_to_mu_thresholds`` are arrays of two-element
+  arrays;
+* a TOPOLOGY body must pass ``load_area``, and a SLICE_REQUEST's ``sd``
+  must be a valid S-NSSAI differentiator.
+
+Each codec is built on first use and cached, so type hints are resolved
+once per class, not per value.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import itertools
 import json
 import math
 import os
 import tempfile
+import typing
 from dataclasses import dataclass
+from enum import Enum
+from operator import attrgetter
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import Callable, NamedTuple
 
 from .errors import DocumentError
 from .model import (
-    BandRange,
-    CarrierBand,
     Catalog,
     CuIlCapacity,
     CuSubsetKey,
-    CuVnfd,
     DuIlCapacity,
     DuSubsetKey,
-    DuVnfd,
-    FiveQi,
     Flavor,
-    FronthaulTech,
     GnbIlCapacity,
-    GnbNsd,
     GnbSubsetKey,
-    IlSubset,
     InstantiationLevel,
-    McsSet,
-    Priority,
     RadioConfig,
-    RanNsst,
-    RuLocation,
+    RoleCapacity,
     RuPnfd,
-    SchedulerPolicy,
     SliceRequirements,
     SNssai,
     Sst,
-    VmSpec,
-    VnfIlRef,
+    SubsetKey,
 )
-from .planner import CuPlacement, DuFlavor, DuPlan, GnbPlan, PlannerConfig, SlicePlan
-from .radio import ProfilerPolicy, SlotFormatRow
-from .topology import DeploymentArea, Pop, PopTier, Region, TransportLink, load_area
+from .planner import PlannerConfig, SlicePlan
+from .radio import ProfilerPolicy
+from .topology import DeploymentArea, Pop, load_area
 
 SCHEMA_VERSION = "1.0.0"
-
-KINDS = ("CATALOG", "TOPOLOGY", "SLICE_REQUEST", "SLICE_PLAN", "PROFILER_POLICY", "PLANNER_CONFIG")
 
 
 @dataclass(frozen=True)
@@ -75,6 +93,18 @@ class DocumentEnvelope:
     schema_version: str = SCHEMA_VERSION
 
 
+_BODY_TYPES = {
+    "CATALOG": Catalog,
+    "TOPOLOGY": DeploymentArea,
+    "SLICE_REQUEST": SliceRequest,
+    "SLICE_PLAN": SlicePlan,
+    "PROFILER_POLICY": ProfilerPolicy,
+    "PLANNER_CONFIG": PlannerConfig,
+}
+
+KINDS = tuple(_BODY_TYPES)
+
+
 # ---------------------------------------------------------------------------
 # strict reading helpers
 
@@ -82,15 +112,14 @@ def _fail(message: str, path: str) -> DocumentError:
     return DocumentError("PARSE_ERROR", message, path=path)
 
 
-def _obj(value, path: str, keys: set[str], optional: set[str] = frozenset()) -> dict:
+def _obj(value, path: str, keys: frozenset[str]) -> dict:
     if not isinstance(value, dict):
         raise _fail(f"expected an object, got {type(value).__name__}", path)
-    unknown = sorted(set(value) - keys - optional)
-    if unknown:
-        raise _fail(f"unknown field(s): {', '.join(unknown)}", path)
-    missing = sorted(keys - set(value))
-    if missing:
-        raise _fail(f"missing field(s): {', '.join(missing)}", path)
+    if value.keys() != keys:
+        unknown = sorted(value.keys() - keys)
+        if unknown:
+            raise _fail(f"unknown field(s): {', '.join(unknown)}", path)
+        raise _fail(f"missing field(s): {', '.join(sorted(keys - value.keys()))}", path)
     return value
 
 
@@ -98,12 +127,6 @@ def _str(value, path: str) -> str:
     if not isinstance(value, str):
         raise _fail("expected a string", path)
     return value
-
-
-def _opt_str(value, path: str) -> str | None:
-    if value is None:
-        return None
-    return _str(value, path)
 
 
 def _int(value, path: str) -> int:
@@ -120,12 +143,6 @@ def _num(value, path: str) -> float:
     return float(value)
 
 
-def _opt_num(value, path: str) -> float | None:
-    if value is None:
-        return None
-    return _num(value, path)
-
-
 def _list(value, path: str) -> list:
     if not isinstance(value, list):
         raise _fail("expected an array", path)
@@ -140,654 +157,226 @@ def _enum(enum_cls, value, path: str):
         raise _fail(f"expected one of {allowed}, got {value!r}", path) from None
 
 
-def _wrap_value_error(fn, path: str):
-    try:
-        return fn()
-    except ValueError as err:
-        raise _fail(str(err), path) from None
+def _sst(value, path: str) -> Sst:
+    if _int(value, path) not in (1, 2, 3):
+        raise _fail("sst must be 1, 2 or 3", path)
+    return Sst(value)
 
 
-# ---------------------------------------------------------------------------
-# model codecs
-
-def _snssai_to(v: SNssai) -> dict:
-    return {"sst": int(v.sst), "sd": v.sd}
-
-
-def _snssai_from(d, path) -> SNssai:
-    d = _obj(d, path, {"sst", "sd"})
-    sst = _int(d["sst"], f"{path}.sst")
-    if sst not in (1, 2, 3):
-        raise _fail("sst must be 1, 2 or 3", f"{path}.sst")
-    return _wrap_value_error(lambda: SNssai(Sst(sst), _opt_str(d["sd"], f"{path}.sd")), path)
+def _loads(value, path: str) -> tuple[tuple[str, float], ...]:
+    if not isinstance(value, dict):
+        raise _fail("expected an object of region -> Mbps", path)
+    return tuple(sorted((region, _num(mbps, f"{path}.{region}")) for region, mbps in value.items()))
 
 
-def _fiveqi_to(v: FiveQi) -> dict:
-    return {
-        "id": v.id,
-        "priority_level": v.priority_level,
-        "packet_delay_budget_ms": v.packet_delay_budget_ms,
-        "packet_error_rate": v.packet_error_rate,
-    }
-
-
-def _fiveqi_from(d, path) -> FiveQi:
-    d = _obj(d, path, {"id", "priority_level", "packet_delay_budget_ms", "packet_error_rate"})
-    return _wrap_value_error(
-        lambda: FiveQi(
-            _int(d["id"], f"{path}.id"),
-            _int(d["priority_level"], f"{path}.priority_level"),
-            _num(d["packet_delay_budget_ms"], f"{path}.packet_delay_budget_ms"),
-            _num(d["packet_error_rate"], f"{path}.packet_error_rate"),
-        ),
-        path,
-    )
-
-
-def _radio_config_to(v: RadioConfig) -> dict:
-    return {
-        "numerology_mu": v.numerology_mu,
-        "bands": [
-            {"band_range": b.band_range.value, "carrier_bandwidth_mhz": b.carrier_bandwidth_mhz}
-            for b in v.bands
-        ],
-        "slot_format_id": v.slot_format_id,
-        "five_qi": _fiveqi_to(v.five_qi),
-        "mcs_set": v.mcs_set.value,
-        "scheduler_policy": v.scheduler_policy.value,
-    }
-
-
-def _radio_config_from(d, path) -> RadioConfig:
-    d = _obj(d, path, {"numerology_mu", "bands", "slot_format_id", "five_qi", "mcs_set", "scheduler_policy"})
-    bands = []
-    for i, item in enumerate(_list(d["bands"], f"{path}.bands")):
-        bpath = f"{path}.bands[{i}]"
-        band = _obj(item, bpath, {"band_range", "carrier_bandwidth_mhz"})
-        bands.append(
-            _wrap_value_error(
-                lambda band=band, bpath=bpath: CarrierBand(
-                    _enum(BandRange, band["band_range"], f"{bpath}.band_range"),
-                    _num(band["carrier_bandwidth_mhz"], f"{bpath}.carrier_bandwidth_mhz"),
-                ),
-                bpath,
-            )
-        )
-    return _wrap_value_error(
-        lambda: RadioConfig(
-            _int(d["numerology_mu"], f"{path}.numerology_mu"),
-            tuple(bands),
-            _int(d["slot_format_id"], f"{path}.slot_format_id"),
-            _fiveqi_from(d["five_qi"], f"{path}.five_qi"),
-            _enum(McsSet, d["mcs_set"], f"{path}.mcs_set"),
-            _enum(SchedulerPolicy, d["scheduler_policy"], f"{path}.scheduler_policy"),
-        ),
-        path,
-    )
-
-
-def _requirements_to(v: SliceRequirements) -> dict:
-    return {
-        "latency_ms": v.latency_ms,
-        "max_mobility_kmh": v.max_mobility_kmh,
-        "throughput_ul_mbps": v.throughput_ul_mbps,
-        "throughput_dl_mbps": v.throughput_dl_mbps,
-        "ue_density_per_km2": v.ue_density_per_km2,
-        "reliability_pct": v.reliability_pct,
-        "priority": v.priority.value,
-        "ue_type": v.ue_type,
-        "target_regions": list(v.target_regions),
-    }
-
-
-def _requirements_from(d, path) -> SliceRequirements:
-    d = _obj(
-        d,
-        path,
-        {
-            "latency_ms", "max_mobility_kmh", "throughput_ul_mbps", "throughput_dl_mbps",
-            "ue_density_per_km2", "reliability_pct", "priority", "ue_type", "target_regions",
-        },
-    )
-    regions = tuple(
-        _str(r, f"{path}.target_regions[{i}]")
-        for i, r in enumerate(_list(d["target_regions"], f"{path}.target_regions"))
-    )
-    return _wrap_value_error(
-        lambda: SliceRequirements(
-            _num(d["latency_ms"], f"{path}.latency_ms"),
-            _num(d["max_mobility_kmh"], f"{path}.max_mobility_kmh"),
-            _num(d["throughput_ul_mbps"], f"{path}.throughput_ul_mbps"),
-            _num(d["throughput_dl_mbps"], f"{path}.throughput_dl_mbps"),
-            _num(d["ue_density_per_km2"], f"{path}.ue_density_per_km2"),
-            _opt_num(d["reliability_pct"], f"{path}.reliability_pct"),
-            _enum(Priority, d["priority"], f"{path}.priority"),
-            _str(d["ue_type"], f"{path}.ue_type"),
-            regions,
-        ),
-        path,
-    )
-
-
-def _nsst_to(v: RanNsst) -> dict:
-    return {
-        "nsst_id": v.nsst_id,
-        "s_nssai": _snssai_to(v.s_nssai),
-        "radio_config": _radio_config_to(v.radio_config),
-        "nsd_ref": v.nsd_ref,
-        "requirement_profile": _requirements_to(v.requirement_profile),
-    }
-
-
-def _nsst_from(d, path) -> RanNsst:
-    d = _obj(d, path, {"nsst_id", "s_nssai", "radio_config", "nsd_ref", "requirement_profile"})
-    return RanNsst(
-        _str(d["nsst_id"], f"{path}.nsst_id"),
-        _snssai_from(d["s_nssai"], f"{path}.s_nssai"),
-        _radio_config_from(d["radio_config"], f"{path}.radio_config"),
-        _str(d["nsd_ref"], f"{path}.nsd_ref"),
-        _requirements_from(d["requirement_profile"], f"{path}.requirement_profile"),
-    )
-
-
-def _ref_to(v: VnfIlRef) -> dict:
-    return {"vnfd_id": v.vnfd_id, "flavor_id": v.flavor_id, "il_id": v.il_id}
-
-
-def _ref_from(d, path) -> VnfIlRef:
-    d = _obj(d, path, {"vnfd_id", "flavor_id", "il_id"})
-    return VnfIlRef(
-        _str(d["vnfd_id"], f"{path}.vnfd_id"),
-        _int(d["flavor_id"], f"{path}.flavor_id"),
-        _str(d["il_id"], f"{path}.il_id"),
-    )
-
-
-def _role_to(role) -> dict:
-    if isinstance(role, DuIlCapacity):
-        return {"kind": "DU", "max_cell_sites": role.max_cell_sites,
-                "aggregate_capacity_mbps": role.aggregate_capacity_mbps}
-    if isinstance(role, CuIlCapacity):
-        return {"kind": "CU", "max_dus": role.max_dus,
-                "aggregate_capacity_mbps": role.aggregate_capacity_mbps}
-    return {
-        "kind": "GNB",
-        "du_count": role.du_count,
-        "cu_il_ref": _ref_to(role.cu_il_ref),
-        "du_il_refs": [_ref_to(r) for r in role.du_il_refs],
-        "aggregate_capacity_mbps": role.aggregate_capacity_mbps,
-    }
-
-
-def _role_from(d, path):
-    if not isinstance(d, dict) or "kind" not in d:
-        raise _fail("expected a role object with a 'kind' tag", path)
-    kind = d["kind"]
-    if kind == "DU":
-        d = _obj(d, path, {"kind", "max_cell_sites", "aggregate_capacity_mbps"})
-        return DuIlCapacity(
-            _int(d["max_cell_sites"], f"{path}.max_cell_sites"),
-            _num(d["aggregate_capacity_mbps"], f"{path}.aggregate_capacity_mbps"),
-        )
-    if kind == "CU":
-        d = _obj(d, path, {"kind", "max_dus", "aggregate_capacity_mbps"})
-        return CuIlCapacity(
-            _int(d["max_dus"], f"{path}.max_dus"),
-            _num(d["aggregate_capacity_mbps"], f"{path}.aggregate_capacity_mbps"),
-        )
-    if kind == "GNB":
-        d = _obj(d, path, {"kind", "du_count", "cu_il_ref", "du_il_refs", "aggregate_capacity_mbps"})
-        refs = tuple(
-            _ref_from(r, f"{path}.du_il_refs[{i}]")
-            for i, r in enumerate(_list(d["du_il_refs"], f"{path}.du_il_refs"))
-        )
-        return GnbIlCapacity(
-            _int(d["du_count"], f"{path}.du_count"),
-            _ref_from(d["cu_il_ref"], f"{path}.cu_il_ref"),
-            refs,
-            _num(d["aggregate_capacity_mbps"], f"{path}.aggregate_capacity_mbps"),
-        )
-    raise _fail(f"unknown role kind {kind!r}", path)
-
-
-def _level_to(v: InstantiationLevel) -> dict:
-    return {
-        "il_id": v.il_id,
-        "vm_spec": {"vcpu_count": v.vm_spec.vcpu_count, "cpu_ghz": v.vm_spec.cpu_ghz,
-                    "ram_gb": v.vm_spec.ram_gb},
-        "role": _role_to(v.role_capacity),
-    }
-
-
-def _level_from(d, path) -> InstantiationLevel:
-    d = _obj(d, path, {"il_id", "vm_spec", "role"})
-    vm = _obj(d["vm_spec"], f"{path}.vm_spec", {"vcpu_count", "cpu_ghz", "ram_gb"})
-    return InstantiationLevel(
-        _str(d["il_id"], f"{path}.il_id"),
-        VmSpec(
-            _int(vm["vcpu_count"], f"{path}.vm_spec.vcpu_count"),
-            _num(vm["cpu_ghz"], f"{path}.vm_spec.cpu_ghz"),
-            _num(vm["ram_gb"], f"{path}.vm_spec.ram_gb"),
-        ),
-        _role_from(d["role"], f"{path}.role"),
-    )
-
-
-def _subset_key_to(key) -> dict:
-    if isinstance(key, DuSubsetKey):
-        return {"kind": "DU", "region_class": key.region_class,
-                "fronthaul_tech": key.fronthaul_tech.value,
-                "min_cell_sites": key.min_cell_sites, "max_cell_sites": key.max_cell_sites}
-    if isinstance(key, CuSubsetKey):
-        return {"kind": "CU", "min_dus": key.min_dus, "max_dus": key.max_dus}
-    return {
-        "kind": "GNB",
-        "served_regions": [[cls, tech.value] for cls, tech in key.served_regions],
-    }
-
-
-def _subset_key_from(d, path):
-    if not isinstance(d, dict) or "kind" not in d:
-        raise _fail("expected a subset key with a 'kind' tag", path)
-    kind = d["kind"]
-    if kind == "DU":
-        d = _obj(d, path, {"kind", "region_class", "fronthaul_tech", "min_cell_sites", "max_cell_sites"})
-        return DuSubsetKey(
-            _str(d["region_class"], f"{path}.region_class"),
-            _enum(FronthaulTech, d["fronthaul_tech"], f"{path}.fronthaul_tech"),
-            _int(d["min_cell_sites"], f"{path}.min_cell_sites"),
-            _int(d["max_cell_sites"], f"{path}.max_cell_sites"),
-        )
-    if kind == "CU":
-        d = _obj(d, path, {"kind", "min_dus", "max_dus"})
-        return CuSubsetKey(_int(d["min_dus"], f"{path}.min_dus"), _int(d["max_dus"], f"{path}.max_dus"))
-    if kind == "GNB":
-        d = _obj(d, path, {"kind", "served_regions"})
-        pairs = []
-        for i, item in enumerate(_list(d["served_regions"], f"{path}.served_regions")):
-            ppath = f"{path}.served_regions[{i}]"
-            if not isinstance(item, list) or len(item) != 2:
-                raise _fail("expected a [region_class, fronthaul_tech] pair", ppath)
-            pairs.append((_str(item[0], ppath), _enum(FronthaulTech, item[1], ppath)))
-        return GnbSubsetKey(tuple(pairs))
-    raise _fail(f"unknown subset key kind {kind!r}", path)
-
-
-def _subset_to(v: IlSubset) -> dict:
-    return {"key": _subset_key_to(v.key), "levels": [_level_to(l) for l in v.levels]}
-
-
-def _subset_from(d, path) -> IlSubset:
-    d = _obj(d, path, {"key", "levels"})
-    levels = tuple(
-        _level_from(l, f"{path}.levels[{i}]")
-        for i, l in enumerate(_list(d["levels"], f"{path}.levels"))
-    )
-    return IlSubset(_subset_key_from(d["key"], f"{path}.key"), levels)
-
-
-def _flavor_to(v: Flavor) -> dict:
-    return {
-        "flavor_id": v.flavor_id,
-        "fronthaul_techs": sorted(t.value for t in v.fronthaul_techs),
-        "split_option": v.split_option,
-        "il_subsets": [_subset_to(s) for s in v.il_subsets],
-    }
-
-
-def _flavor_from(d, path) -> Flavor:
-    d = _obj(d, path, {"flavor_id", "fronthaul_techs", "split_option", "il_subsets"})
-    techs = frozenset(
-        _enum(FronthaulTech, t, f"{path}.fronthaul_techs[{i}]")
-        for i, t in enumerate(_list(d["fronthaul_techs"], f"{path}.fronthaul_techs"))
-    )
-    split = d["split_option"]
-    if split is not None:
-        split = _int(split, f"{path}.split_option")
-    subsets = tuple(
-        _subset_from(s, f"{path}.il_subsets[{i}]")
-        for i, s in enumerate(_list(d["il_subsets"], f"{path}.il_subsets"))
-    )
-    return Flavor(_int(d["flavor_id"], f"{path}.flavor_id"), techs, split, subsets)
-
-
-def _descriptor_to(v) -> dict:
-    return {"descriptor_id": v.descriptor_id, "flavors": [_flavor_to(f) for f in v.flavors]}
-
-
-def _descriptor_from(cls, d, path):
-    d = _obj(d, path, {"descriptor_id", "flavors"})
-    flavors = tuple(
-        _flavor_from(f, f"{path}.flavors[{i}]")
-        for i, f in enumerate(_list(d["flavors"], f"{path}.flavors"))
-    )
-    return cls(_str(d["descriptor_id"], f"{path}.descriptor_id"), flavors)
-
-
-def _ru_to(v: RuPnfd) -> dict:
-    return {
-        "ru_id": v.ru_id,
-        "location": {
-            "region_id": v.location.region_id,
-            "cell_site": v.location.cell_site,
-            "x_km": v.location.x_km,
-            "y_km": v.location.y_km,
-        },
-        "connection_tech": v.connection_tech.value,
-    }
-
-
-def _ru_from(d, path) -> RuPnfd:
-    d = _obj(d, path, {"ru_id", "location", "connection_tech"})
-    loc = _obj(d["location"], f"{path}.location", {"region_id", "cell_site", "x_km", "y_km"})
-    return RuPnfd(
-        _str(d["ru_id"], f"{path}.ru_id"),
-        RuLocation(
-            _str(loc["region_id"], f"{path}.location.region_id"),
-            _str(loc["cell_site"], f"{path}.location.cell_site"),
-            _num(loc["x_km"], f"{path}.location.x_km"),
-            _num(loc["y_km"], f"{path}.location.y_km"),
-        ),
-        _enum(FronthaulTech, d["connection_tech"], f"{path}.connection_tech"),
-    )
-
-
-def _catalog_to(v: Catalog) -> dict:
-    return {
-        "nssts": [_nsst_to(t) for t in v.nssts],
-        "gnb_nsds": [_descriptor_to(d) for d in v.gnb_nsds],
-        "cu_vnfds": [_descriptor_to(d) for d in v.cu_vnfds],
-        "du_vnfds": [_descriptor_to(d) for d in v.du_vnfds],
-        "ru_pnfds": [_ru_to(r) for r in v.ru_pnfds],
-    }
-
-
-def _catalog_from(d, path) -> Catalog:
-    d = _obj(d, path, {"nssts", "gnb_nsds", "cu_vnfds", "du_vnfds", "ru_pnfds"})
-    return Catalog(
-        nssts=tuple(_nsst_from(t, f"{path}.nssts[{i}]")
-                    for i, t in enumerate(_list(d["nssts"], f"{path}.nssts"))),
-        gnb_nsds=tuple(_descriptor_from(GnbNsd, g, f"{path}.gnb_nsds[{i}]")
-                       for i, g in enumerate(_list(d["gnb_nsds"], f"{path}.gnb_nsds"))),
-        cu_vnfds=tuple(_descriptor_from(CuVnfd, c, f"{path}.cu_vnfds[{i}]")
-                       for i, c in enumerate(_list(d["cu_vnfds"], f"{path}.cu_vnfds"))),
-        du_vnfds=tuple(_descriptor_from(DuVnfd, u, f"{path}.du_vnfds[{i}]")
-                       for i, u in enumerate(_list(d["du_vnfds"], f"{path}.du_vnfds"))),
-        ru_pnfds=tuple(_ru_from(r, f"{path}.ru_pnfds[{i}]")
-                       for i, r in enumerate(_list(d["ru_pnfds"], f"{path}.ru_pnfds"))),
-    )
-
-
-def _topology_to(v: DeploymentArea) -> dict:
-    return {
-        "regions": [
-            {
-                "region_id": r.region_id,
-                "region_class": r.region_class,
-                "area_km2": r.area_km2,
-                "fronthaul_tech": r.fronthaul_tech.value,
-                "cell_sites": list(r.cell_sites),
-                "aggregation_pop": r.aggregation_pop,
-            }
-            for r in v.regions
-        ],
-        "pops": [
-            {
-                "pop_id": p.pop_id,
-                "tier": p.tier.value,
-                "host_capacity": {"vcpu": p.host_capacity_vcpu, "ram_gb": p.host_capacity_ram_gb},
-            }
-            for p in v.pops
-        ],
-        "links": [{"a": l.a, "b": l.b, "latency_ms": l.latency_ms} for l in v.links],
-        "rus": [_ru_to(r) for r in v.rus],
-    }
-
-
-def _topology_from(d, path) -> DeploymentArea:
-    d = _obj(d, path, {"regions", "pops", "links", "rus"})
-    regions = []
-    for i, item in enumerate(_list(d["regions"], f"{path}.regions")):
-        rpath = f"{path}.regions[{i}]"
-        r = _obj(item, rpath, {"region_id", "region_class", "area_km2", "fronthaul_tech",
-                               "cell_sites", "aggregation_pop"})
-        regions.append(
-            Region(
-                _str(r["region_id"], f"{rpath}.region_id"),
-                _str(r["region_class"], f"{rpath}.region_class"),
-                _num(r["area_km2"], f"{rpath}.area_km2"),
-                _enum(FronthaulTech, r["fronthaul_tech"], f"{rpath}.fronthaul_tech"),
-                tuple(_str(s, f"{rpath}.cell_sites[{j}]")
-                      for j, s in enumerate(_list(r["cell_sites"], f"{rpath}.cell_sites"))),
-                _str(r["aggregation_pop"], f"{rpath}.aggregation_pop"),
-            )
-        )
-    pops = []
-    for i, item in enumerate(_list(d["pops"], f"{path}.pops")):
-        ppath = f"{path}.pops[{i}]"
-        p = _obj(item, ppath, {"pop_id", "tier", "host_capacity"})
-        cap = _obj(p["host_capacity"], f"{ppath}.host_capacity", {"vcpu", "ram_gb"})
-        pops.append(
-            Pop(
-                _str(p["pop_id"], f"{ppath}.pop_id"),
-                _enum(PopTier, p["tier"], f"{ppath}.tier"),
-                _int(cap["vcpu"], f"{ppath}.host_capacity.vcpu"),
-                _num(cap["ram_gb"], f"{ppath}.host_capacity.ram_gb"),
-            )
-        )
-    links = []
-    for i, item in enumerate(_list(d["links"], f"{path}.links")):
-        lpath = f"{path}.links[{i}]"
-        l = _obj(item, lpath, {"a", "b", "latency_ms"})
-        links.append(
-            TransportLink(_str(l["a"], f"{lpath}.a"), _str(l["b"], f"{lpath}.b"),
-                          _num(l["latency_ms"], f"{lpath}.latency_ms"))
-        )
-    rus = tuple(_ru_from(r, f"{path}.rus[{i}]")
-                for i, r in enumerate(_list(d["rus"], f"{path}.rus")))
-    area = DeploymentArea(tuple(regions), tuple(pops), tuple(links), rus)
+def _loaded_area(area: DeploymentArea, path: str) -> DeploymentArea:
     try:
         return load_area(area)
     except Exception as err:
         raise _fail(f"invalid deployment area: {err}", path) from None
 
 
-def _request_to(v: SliceRequest) -> dict:
-    return {"sst": int(v.sst), "sd": v.sd, "requirements": _requirements_to(v.requirements)}
+def _valid_sd(request: SliceRequest, path: str) -> SliceRequest:
+    if request.sd is not None:
+        try:
+            SNssai(request.sst, request.sd)
+        except ValueError as err:
+            raise _fail(str(err), f"{path}.sd") from None
+    return request
 
 
-def _request_from(d, path) -> SliceRequest:
-    d = _obj(d, path, {"sst", "sd", "requirements"})
-    sst = _int(d["sst"], f"{path}.sst")
-    if sst not in (1, 2, 3):
-        raise _fail("sst must be 1, 2 or 3", f"{path}.sst")
-    sd = _opt_str(d["sd"], f"{path}.sd")
-    if sd is not None:
-        _wrap_value_error(lambda: SNssai(Sst(sst), sd), f"{path}.sd")
-    return SliceRequest(Sst(sst), sd, _requirements_from(d["requirements"], f"{path}.requirements"))
+# ---------------------------------------------------------------------------
+# the codec
+
+class _Codec(NamedTuple):
+    encode: Callable | None  # model value -> JSON value; None writes the value as it is
+    decode: Callable  # (JSON value, path) -> model value
 
 
-def _du_plan_to(v: DuPlan) -> dict:
-    return {
-        "du_id": v.du_id,
-        "region_id": v.region_id,
-        "served_cell_sites": list(v.served_cell_sites),
-        "vnfd_flavor": v.vnfd_flavor.value,
-        "il_subset": _subset_to(v.il_subset),
-        "host_pop": v.host_pop,
-    }
+def _itself(value):
+    return value
 
 
-def _du_plan_from(d, path) -> DuPlan:
-    d = _obj(d, path, {"du_id", "region_id", "served_cell_sites", "vnfd_flavor", "il_subset", "host_pop"})
-    return DuPlan(
-        _str(d["du_id"], f"{path}.du_id"),
-        _str(d["region_id"], f"{path}.region_id"),
-        tuple(_str(s, f"{path}.served_cell_sites[{i}]")
-              for i, s in enumerate(_list(d["served_cell_sites"], f"{path}.served_cell_sites"))),
-        _enum(DuFlavor, d["vnfd_flavor"], f"{path}.vnfd_flavor"),
-        _subset_from(d["il_subset"], f"{path}.il_subset"),
-        _str(d["host_pop"], f"{path}.host_pop"),
-    )
+def _as_tuple(*values):
+    return values
 
 
-def _gnb_plan_to(v: GnbPlan) -> dict:
-    return {
-        "gnb_id": v.gnb_id,
-        "cu": {"host_pop": v.cu.host_pop, "il_subset": _subset_to(v.cu.il_subset)},
-        "dus": [_du_plan_to(du) for du in v.dus],
-        "nsd_flavor_id": v.nsd_flavor_id,
-        "nsd_il_subset": _subset_to(v.nsd_il_subset),
-    }
+def _object_codec(make, entries, tag: str | None = None) -> _Codec:
+    """A JSON object with one key per entry, decoded into ``make(*values)``.
+
+    Entries are ``(key, get, codec, add)``: ``get`` reads the value to
+    encode, and ``add`` puts the decoded value into ``make``'s arguments
+    (``list.extend`` spreads a nested object over several fields).  A
+    ``ValueError`` from ``make`` is a diagnostic at the object's path.
+    """
+    keys = frozenset([key for key, *_ in entries] + (["kind"] if tag else []))
+    writers = [(key, get, codec.encode) for key, get, codec, _ in entries]
+    readers = [(key, codec.decode, add) for key, _, codec, add in entries]
+
+    def encode(value) -> dict:
+        out = {"kind": tag} if tag else {}
+        for key, get, write in writers:
+            field = get(value)
+            out[key] = field if write is None else write(field)
+        return out
+
+    def decode(value, path: str):
+        value = _obj(value, path, keys)
+        args: list = []
+        for key, read, add in readers:
+            add(args, read(value[key], f"{path}.{key}"))
+        try:
+            return make(*args)
+        except ValueError as err:
+            raise _fail(str(err), path) from None
+
+    return _Codec(encode, decode)
 
 
-def _gnb_plan_from(d, path) -> GnbPlan:
-    d = _obj(d, path, {"gnb_id", "cu", "dus", "nsd_flavor_id", "nsd_il_subset"})
-    cu = _obj(d["cu"], f"{path}.cu", {"host_pop", "il_subset"})
-    return GnbPlan(
-        _str(d["gnb_id"], f"{path}.gnb_id"),
-        CuPlacement(
-            _str(cu["host_pop"], f"{path}.cu.host_pop"),
-            _subset_from(cu["il_subset"], f"{path}.cu.il_subset"),
-        ),
-        tuple(_du_plan_from(du, f"{path}.dus[{i}]")
-              for i, du in enumerate(_list(d["dus"], f"{path}.dus"))),
-        _int(d["nsd_flavor_id"], f"{path}.nsd_flavor_id"),
-        _subset_from(d["nsd_il_subset"], f"{path}.nsd_il_subset"),
-    )
+def _dataclass_codec(cls, tag: str | None = None) -> _Codec:
+    hints = typing.get_type_hints(cls)
+    fields = []
+    for f in dataclasses.fields(cls):
+        override = _OVERRIDES.get((cls, f.name))
+        key = override if isinstance(override, str) else f.name
+        codec = override(hints[f.name]) if callable(override) else _codec(hints[f.name])
+        fields.append((key, attrgetter(f.name), codec, list.append))
+    entries = []
+    for outer, group in itertools.groupby(fields, key=lambda entry: entry[0].partition(".")[0]):
+        group = list(group)
+        if outer == group[0][0]:
+            entries += group
+        else:  # "outer.inner" keys: these fields nest in one object under "outer"
+            inner = [(key.partition(".")[2], *rest) for key, *rest in group]
+            entries.append((outer, _itself, _object_codec(_as_tuple, inner), list.extend))
+    return _object_codec(cls, entries, tag)
 
 
-def _plan_to(v: SlicePlan) -> dict:
-    return {
-        "s_nssai": _snssai_to(v.s_nssai),
-        "nsst_ref": v.nsst_ref,
-        "nsst": _nsst_to(v.nsst),
-        "gnbs": [_gnb_plan_to(g) for g in v.gnbs],
-        "selected_rus": list(v.selected_rus),
-        "offered_load_mbps": {region: load for region, load in v.offered_load_mbps},
-    }
+def _array(item: _Codec, make, write) -> _Codec:
+    """A tuple or frozenset as a JSON array: ``make`` builds the model value
+    from the decoded items, ``write`` the array from the encoded ones."""
+
+    def decode(value, path: str):
+        return make([item.decode(x, f"{path}[{i}]") for i, x in enumerate(_list(value, path))])
+
+    if item.encode is None:
+        return _Codec(write, decode)
+    return _Codec(lambda value: write(map(item.encode, value)), decode)
 
 
-def _plan_from(d, path) -> SlicePlan:
-    d = _obj(d, path, {"s_nssai", "nsst_ref", "nsst", "gnbs", "selected_rus", "offered_load_mbps"})
-    loads = d["offered_load_mbps"]
-    if not isinstance(loads, dict):
-        raise _fail("expected an object of region -> Mbps", f"{path}.offered_load_mbps")
-    return SlicePlan(
-        _snssai_from(d["s_nssai"], f"{path}.s_nssai"),
-        _str(d["nsst_ref"], f"{path}.nsst_ref"),
-        _nsst_from(d["nsst"], f"{path}.nsst"),
-        tuple(_gnb_plan_from(g, f"{path}.gnbs[{i}]")
-              for i, g in enumerate(_list(d["gnbs"], f"{path}.gnbs"))),
-        tuple(_str(r, f"{path}.selected_rus[{i}]")
-              for i, r in enumerate(_list(d["selected_rus"], f"{path}.selected_rus"))),
-        tuple(sorted((k, _num(val, f"{path}.offered_load_mbps.{k}")) for k, val in loads.items())),
-    )
+def _optional(inner: _Codec) -> _Codec:
+    def decode(value, path: str):
+        return None if value is None else inner.decode(value, path)
+
+    if inner.encode is None:
+        return _Codec(None, decode)
+    return _Codec(lambda value: None if value is None else inner.encode(value), decode)
 
 
-def _policy_to(v: ProfilerPolicy) -> dict:
-    return {
-        "latency_to_mu_thresholds": [[bound, mu] for bound, mu in v.latency_to_mu_thresholds],
-        "slot_format_table": [
-            {
-                "slot_format_id": r.slot_format_id,
-                "min_dl_ul_ratio": r.min_dl_ul_ratio,
-                "max_dl_ul_ratio": r.max_dl_ul_ratio,
-                "dl_symbols": r.dl_symbols,
-                "ul_symbols": r.ul_symbols,
-                "flexible_symbols": r.flexible_symbols,
-            }
-            for r in v.slot_format_table
-        ],
-        "fiveqi_table": [_fiveqi_to(q) for q in v.fiveqi_table],
-        "mcs_threshold_mbps": v.mcs_threshold_mbps,
-        "mobility_uplift_kmh": v.mobility_uplift_kmh,
-        "min_latency_ms": v.min_latency_ms,
-        "reference_cell_area_km2": v.reference_cell_area_km2,
-        "activity_factor": v.activity_factor,
-        "spectral_efficiency_bps_per_hz": v.spectral_efficiency_bps_per_hz,
-        "narrowband_rate_threshold_mbps": v.narrowband_rate_threshold_mbps,
-    }
+def _fixed(encode, decode):
+    """Override: a codec given outright."""
+    return lambda hint: _Codec(encode, decode)
 
 
-def _policy_from(d, path) -> ProfilerPolicy:
-    d = _obj(
-        d,
-        path,
-        {
-            "latency_to_mu_thresholds", "slot_format_table", "fiveqi_table", "mcs_threshold_mbps",
-            "mobility_uplift_kmh", "min_latency_ms", "reference_cell_area_km2", "activity_factor",
-            "spectral_efficiency_bps_per_hz", "narrowband_rate_threshold_mbps",
-        },
-    )
-    thresholds = []
-    for i, item in enumerate(_list(d["latency_to_mu_thresholds"], f"{path}.latency_to_mu_thresholds")):
-        tpath = f"{path}.latency_to_mu_thresholds[{i}]"
-        if not isinstance(item, list) or len(item) != 2:
-            raise _fail("expected a [max_latency_ms, mu] pair", tpath)
-        thresholds.append((_opt_num(item[0], tpath), _int(item[1], tpath)))
-    rows = []
-    for i, item in enumerate(_list(d["slot_format_table"], f"{path}.slot_format_table")):
-        rpath = f"{path}.slot_format_table[{i}]"
-        r = _obj(item, rpath, {"slot_format_id", "min_dl_ul_ratio", "max_dl_ul_ratio",
-                               "dl_symbols", "ul_symbols", "flexible_symbols"})
-        rows.append(
-            SlotFormatRow(
-                _int(r["slot_format_id"], f"{rpath}.slot_format_id"),
-                _num(r["min_dl_ul_ratio"], f"{rpath}.min_dl_ul_ratio"),
-                _opt_num(r["max_dl_ul_ratio"], f"{rpath}.max_dl_ul_ratio"),
-                _int(r["dl_symbols"], f"{rpath}.dl_symbols"),
-                _int(r["ul_symbols"], f"{rpath}.ul_symbols"),
-                _int(r["flexible_symbols"], f"{rpath}.flexible_symbols"),
-            )
-        )
-    fiveqis = tuple(_fiveqi_from(q, f"{path}.fiveqi_table[{i}]")
-                    for i, q in enumerate(_list(d["fiveqi_table"], f"{path}.fiveqi_table")))
-    return _wrap_value_error(
-        lambda: ProfilerPolicy(
-            tuple(thresholds),
-            tuple(rows),
-            fiveqis,
-            _num(d["mcs_threshold_mbps"], f"{path}.mcs_threshold_mbps"),
-            _num(d["mobility_uplift_kmh"], f"{path}.mobility_uplift_kmh"),
-            _num(d["min_latency_ms"], f"{path}.min_latency_ms"),
-            _num(d["reference_cell_area_km2"], f"{path}.reference_cell_area_km2"),
-            _num(d["activity_factor"], f"{path}.activity_factor"),
-            _num(d["spectral_efficiency_bps_per_hz"], f"{path}.spectral_efficiency_bps_per_hz"),
-            _num(d["narrowband_rate_threshold_mbps"], f"{path}.narrowband_rate_threshold_mbps"),
-        ),
-        path,
-    )
+def _checked(check):
+    """Override: the dataclass codec, then ``check(value, path)`` on every
+    decoded value."""
+
+    def build(cls) -> _Codec:
+        encode, decode = _dataclass_codec(cls)
+        return _Codec(encode, lambda value, path: check(decode(value, path), path))
+
+    return build
 
 
-def _config_to(v: PlannerConfig) -> dict:
-    return {
-        "cu_du_latency_budget_ms": v.cu_du_latency_budget_ms,
-        "activity_factor": v.activity_factor,
-        "exact_solver_limit": v.exact_solver_limit,
-    }
+def _pairs(label: str):
+    """Override for ``tuple[tuple[A, B], ...]``: an array of two-element
+    arrays; a fault in either item is reported at the pair's path."""
+
+    def build(hint) -> _Codec:
+        first, second = map(_codec, typing.get_args(typing.get_args(hint)[0]))
+        write_first, write_second = first.encode or _itself, second.encode or _itself
+
+        def encode(pairs) -> list:
+            return [[write_first(a), write_second(b)] for a, b in pairs]
+
+        def decode(value, path: str) -> tuple:
+            pairs = []
+            for i, item in enumerate(_list(value, path)):
+                at = f"{path}[{i}]"
+                if not isinstance(item, list) or len(item) != 2:
+                    raise _fail(f"expected a {label} pair", at)
+                pairs.append((first.decode(item[0], at), second.decode(item[1], at)))
+            return tuple(pairs)
+
+        return _Codec(encode, decode)
+
+    return build
 
 
-def _config_from(d, path) -> PlannerConfig:
-    d = _obj(d, path, {"cu_du_latency_budget_ms", "activity_factor", "exact_solver_limit"})
-    return _wrap_value_error(
-        lambda: PlannerConfig(
-            _num(d["cu_du_latency_budget_ms"], f"{path}.cu_du_latency_budget_ms"),
-            _num(d["activity_factor"], f"{path}.activity_factor"),
-            _int(d["exact_solver_limit"], f"{path}.exact_solver_limit"),
-        ),
-        path,
-    )
+def _tagged(noun: str, kind_noun: str, members: dict[str, type]):
+    """Override for a union of dataclasses: an object whose ``kind`` names
+    the member."""
+
+    def build(union) -> _Codec:
+        by_tag = {tag: _dataclass_codec(cls, tag) for tag, cls in members.items()}
+        by_type = {cls: by_tag[tag].encode for tag, cls in members.items()}
+
+        def decode(value, path: str):
+            if not isinstance(value, dict) or "kind" not in value:
+                raise _fail(f"expected {noun} with a 'kind' tag", path)
+            kind = value["kind"]
+            member = by_tag.get(kind) if isinstance(kind, str) else None
+            if member is None:
+                raise _fail(f"unknown {kind_noun} kind {kind!r}", path)
+            return member.decode(value, path)
+
+        return _Codec(lambda value: by_type[type(value)](value), decode)
+
+    return build
 
 
-_BODY_CODECS = {
-    "CATALOG": (_catalog_to, _catalog_from),
-    "TOPOLOGY": (_topology_to, _topology_from),
-    "SLICE_REQUEST": (_request_to, _request_from),
-    "SLICE_PLAN": (_plan_to, _plan_from),
-    "PROFILER_POLICY": (_policy_to, _policy_from),
-    "PLANNER_CONFIG": (_config_to, _config_from),
+# Every departure of the JSON from the fields.  A (class, field) key gives
+# either the field's JSON key ("outer.inner" nests it) or a codec builder
+# for the field's type hint; a type key gives a codec builder for the type.
+_OVERRIDES = {
+    (InstantiationLevel, "role_capacity"): "role",
+    (Pop, "host_capacity_vcpu"): "host_capacity.vcpu",
+    (Pop, "host_capacity_ram_gb"): "host_capacity.ram_gb",
+    (SlicePlan, "offered_load_mbps"): _fixed(dict, _loads),
+    (GnbSubsetKey, "served_regions"): _pairs("[region_class, fronthaul_tech]"),
+    (ProfilerPolicy, "latency_to_mu_thresholds"): _pairs("[max_latency_ms, mu]"),
+    RoleCapacity: _tagged("a role object", "role",
+                          {"DU": DuIlCapacity, "CU": CuIlCapacity, "GNB": GnbIlCapacity}),
+    SubsetKey: _tagged("a subset key", "subset key",
+                       {"DU": DuSubsetKey, "CU": CuSubsetKey, "GNB": GnbSubsetKey}),
+    Sst: _fixed(int, _sst),
+    DeploymentArea: _checked(_loaded_area),
+    SliceRequest: _checked(_valid_sd),
 }
+
+_PRIMITIVES = {str: _str, int: _int, float: _num}
+
+
+@functools.cache
+def _codec(hint) -> _Codec:
+    """The codec for a type hint, built on first use."""
+    if hint in _OVERRIDES:
+        return _OVERRIDES[hint](hint)
+    if hint in _PRIMITIVES:
+        return _Codec(None, _PRIMITIVES[hint])
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return _Codec(attrgetter("value"), functools.partial(_enum, hint))
+    if dataclasses.is_dataclass(hint):
+        return _dataclass_codec(hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, UnionType) and len(args) == 2 and NoneType in args:
+        return _optional(_codec(args[0] if args[1] is NoneType else args[1]))
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        return _array(_codec(args[0]), tuple, list)
+    if origin is frozenset:
+        return _array(_codec(args[0]), frozenset, sorted)
+    raise TypeError(f"no document codec for {hint!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -795,11 +384,8 @@ _BODY_CODECS = {
 
 def envelope_for(body: object) -> DocumentEnvelope:
     """Wrap a typed body in an envelope, inferring the kind."""
-    for kind, match in (
-        ("CATALOG", Catalog), ("TOPOLOGY", DeploymentArea), ("SLICE_REQUEST", SliceRequest),
-        ("SLICE_PLAN", SlicePlan), ("PROFILER_POLICY", ProfilerPolicy), ("PLANNER_CONFIG", PlannerConfig),
-    ):
-        if isinstance(body, match):
+    for kind, body_type in _BODY_TYPES.items():
+        if isinstance(body, body_type):
             return DocumentEnvelope(kind, body)
     raise TypeError(f"no document kind for {type(body).__name__}")
 
@@ -823,21 +409,19 @@ def parse_document(text: str) -> DocumentEnvelope:
         raise DocumentError("UNSUPPORTED_VERSION",
                             f"schema version {version!r} is not supported (expected {SCHEMA_VERSION})")
     kind = raw["kind"]
-    if kind not in _BODY_CODECS:
+    if kind not in _BODY_TYPES:
         raise DocumentError("UNKNOWN_KIND", f"unknown document kind {kind!r}")
-    _, decode = _BODY_CODECS[kind]
-    return DocumentEnvelope(kind, decode(raw["body"], "body"))
+    return DocumentEnvelope(kind, _codec(_BODY_TYPES[kind]).decode(raw["body"], "body"))
 
 
 def serialize_document(envelope: DocumentEnvelope) -> str:
     """Canonical text for an envelope: sorted keys, stable formatting."""
-    if envelope.kind not in _BODY_CODECS:
+    if envelope.kind not in _BODY_TYPES:
         raise DocumentError("UNKNOWN_KIND", f"unknown document kind {envelope.kind!r}")
-    encode, _ = _BODY_CODECS[envelope.kind]
     payload = {
         "schema_version": envelope.schema_version,
         "kind": envelope.kind,
-        "body": encode(envelope.body),
+        "body": _codec(_BODY_TYPES[envelope.kind]).encode(envelope.body),
     }
     return canonical_json(payload)
 
@@ -892,6 +476,15 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundl
     nsd = catalog.gnb_nsd(plan.nsst.nsd_ref)
     if nsd is None:
         raise _dangling(f"gNB NSD {plan.nsst.nsd_ref!r} not in catalog")
+    catalog_rus: dict[str, RuPnfd] = {}
+    for ru in catalog.ru_pnfds:
+        catalog_rus.setdefault(ru.ru_id, ru)  # the first entry wins, as in Catalog.ru
+    rus = []
+    for ru_id in plan.selected_rus:
+        if ru_id not in catalog_rus:
+            raise _dangling(f"RU PNFD {ru_id!r} not in catalog")
+        rus.append(catalog_rus[ru_id])
+    subset_key = _codec(SubsetKey).encode
     used_vnf_refs: dict[str, set[int]] = {}
     manifest_gnbs = []
     for gnb in plan.gnbs:
@@ -917,24 +510,18 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundl
         def du_vnfd_ids(du) -> list[str]:
             il_ids = {lvl.il_id for lvl in du.il_subset.levels}
             return sorted({ref.vnfd_id for ref in du_ref_pool if ref.il_id in il_ids})
-        gnb_rus = sorted(
-            ru_id
-            for ru_id in plan.selected_rus
-            if any(
-                (catalog.ru(ru_id) or _missing_ru(ru_id)).location.cell_site in du.served_cell_sites
-                for du in gnb.dus
-            )
-        )
+        gnb_sites = {site for du in gnb.dus for site in du.served_cell_sites}
+        gnb_rus = sorted(ru.ru_id for ru in rus if ru.location.cell_site in gnb_sites)
         manifest_gnbs.append(
             {
                 "gnb_id": gnb.gnb_id,
                 "nsd_ref": nsd.descriptor_id,
                 "flavor_id": gnb.nsd_flavor_id,
-                "il_subset_key": _subset_key_to(gnb.nsd_il_subset.key),
+                "il_subset_key": subset_key(gnb.nsd_il_subset.key),
                 "cu": {
                     "host_pop": gnb.cu.host_pop,
                     "vnfd_ids": sorted(cu_vnfd_ids),
-                    "il_subset_key": _subset_key_to(gnb.cu.il_subset.key),
+                    "il_subset_key": subset_key(gnb.cu.il_subset.key),
                 },
                 "dus": [
                     {
@@ -942,7 +529,7 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundl
                         "region_id": du.region_id,
                         "vnfd_ids": du_vnfd_ids(du),
                         "vnfd_flavor": du.vnfd_flavor.value,
-                        "il_subset_key": _subset_key_to(du.il_subset.key),
+                        "il_subset_key": subset_key(du.il_subset.key),
                         "served_cell_sites": list(du.served_cell_sites),
                         "host_pop": du.host_pop,
                     }
@@ -951,17 +538,12 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundl
                 "rus": gnb_rus,
             }
         )
-    pnfds = []
-    for ru_id in plan.selected_rus:
-        ru = catalog.ru(ru_id)
-        if ru is None:
-            raise _dangling(f"RU PNFD {ru_id!r} not in catalog")
-        pnfds.append(_ru_to(ru))
+    pnfds = [_codec(RuPnfd).encode(ru) for ru in rus]
     manifest = {
-        "s_nssai": _snssai_to(plan.s_nssai),
+        "s_nssai": _codec(SNssai).encode(plan.s_nssai),
         "nsst_ref": plan.nsst_ref,
-        "radio_config": _radio_config_to(plan.nsst.radio_config),
-        "offered_load_mbps": {region: load for region, load in plan.offered_load_mbps},
+        "radio_config": _codec(RadioConfig).encode(plan.nsst.radio_config),
+        "offered_load_mbps": dict(plan.offered_load_mbps),
         "gnbs": manifest_gnbs,
     }
     files = {"manifest.json": canonical_json(manifest), "pnfd-list.json": canonical_json(pnfds)}
@@ -970,7 +552,7 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundl
     }
     nsd_excerpt = {
         "descriptor_id": nsd.descriptor_id,
-        "flavors": [_flavor_to(f) for f in nsd.flavors if f.flavor_id in used_flavors],
+        "flavors": [_codec(Flavor).encode(f) for f in nsd.flavors if f.flavor_id in used_flavors],
     }
     files[f"nsd-{nsd.descriptor_id}.json"] = canonical_json(nsd_excerpt)
     for vnfd_id in sorted(used_vnf_refs):
@@ -980,15 +562,11 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundl
         excerpt = {
             "descriptor_id": vnfd.descriptor_id,
             "flavors": [
-                _flavor_to(f) for f in vnfd.flavors if f.flavor_id in used_vnf_refs[vnfd_id]
+                _codec(Flavor).encode(f) for f in vnfd.flavors if f.flavor_id in used_vnf_refs[vnfd_id]
             ],
         }
         files[f"vnfd-{vnfd_id}.json"] = canonical_json(excerpt)
     return OnboardingBundle(files=files, manifest=manifest)
-
-
-def _missing_ru(ru_id: str):
-    raise _dangling(f"RU PNFD {ru_id!r} not in catalog")
 
 
 def write_bundle(bundle: OnboardingBundle, out_dir: str | Path) -> list[Path]:
