@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ranslicer
 from ranslicer.cli import cli_main
 from ranslicer.io import SliceRequest, envelope_for, parse_document, serialize_document
 from ranslicer.model import Sst
@@ -127,3 +132,15 @@ def test_config_flag_applies_planner_config(doc_files, tmp_path, capsys):
     out = capsys.readouterr()
     assert code == 1
     assert "INFEASIBLE_LATENCY" in out.err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(ranslicer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "ranslicer", "paper-example"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    pinned = (Path(__file__).parent / "data" / "paper_example_output.txt").read_text()
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == pinned
