@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,25 @@ def test_field_order_does_not_matter(catalog):
     assert serialize_document(envelope_for(reordered)) == serialize_document(
         envelope_for(dataclasses.replace(catalog))
     )
+
+
+def test_codecs_are_built_once_per_type(catalog, area, requests, monkeypatch):
+    plan = plan_slice(requests[Sst.MMTC], Sst.MMTC, area, catalog)
+
+    def round_trip():
+        for body in (catalog, area, plan):
+            parse_document(serialize_document(envelope_for(body)))
+        emit_onboarding_bundle(plan, catalog)
+
+    round_trip()
+
+    def no_reflection(*args, **kwargs):
+        raise AssertionError("type reflection after the codecs were built")
+
+    monkeypatch.setattr(typing, "get_type_hints", no_reflection)
+    monkeypatch.setattr(dataclasses, "fields", no_reflection)
+    monkeypatch.setattr(dataclasses, "is_dataclass", no_reflection)
+    round_trip()
 
 
 def test_canonical_output_has_sorted_keys(catalog):
