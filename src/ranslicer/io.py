@@ -409,7 +409,7 @@ def parse_document(text: str) -> DocumentEnvelope:
         raise DocumentError("UNSUPPORTED_VERSION",
                             f"schema version {version!r} is not supported (expected {SCHEMA_VERSION})")
     kind = raw["kind"]
-    if kind not in _BODY_TYPES:
+    if not isinstance(kind, str) or kind not in _BODY_TYPES:
         raise DocumentError("UNKNOWN_KIND", f"unknown document kind {kind!r}")
     return DocumentEnvelope(kind, _codec(_BODY_TYPES[kind]).decode(raw["body"], "body"))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,7 +40,7 @@ from .model import (
     Sst,
     level_capacity_mbps,
 )
-from .radio import ProfilerPolicy, build_ran_nsst
+from .radio import ProfilerPolicy, area_load_mbps, build_ran_nsst, default_policy
 from .topology import DeploymentArea, Region, fronthaul_techs, pop_latency, select_rus
 from .validate import GNB_FLAVOR_TECHS
 
@@ -60,14 +61,11 @@ DU_FLAVOR_FOR_TECH = {
 @dataclass(frozen=True)
 class PlannerConfig:
     cu_du_latency_budget_ms: float = 10.0
-    activity_factor: float = 0.1
     exact_solver_limit: int = 12
 
     def __post_init__(self):
         if self.cu_du_latency_budget_ms <= 0:
             raise ValueError("latency budget must be positive")
-        if not 0 < self.activity_factor <= 1:
-            raise ValueError("activity factor must lie in (0, 1]")
         if self.exact_solver_limit < 0:
             raise ValueError("exact solver limit must be non-negative")
 
@@ -116,18 +114,6 @@ class SlicePlan:
     offered_load_mbps: tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True)
-class DuSelection:
-    """One region's DU choice inside a gNB: which DU IL subset, how many DUs."""
-
-    vnfd_id: str
-    region_id: str
-    region_class: str
-    fronthaul_tech: FronthaulTech
-    il_subset: IlSubset
-    du_count: int
-
-
 def select_gnb_flavor(techs: frozenset[FronthaulTech]) -> int:
     """gNB NSD flavor id for a set of fronthaul technologies."""
     if not techs:
@@ -136,13 +122,6 @@ def select_gnb_flavor(techs: frozenset[FronthaulTech]) -> int:
         if techs == flavor_techs:
             return flavor_id
     raise ValueError(f"unmappable technology set {techs!r}")  # pragma: no cover
-
-
-def peak_region_load_mbps(requirements: SliceRequirements, region: Region, config: PlannerConfig) -> float:
-    """Peak offered load of one fully covered region: UE density times
-    area times the dominant per-UE rate, derated by the activity factor."""
-    per_ue = max(requirements.throughput_dl_mbps, requirements.throughput_ul_mbps)
-    return requirements.ue_density_per_km2 * region.area_km2 * per_ue * config.activity_factor
 
 
 def _du_subsets_for(du_vnfd: DuVnfd, region: Region) -> list[IlSubset]:
@@ -389,45 +368,43 @@ def derive_gnb_il_subset(
     gnb_nsd: GnbNsd,
     flavor_id: int,
     cu_selection: tuple[str, IlSubset],
-    du_selections: list[DuSelection],
+    dus: Sequence[DuPlan],
+    du_vnfd_id: str,
 ) -> IlSubset:
     """gNB NSD IL subset matching a planned CU/DU layout.
 
     The subset key must equal the multiset of (region class, fronthaul
-    tech) pairs over the regions the gNB spans, and at least one of its
-    levels must reference the chosen CU IL subset and the chosen DU IL
-    subsets with the planned multiplicities.
+    tech) pairs of the DU IL subset keys, one per distinct (region, DU IL
+    subset key), so a region whose DUs use two subsets counts twice.  At
+    least one of its levels must reference the chosen CU IL subset and
+    those DU IL subsets of ``du_vnfd_id`` with the planned multiplicities.
     """
     flavor = gnb_nsd.flavor(flavor_id)
     if flavor is None:
         raise ValueError(f"gNB NSD {gnb_nsd.descriptor_id} has no flavor {flavor_id}")
     cu_vnfd_id, cu_subset = cu_selection
-    want_key = GnbSubsetKey(
-        tuple((sel.region_class, sel.fronthaul_tech) for sel in du_selections)
-    )
+    by_subset: dict[tuple[str, DuSubsetKey], list[DuPlan]] = {}
+    for du in dus:
+        by_subset.setdefault((du.region_id, du.il_subset.key), []).append(du)
+    groups = sorted(by_subset.items(), key=lambda item: (item[0][0], item[0][1].min_cell_sites))
+    want_key = GnbSubsetKey(tuple((key.region_class, key.fronthaul_tech) for (_, key), _ in groups))
     cu_il_ids = {level.il_id for level in cu_subset.levels}
 
     def level_matches(level: InstantiationLevel) -> bool:
         role = level.role_capacity
         if not isinstance(role, GnbIlCapacity):
             return False
-        if role.du_count != sum(sel.du_count for sel in du_selections):
+        if role.du_count != len(dus):
             return False
         if role.cu_il_ref.vnfd_id != cu_vnfd_id or role.cu_il_ref.il_id not in cu_il_ids:
             return False
-        pools = [
-            [sel, sel.du_count, {lvl.il_id for lvl in sel.il_subset.levels}]
-            for sel in du_selections
-        ]
+        pools = [[len(group), {lvl.il_id for lvl in group[0].il_subset.levels}] for _, group in groups]
         for ref in role.du_il_refs:
-            owner = next(
-                (p for p in pools if p[1] > 0 and ref.vnfd_id == p[0].vnfd_id and ref.il_id in p[2]),
-                None,
-            )
-            if owner is None:
+            owner = next((p for p in pools if p[0] > 0 and ref.il_id in p[1]), None)
+            if ref.vnfd_id != du_vnfd_id or owner is None:
                 return False
-            owner[1] -= 1
-        return all(p[1] == 0 for p in pools)
+            owner[0] -= 1
+        return all(p[0] == 0 for p in pools)
 
     for subset in flavor.il_subsets:
         if not isinstance(subset.key, GnbSubsetKey) or subset.key != want_key:
@@ -483,6 +460,7 @@ def plan_slice(
     identifier assignment.  Errors carry the failing stage.
     """
     config = config or PlannerConfig()
+    policy = policy or default_policy()
     if not catalog.gnb_nsds:
         raise PlannerError("NO_MATCHING_SUBSET", "catalog has no gNB NSD", stage="plan_slice")
     gnb_nsd = sorted(catalog.gnb_nsds, key=lambda d: d.descriptor_id)[0]
@@ -501,8 +479,9 @@ def plan_slice(
     regions = [area.region(rid) for rid in sorted(set(requirements.target_regions))]
     loads: list[tuple[str, float]] = []
     all_dus: list[DuPlan] = []
+    per_ue = max(requirements.throughput_dl_mbps, requirements.throughput_ul_mbps)
     for region in regions:
-        load = peak_region_load_mbps(requirements, region, config)
+        load = area_load_mbps(requirements.ue_density_per_km2, region.area_km2, per_ue, policy)
         loads.append((region.region_id, load))
         all_dus.extend(_staged("dimension_dus", dimension_dus, region, load, du_vnfd, config))
 
@@ -510,28 +489,14 @@ def plan_slice(
 
     gnbs: list[GnbPlan] = []
     for i, skeleton in enumerate(skeletons, start=1):
-        selections: dict[tuple[str, object], DuSelection] = {}
-        for du in skeleton.dus:
-            region = area.region(du.region_id)
-            key = (du.region_id, du.il_subset.key)
-            if key in selections:
-                prev = selections[key]
-                selections[key] = DuSelection(
-                    prev.vnfd_id, prev.region_id, prev.region_class,
-                    prev.fronthaul_tech, prev.il_subset, prev.du_count + 1,
-                )
-            else:
-                selections[key] = DuSelection(
-                    du_vnfd.descriptor_id, du.region_id, region.region_class,
-                    region.fronthaul_tech, du.il_subset, 1,
-                )
         nsd_subset = _staged(
             "derive_gnb_il_subset",
             derive_gnb_il_subset,
             gnb_nsd,
             flavor_id,
             (cu_vnfd.descriptor_id, skeleton.cu_il_subset),
-            sorted(selections.values(), key=lambda s: (s.region_id, s.il_subset.key.min_cell_sites)),
+            skeleton.dus,
+            du_vnfd.descriptor_id,
         )
         gnbs.append(
             GnbPlan(
@@ -562,8 +527,9 @@ def verify_plan(
 ) -> list[str]:
     """Independent feasibility check of an emitted plan.
 
-    Re-derives latency, CU capacity, coverage conservation and flavor
-    consistency from the area and catalog instead of trusting the solver.
+    Re-derives latency, CU capacity, coverage conservation, flavor
+    consistency and each gNB's IL-subset key from the area and catalog
+    instead of trusting the solver.
     """
     config = config or PlannerConfig()
     problems: list[str] = []
@@ -586,11 +552,13 @@ def verify_plan(
         if cu_caps and len(gnb.dus) > max(cu_caps):
             problems.append(f"{gnb.gnb_id}: DU count {len(gnb.dus)} exceeds CU capacity {max(cu_caps)}")
         expected_techs = GNB_FLAVOR_TECHS.get(gnb.nsd_flavor_id, frozenset())
+        layout: dict[tuple[str, object], tuple[str, FronthaulTech]] = {}
         for du in gnb.dus:
             region = area.region(du.region_id)
             if region is None:
                 problems.append(f"{du.du_id}: unknown region {du.region_id}")
                 continue
+            layout[(du.region_id, du.il_subset.key)] = (region.region_class, region.fronthaul_tech)
             try:
                 latency = pop_latency(area, gnb.cu.host_pop, du.host_pop)
             except TopologyError:
@@ -616,6 +584,10 @@ def verify_plan(
                 if site in site_owner:
                     problems.append(f"cell site {site} served by both {site_owner[site]} and {du.du_id}")
                 site_owner[site] = du.du_id
+        want_key = GnbSubsetKey(tuple(layout.values()))
+        if gnb.nsd_il_subset.key != want_key:
+            key_text = " + ".join(f"({cls}, {tech.value})" for cls, tech in want_key.served_regions)
+            problems.append(f"{gnb.gnb_id}: gNB IL subset is not keyed by its DU layout {key_text}")
     ru_sites: set[str] = set()
     for ru_id in plan.selected_rus:
         ru = catalog.ru(ru_id) or next((r for r in area.rus if r.ru_id == ru_id), None)

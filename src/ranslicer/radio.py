@@ -6,6 +6,9 @@ bandwidth, TDD slot format, 5QI, MCS set and packet-scheduler policy.
 All thresholds live in ``ProfilerPolicy`` so an operator can recalibrate
 without touching code; the defaults reproduce the three reference
 templates shipped in the builtin catalog.
+
+``area_load_mbps``, the one demand model, sizes both the carriers and
+the planner's regional peak load from ``ProfilerPolicy.activity_factor``.
 """
 
 from __future__ import annotations
@@ -136,6 +139,12 @@ def select_numerology(latency_ms: float, max_mobility_kmh: float, policy: Profil
     return mu
 
 
+def area_load_mbps(ue_density_per_km2: float, area_km2: float, per_ue_mbps: float, policy: ProfilerPolicy) -> float:
+    """Peak offered load of an area: UE density times area times the
+    dominant per-UE rate, derated by the policy's activity factor."""
+    return ue_density_per_km2 * area_km2 * per_ue_mbps * policy.activity_factor
+
+
 def select_operation_bands(
     throughput_dl_mbps: float,
     throughput_ul_mbps: float,
@@ -161,9 +170,7 @@ def select_operation_bands(
     if per_ue <= policy.narrowband_rate_threshold_mbps:
         demand_mhz = 0.0  # clamps to the minimum carrier
     else:
-        cell_load_mbps = (
-            ue_density_per_km2 * policy.reference_cell_area_km2 * per_ue * policy.activity_factor
-        )
+        cell_load_mbps = area_load_mbps(ue_density_per_km2, policy.reference_cell_area_km2, per_ue, policy)
         demand_mhz = cell_load_mbps / policy.spectral_efficiency_bps_per_hz
     if mu == 3:
         ranges = (BandRange.MMWAVE_24250_52600,)

@@ -325,7 +325,6 @@ def rand_policy(rng: random.Random) -> ProfilerPolicy:
 def rand_config(rng: random.Random) -> PlannerConfig:
     return PlannerConfig(
         cu_du_latency_budget_ms=round(rng.uniform(0.5, 30.0), 2),
-        activity_factor=round(rng.uniform(0.01, 1.0), 3),
         exact_solver_limit=rng.randint(0, 20),
     )
 

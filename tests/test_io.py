@@ -112,6 +112,10 @@ class TestStrictParsing:
         with pytest.raises(DocumentError) as err:
             parse_document('{"schema_version": "1.0.0", "kind": "WIBBLE", "body": {}}')
         assert err.value.code == "UNKNOWN_KIND"
+        for kind in ("[1]", "{}"):
+            with pytest.raises(DocumentError) as err:
+                parse_document(f'{{"schema_version": "1.0.0", "kind": {kind}, "body": {{}}}}')
+            assert (err.value.code, err.value.args[0]) == ("UNKNOWN_KIND", f"unknown document kind {kind}")
 
     def test_kind_body_mismatch_is_a_shape_diagnostic(self, area):
         topology_body = json.loads(serialize_document(envelope_for(area)))["body"]
@@ -336,8 +340,12 @@ _DIAGNOSTIC_CASES = {
          "carrier bandwidth 1000.0 MHz outside [5.0, 100.0] for SUB6_450_6000"),
     ),
     "body-value-error": (
-        "PLANNER_CONFIG", ("activity_factor",), 2,
-        ("PARSE_ERROR", "body", "activity factor must lie in (0, 1]"),
+        "PLANNER_CONFIG", ("cu_du_latency_budget_ms",), -1,
+        ("PARSE_ERROR", "body", "latency budget must be positive"),
+    ),
+    "planner-config-activity-factor": (
+        "PLANNER_CONFIG", ("activity_factor",), 0.5,
+        ("PARSE_ERROR", "body", "unknown field(s): activity_factor"),
     ),
     "host-capacity-field": (
         "TOPOLOGY", ("pops", 0, "host_capacity", "vcpu"), 1.5,

@@ -27,19 +27,20 @@ from ranslicer.model import (
     VmSpec,
 )
 from ranslicer.planner import (
+    DU_FLAVOR_FOR_TECH,
     DuFlavor,
-    DuSelection,
+    DuPlan,
     PlannerConfig,
     assign_dus_to_cus,
     derive_gnb_il_subset,
     dimension_dus,
-    peak_region_load_mbps,
     plan_slice,
     select_gnb_flavor,
     select_il_for_traffic,
     verify_plan,
 )
 from ranslicer.model import Sst
+from ranslicer.radio import area_load_mbps, default_policy, select_operation_bands
 from ranslicer.topology import Region, pop_latency
 
 
@@ -260,16 +261,19 @@ class TestAssignDusToCus:
 # gNB IL subset lookup
 
 class TestDeriveGnbIlSubset:
-    def _selection(self, catalog, region_class, tech, subset_range, count):
-        du_vnfd = catalog.du_vnfds[0]
-        flavor = du_vnfd.flavor_for_tech(tech)
+    def _dus(self, catalog, region_class, tech, subset_range, count, first=1):
+        flavor = catalog.du_vnfds[0].flavor_for_tech(tech)
         subset = next(
             s for s in flavor.il_subsets
             if s.key.region_class == region_class
             and (s.key.min_cell_sites, s.key.max_cell_sites) == subset_range
         )
         region_id = {CITY_CENTER: "city-center", INDUSTRIAL: "industrial", SUBURBAN: "suburban"}[region_class]
-        return DuSelection(du_vnfd.descriptor_id, region_id, region_class, tech, subset, count)
+        return [
+            DuPlan(f"du-{region_id}-{i:02d}", region_id, (f"{region_id}-site-{i}",),
+                   DU_FLAVOR_FOR_TECH[tech], subset, f"pop-agg-{region_id}")
+            for i in range(first, first + count)
+        ]
 
     def _cu_selection(self, catalog, dus_range):
         cu = catalog.cu_vnfds[0]
@@ -284,11 +288,10 @@ class TestDeriveGnbIlSubset:
         subset = derive_gnb_il_subset(
             nsd, 3,
             self._cu_selection(catalog, (3, 5)),
-            [
-                self._selection(catalog, INDUSTRIAL, FronthaulTech.ECPRI, (3, 4), 1),
-                self._selection(catalog, SUBURBAN, FronthaulTech.CPRI, (1, 3), 2),
-                self._selection(catalog, CITY_CENTER, FronthaulTech.ECPRI, (5, 8), 1),
-            ],
+            self._dus(catalog, INDUSTRIAL, FronthaulTech.ECPRI, (3, 4), 1)
+            + self._dus(catalog, SUBURBAN, FronthaulTech.CPRI, (1, 3), 2)
+            + self._dus(catalog, CITY_CENTER, FronthaulTech.ECPRI, (5, 8), 1),
+            catalog.du_vnfds[0].descriptor_id,
         )
         assert subset.key == GnbSubsetKey((
             (CITY_CENTER, FronthaulTech.ECPRI),
@@ -301,19 +304,34 @@ class TestDeriveGnbIlSubset:
         subset = derive_gnb_il_subset(
             nsd, 2,
             self._cu_selection(catalog, (1, 2)),
-            [self._selection(catalog, CITY_CENTER, FronthaulTech.ECPRI, (1, 4), 2)],
+            self._dus(catalog, CITY_CENTER, FronthaulTech.ECPRI, (1, 4), 2),
+            catalog.du_vnfds[0].descriptor_id,
         )
         assert subset.key == GnbSubsetKey(((CITY_CENTER, FronthaulTech.ECPRI),))
 
     def test_missing_combination(self, catalog):
         nsd = catalog.gnb_nsds[0]
+        [du] = self._dus(catalog, INDUSTRIAL, FronthaulTech.ECPRI, (3, 4), 1)
         bogus = dataclasses.replace(
-            self._selection(catalog, INDUSTRIAL, FronthaulTech.ECPRI, (3, 4), 1),
-            region_class="RURAL",
+            du, il_subset=dataclasses.replace(
+                du.il_subset, key=dataclasses.replace(du.il_subset.key, region_class="RURAL")
+            ),
         )
         with pytest.raises(PlannerError) as err:
-            derive_gnb_il_subset(nsd, 2, self._cu_selection(catalog, (1, 2)), [bogus])
+            derive_gnb_il_subset(nsd, 2, self._cu_selection(catalog, (1, 2)), [bogus],
+                                 catalog.du_vnfds[0].descriptor_id)
         assert err.value.code == "NO_MATCHING_SUBSET"
+
+    def test_region_with_two_du_subsets_counts_twice(self, catalog):
+        nsd = catalog.gnb_nsds[0]
+        dus = (self._dus(catalog, CITY_CENTER, FronthaulTech.ECPRI, (1, 4), 1)
+               + self._dus(catalog, CITY_CENTER, FronthaulTech.ECPRI, (5, 8), 1, first=2))
+        with pytest.raises(PlannerError) as err:
+            derive_gnb_il_subset(nsd, 2, self._cu_selection(catalog, (1, 2)), dus,
+                                 catalog.du_vnfds[0].descriptor_id)
+        assert err.value.code == "NO_MATCHING_SUBSET"
+        pair = f"({CITY_CENTER}, {FronthaulTech.ECPRI.value})"
+        assert f"has no IL subset for {pair} + {pair} referencing" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +495,40 @@ class TestPlanSlice:
         plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, catalog, sd="0abc12")
         assert plan.s_nssai.sd == "0abc12"
 
-    def test_peak_load_formula(self, area, requests, config):
+    def test_peak_load_formula(self, area, requests, policy):
         region = area.region("suburban")
-        load = peak_region_load_mbps(requests[Sst.URLLC], region, config)
+        request = requests[Sst.URLLC]
+        per_ue = max(request.throughput_dl_mbps, request.throughput_ul_mbps)
+        load = area_load_mbps(request.ue_density_per_km2, region.area_km2, per_ue, policy)
         assert load == 50.0 * 8.0 * 25.0 * 0.1
+
+    @pytest.mark.parametrize("factor", [0.2, 1.0])
+    def test_activity_factor_sizes_carriers_and_regional_load(self, catalog, area, requests, factor):
+        request = requests[Sst.URLLC]
+        policy = dataclasses.replace(default_policy(), activity_factor=factor)
+        plan = plan_slice(request, Sst.URLLC, area, catalog, policy=policy)
+        per_ue = max(request.throughput_dl_mbps, request.throughput_ul_mbps)
+        assert plan.offered_load_mbps == tuple(
+            (rid, request.ue_density_per_km2 * area.region(rid).area_km2 * per_ue * factor)
+            for rid in sorted(set(request.target_regions))
+        )
+        radio = plan.nsst.radio_config
+        assert radio.bands == select_operation_bands(
+            request.throughput_dl_mbps, request.throughput_ul_mbps,
+            request.ue_density_per_km2, radio.numerology_mu, policy,
+        )
+        default = plan_slice(request, Sst.URLLC, area, catalog)
+        assert plan.offered_load_mbps != default.offered_load_mbps
+
+    def test_verifier_checks_gnb_il_subset_key(self, catalog, area, requests):
+        plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, catalog)
+        industrial = next(
+            s for s in catalog.gnb_nsds[0].flavor(2).il_subsets
+            if s.key == GnbSubsetKey(((INDUSTRIAL, FronthaulTech.ECPRI),))
+        )
+        gnb = plan.gnbs[0]
+        swapped = dataclasses.replace(plan, gnbs=(dataclasses.replace(gnb, nsd_il_subset=industrial),))
+        problems = verify_plan(swapped, area, catalog)
+        assert problems == [
+            f"{gnb.gnb_id}: gNB IL subset is not keyed by its DU layout (CITY_CENTER, ECPRI)"
+        ]
