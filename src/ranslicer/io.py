@@ -476,14 +476,12 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundl
     nsd = catalog.gnb_nsd(plan.nsst.nsd_ref)
     if nsd is None:
         raise _dangling(f"gNB NSD {plan.nsst.nsd_ref!r} not in catalog")
-    catalog_rus: dict[str, RuPnfd] = {}
-    for ru in catalog.ru_pnfds:
-        catalog_rus.setdefault(ru.ru_id, ru)  # the first entry wins, as in Catalog.ru
     rus = []
     for ru_id in plan.selected_rus:
-        if ru_id not in catalog_rus:
+        ru = catalog.ru(ru_id)
+        if ru is None:
             raise _dangling(f"RU PNFD {ru_id!r} not in catalog")
-        rus.append(catalog_rus[ru_id])
+        rus.append(ru)
     subset_key = _codec(SubsetKey).encode
     used_vnf_refs: dict[str, set[int]] = {}
     manifest_gnbs = []

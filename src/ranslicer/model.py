@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cached_property
 from typing import NamedTuple, Union
 
 
@@ -354,7 +355,8 @@ class ResolvedIl(NamedTuple):
 @dataclass(frozen=True)
 class Catalog:
     """One onboarded descriptor set: slice templates plus the NFV
-    documents they reference.  Immutable after construction."""
+    documents they reference.  Immutable after construction; ``ru`` reads
+    an RU-id index built on first use (the first entry wins)."""
 
     nssts: tuple[RanNsst, ...] = ()
     gnb_nsds: tuple[GnbNsd, ...] = ()
@@ -377,8 +379,12 @@ class Catalog:
     def nssts_for(self, sst: Sst) -> tuple[RanNsst, ...]:
         return tuple(sorted((t for t in self.nssts if t.s_nssai.sst is sst), key=lambda t: t.nsst_id))
 
+    @cached_property
+    def _rus_by_id(self) -> dict[str, RuPnfd]:
+        return {r.ru_id: r for r in reversed(self.ru_pnfds)}  # reversed: the first entry wins
+
     def ru(self, ru_id: str) -> RuPnfd | None:
-        return next((r for r in self.ru_pnfds if r.ru_id == ru_id), None)
+        return self._rus_by_id.get(ru_id)
 
     def resolve_vnf_il(self, ref: VnfIlRef) -> ResolvedIl | None:
         """Follow a (vnfd, flavor, IL) reference; None if any hop dangles."""

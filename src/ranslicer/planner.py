@@ -145,12 +145,7 @@ def _covering_subset(subsets: list[IlSubset], group_size: int) -> IlSubset | Non
     return next((s for s in subsets if s.key.covers(group_size)), None)
 
 
-def dimension_dus(
-    region: Region,
-    peak_load_mbps: float,
-    du_vnfd: DuVnfd,
-    config: PlannerConfig,
-) -> list[DuPlan]:
+def dimension_dus(region: Region, peak_load_mbps: float, du_vnfd: DuVnfd) -> list[DuPlan]:
     """Minimal DU count for a region, with balanced cell-site groups.
 
     A DU count n is feasible when every group size has an IL subset
@@ -483,7 +478,7 @@ def plan_slice(
     for region in regions:
         load = area_load_mbps(requirements.ue_density_per_km2, region.area_km2, per_ue, policy)
         loads.append((region.region_id, load))
-        all_dus.extend(_staged("dimension_dus", dimension_dus, region, load, du_vnfd, config))
+        all_dus.extend(_staged("dimension_dus", dimension_dus, region, load, du_vnfd))
 
     skeletons = _staged("assign_dus_to_cus", assign_dus_to_cus, all_dus, area, cu_vnfd, config)
 
@@ -528,12 +523,13 @@ def verify_plan(
     """Independent feasibility check of an emitted plan.
 
     Re-derives latency, CU capacity, coverage conservation, flavor
-    consistency and each gNB's IL-subset key from the area and catalog
-    instead of trusting the solver.
+    consistency, each gNB's IL-subset key and each region's DU capacity
+    from the area and catalog instead of trusting the solver.
     """
     config = config or PlannerConfig()
     problems: list[str] = []
     site_owner: dict[str, str] = {}
+    region_dus: dict[str, list[DuPlan]] = {}
     for gnb in plan.gnbs:
         if not isinstance(gnb.cu.il_subset.key, CuSubsetKey):
             problems.append(f"{gnb.gnb_id}: CU IL subset has the wrong key kind")
@@ -554,6 +550,7 @@ def verify_plan(
         expected_techs = GNB_FLAVOR_TECHS.get(gnb.nsd_flavor_id, frozenset())
         layout: dict[tuple[str, object], tuple[str, FronthaulTech]] = {}
         for du in gnb.dus:
+            region_dus.setdefault(du.region_id, []).append(du)
             region = area.region(du.region_id)
             if region is None:
                 problems.append(f"{du.du_id}: unknown region {du.region_id}")
@@ -588,6 +585,19 @@ def verify_plan(
         if gnb.nsd_il_subset.key != want_key:
             key_text = " + ".join(f"({cls}, {tech.value})" for cls, tech in want_key.served_regions)
             problems.append(f"{gnb.gnb_id}: gNB IL subset is not keyed by its DU layout {key_text}")
+    for region_id, load in plan.offered_load_mbps:
+        dus = region_dus.get(region_id)
+        if not dus:
+            problems.append(f"region {region_id}: no DU carries its {load:g} Mbps offered load")
+            continue
+        # The rule dimension_dus applies: DU count x top capacity of the largest group's subset.
+        levels = max(dus, key=lambda du: len(du.served_cell_sites)).il_subset.levels
+        capacity = level_capacity_mbps(levels[-1]) * len(dus) if levels else 0.0
+        if capacity < load:
+            problems.append(
+                f"region {region_id}: {len(dus)} DU(s) carry {capacity:g} Mbps, "
+                f"below its {load:g} Mbps offered load"
+            )
     ru_sites: set[str] = set()
     for ru_id in plan.selected_rus:
         ru = catalog.ru(ru_id) or next((r for r in area.rus if r.ru_id == ru_id), None)

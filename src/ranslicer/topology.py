@@ -4,6 +4,14 @@ The area answers the three queries planning needs: which RUs cover a set
 of regions, which fronthaul technologies those regions run, and the
 minimal transport latency between two PoPs.  Areas are immutable once
 loaded; all queries are read-only.
+
+Lookups are indexed on first use and memoised per area object: the
+region-id and PoP-id indexes (the first entry wins on duplicate ids, which
+``check_area`` reports) and, for each source PoP ``pop_latency`` is asked
+about, one row of shortest-path latencies.  The memo is not a dataclass
+field, so it is invisible to equality, hashing, ``dataclasses.replace`` and
+serialization.  Filling it is idempotent: two threads that race on a new
+source compute the same row, so concurrent planning on one area stays safe.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import TopologyError
 from .model import (
@@ -60,11 +69,24 @@ class DeploymentArea:
     links: tuple[TransportLink, ...]
     rus: tuple[RuPnfd, ...]
 
+    @cached_property
+    def _regions_by_id(self) -> dict[str, Region]:
+        return {r.region_id: r for r in reversed(self.regions)}  # reversed: the first entry wins
+
+    @cached_property
+    def _pops_by_id(self) -> dict[str, Pop]:
+        return {p.pop_id: p for p in reversed(self.pops)}
+
+    @cached_property
+    def _latency_rows(self) -> dict[str, dict[str, float]]:
+        """Source PoP id -> shortest-path latency to every node it reaches."""
+        return {}
+
     def region(self, region_id: str) -> Region | None:
-        return next((r for r in self.regions if r.region_id == region_id), None)
+        return self._regions_by_id.get(region_id)
 
     def pop(self, pop_id: str) -> Pop | None:
-        return next((p for p in self.pops if p.pop_id == pop_id), None)
+        return self._pops_by_id.get(pop_id)
 
     def edge_pops(self) -> tuple[Pop, ...]:
         return tuple(sorted((p for p in self.pops if p.tier is PopTier.EDGE), key=lambda p: p.pop_id))
@@ -159,31 +181,41 @@ def fronthaul_techs(area: DeploymentArea, target_regions) -> frozenset[Fronthaul
     return frozenset(r.fronthaul_tech for r in _require_regions(area, target_regions))
 
 
-def pop_latency(area: DeploymentArea, pop_a: str, pop_b: str) -> float:
-    """Minimal transport latency between two PoPs (shortest path, ms)."""
-    for pop_id in (pop_a, pop_b):
-        if area.pop(pop_id) is None:
-            raise TopologyError("UNKNOWN_POP", f"PoP {pop_id!r} not in deployment area")
-    if pop_a == pop_b:
-        return 0.0
+def _shortest_paths(links: tuple[TransportLink, ...], source: str) -> dict[str, float]:
+    """Dijkstra from ``source``: latency to every node it reaches (ms)."""
     adjacency: dict[str, list[tuple[str, float]]] = {}
-    for link in area.links:
+    for link in links:
         adjacency.setdefault(link.a, []).append((link.b, link.latency_ms))
         adjacency.setdefault(link.b, []).append((link.a, link.latency_ms))
-    best: dict[str, float] = {pop_a: 0.0}
-    queue: list[tuple[float, str]] = [(0.0, pop_a)]
+    best: dict[str, float] = {source: 0.0}
+    queue: list[tuple[float, str]] = [(0.0, source)]
     while queue:
         dist, node = heapq.heappop(queue)
-        if node == pop_b:
-            return dist
-        if dist > best.get(node, float("inf")):
+        if dist > best[node]:
             continue
         for neighbor, weight in adjacency.get(node, ()):
             candidate = dist + weight
             if candidate < best.get(neighbor, float("inf")):
                 best[neighbor] = candidate
                 heapq.heappush(queue, (candidate, neighbor))
-    raise TopologyError("UNREACHABLE", f"no transport path between {pop_a} and {pop_b}")
+    return best
+
+
+def pop_latency(area: DeploymentArea, pop_a: str, pop_b: str) -> float:
+    """Minimal transport latency between two PoPs (shortest path, ms).
+
+    The first query from ``pop_a`` runs one Dijkstra over the area and
+    memoises its row; later queries from ``pop_a`` are dictionary reads.
+    """
+    for pop_id in (pop_a, pop_b):
+        if area.pop(pop_id) is None:
+            raise TopologyError("UNKNOWN_POP", f"PoP {pop_id!r} not in deployment area")
+    row = area._latency_rows.get(pop_a)
+    if row is None:
+        row = area._latency_rows[pop_a] = _shortest_paths(area.links, pop_a)
+    if pop_b not in row:
+        raise TopologyError("UNREACHABLE", f"no transport path between {pop_a} and {pop_b}")
+    return row[pop_b]
 
 
 def reference_area() -> DeploymentArea:

@@ -75,8 +75,8 @@ def make_instance(rng: random.Random):
     return dus, area, make_cu_vnfd(capacity), capacity
 
 
-def oracle_min_cus(dus, area: DeploymentArea, budget_ms: float, capacity: int) -> int | None:
-    """Minimal CU count, or None when some DU reaches no edge PoP."""
+def floyd_warshall(area: DeploymentArea) -> dict[str, dict[str, float]]:
+    """All-pairs shortest latencies between the area's PoPs; inf when unreachable."""
     pop_ids = [p.pop_id for p in area.pops]
     index = {p: i for i, p in enumerate(pop_ids)}
     n = len(pop_ids)
@@ -97,9 +97,15 @@ def oracle_min_cus(dus, area: DeploymentArea, budget_ms: float, capacity: int) -
                 alt = dik + dist[k][j]
                 if alt < dist[i][j]:
                     dist[i][j] = alt
+    return {a: dict(zip(pop_ids, row)) for a, row in zip(pop_ids, dist)}
+
+
+def oracle_min_cus(dus, area: DeploymentArea, budget_ms: float, capacity: int) -> int | None:
+    """Minimal CU count, or None when some DU reaches no edge PoP."""
+    dist = floyd_warshall(area)
     edges = sorted(p.pop_id for p in area.pops if p.tier is PopTier.EDGE)
     compat = [
-        frozenset(e for e in edges if dist[index[e]][index[du.host_pop]] <= budget_ms)
+        frozenset(e for e in edges if dist[e][du.host_pop] <= budget_ms)
         for du in sorted(dus, key=lambda d: d.du_id)
     ]
     if any(not c for c in compat):

@@ -3,6 +3,7 @@ oracle, gNB IL-subset lookup, scaling, and the end-to-end reference
 plans."""
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -102,7 +103,7 @@ class TestDimensionDus:
         # Derived: n=1 gives 12 sites/DU which no subset covers; n=2 gives
         # 6 per DU, inside [5, 8]; exhaustive search agrees.
         vnfd = _test_du_vnfd(SUBURBAN, FronthaulTech.CPRI, self.RANGES)
-        plans = dimension_dus(_region(12), 1000.0, vnfd, PlannerConfig())
+        plans = dimension_dus(_region(12), 1000.0, vnfd)
         assert _oracle_min_dus(12, self.RANGES, 1000.0) == 2
         assert len(plans) == 2
         assert [len(p.served_cell_sites) for p in plans] == [6, 6]
@@ -111,7 +112,7 @@ class TestDimensionDus:
 
     def test_three_sites_zero_load_one_du(self):
         vnfd = _test_du_vnfd(SUBURBAN, FronthaulTech.CPRI, self.RANGES)
-        plans = dimension_dus(_region(3), 0.0, vnfd, PlannerConfig())
+        plans = dimension_dus(_region(3), 0.0, vnfd)
         assert len(plans) == 1
         assert plans[0].served_cell_sites == ("site-01", "site-02", "site-03")
         assert (plans[0].il_subset.key.min_cell_sites, plans[0].il_subset.key.max_cell_sites) == (1, 4)
@@ -119,13 +120,13 @@ class TestDimensionDus:
     def test_overload_is_insufficient_capacity(self):
         vnfd = _test_du_vnfd(SUBURBAN, FronthaulTech.CPRI, ((1, 1, 100.0),))
         with pytest.raises(PlannerError) as err:
-            dimension_dus(_region(1), 200.0, vnfd, PlannerConfig())
+            dimension_dus(_region(1), 200.0, vnfd)
         assert err.value.code == "INSUFFICIENT_DU_CAPACITY"
 
     def test_sites_partition_without_overlap(self):
         vnfd = _test_du_vnfd(SUBURBAN, FronthaulTech.CPRI, self.RANGES)
         region = _region(11)
-        plans = dimension_dus(region, 15_000.0, vnfd, PlannerConfig())
+        plans = dimension_dus(region, 15_000.0, vnfd)
         served = [s for p in plans for s in p.served_cell_sites]
         assert sorted(served) == sorted(region.cell_sites)
         assert len(set(served)) == len(served)
@@ -142,9 +143,9 @@ class TestDimensionDus:
         expected = _oracle_min_dus(n_sites, ranges, peak)
         if expected is None:
             with pytest.raises(PlannerError):
-                dimension_dus(_region(n_sites), peak, vnfd, PlannerConfig())
+                dimension_dus(_region(n_sites), peak, vnfd)
         else:
-            plans = dimension_dus(_region(n_sites), peak, vnfd, PlannerConfig())
+            plans = dimension_dus(_region(n_sites), peak, vnfd)
             assert len(plans) == expected
 
 
@@ -532,3 +533,20 @@ class TestPlanSlice:
         assert problems == [
             f"{gnb.gnb_id}: gNB IL subset is not keyed by its DU layout (CITY_CENTER, ECPRI)"
         ]
+
+    def test_verifier_checks_du_capacity_covers_offered_load(self, catalog, area, requests):
+        for sst in (Sst.EMBB, Sst.MMTC, Sst.URLLC):
+            for n in range(1, 4):
+                for regions in itertools.combinations(sorted(r.region_id for r in area.regions), n):
+                    request = dataclasses.replace(requests[sst], target_regions=regions)
+                    try:
+                        plan = plan_slice(request, sst, area, catalog)
+                    except PlannerError:
+                        continue
+                    assert verify_plan(plan, area, catalog) == []
+        plan = plan_slice(requests[Sst.MMTC], Sst.MMTC, area, catalog)
+        loads = tuple((rid, load * 10 if rid == "suburban" else load) for rid, load in plan.offered_load_mbps)
+        problems = verify_plan(dataclasses.replace(plan, offered_load_mbps=loads), area, catalog)
+        assert len(problems) == 1 and problems[0].startswith("region suburban: 2 DU(s) carry ")
+        orphan = dataclasses.replace(plan, offered_load_mbps=plan.offered_load_mbps + (("mars", 1.0),))
+        assert verify_plan(orphan, area, catalog) == ["region mars: no DU carries its 1 Mbps offered load"]

@@ -1,13 +1,21 @@
-"""Deployment-area queries: RU coverage, fronthaul techs, PoP latency."""
+"""Deployment-area queries: RU coverage, fronthaul techs, PoP latency,
+and the per-area lookup indexes behind them."""
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ranslicer.topology as topology
+from cu_oracle import floyd_warshall, make_instance
+from ranslicer.builtin import builtin_catalog, reference_requests
 from ranslicer.errors import TopologyError
-from ranslicer.model import FronthaulTech
+from ranslicer.io import DocumentEnvelope, serialize_document
+from ranslicer.model import FronthaulTech, Sst
+from ranslicer.planner import plan_slice
 from ranslicer.topology import (
     DeploymentArea,
     Pop,
@@ -16,6 +24,7 @@ from ranslicer.topology import (
     check_area,
     fronthaul_techs,
     pop_latency,
+    reference_area,
     select_rus,
 )
 
@@ -43,8 +52,6 @@ class TestSelectRus:
         b=st.sets(st.sampled_from(["city-center", "industrial", "suburban"])),
     )
     def test_union_distributes(self, a, b):
-        from ranslicer.topology import reference_area
-
         area = reference_area()
         union = {r.ru_id for r in select_rus(area, sorted(a | b))}
         parts = {r.ru_id for r in select_rus(area, sorted(a))} | {
@@ -122,8 +129,6 @@ class TestPopLatency:
             assert pop_latency(area, a, c) <= pop_latency(area, a, b) + pop_latency(area, b, c) + 1e-9
 
     def test_unreachable(self, area):
-        import dataclasses
-
         island = dataclasses.replace(
             area, pops=area.pops + (Pop("pop-island", PopTier.EDGE, 8, 16.0),)
         )
@@ -141,17 +146,83 @@ class TestAreaChecks:
         assert check_area(area) == []
 
     def test_detects_uncovered_cell_site(self, area):
-        import dataclasses
-
         stripped = dataclasses.replace(area, rus=area.rus[1:])
         problems = check_area(stripped)
         assert any("hosts no RU" in p for p in problems)
 
     def test_detects_shared_aggregation_pop(self, area):
-        import dataclasses
-
         regions = list(area.regions)
         regions[1] = dataclasses.replace(regions[1], aggregation_pop=regions[0].aggregation_pop)
         shared = dataclasses.replace(area, regions=tuple(regions))
         problems = check_area(shared)
         assert any("serves both" in p for p in problems)
+
+
+class TestAreaIndex:
+    def test_one_search_per_source_pop(self, monkeypatch):
+        sources = []
+        search = topology._shortest_paths
+
+        def counting(links, source):
+            sources.append(source)
+            return search(links, source)
+
+        monkeypatch.setattr(topology, "_shortest_paths", counting)
+        area, catalog = reference_area(), builtin_catalog()
+        request = reference_requests()[Sst.MMTC]
+        first = plan_slice(request, Sst.MMTC, area, catalog)
+        searched = len(sources)
+        assert plan_slice(request, Sst.MMTC, area, catalog) == first
+        assert len(sources) == searched
+        assert sorted(sources) == sorted(set(sources)) == ["pop-edge-1", "pop-edge-2"]
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_latency_matches_floyd_warshall(self, seed):
+        _, area, _, _ = make_instance(random.Random(seed))
+        dist = floyd_warshall(area)
+        for a, b in itertools.product(dist, repeat=2):
+            if dist[a][b] == float("inf"):
+                with pytest.raises(TopologyError) as err:
+                    pop_latency(area, a, b)
+                assert err.value.code == "UNREACHABLE"
+            else:
+                # The two algorithms add the same link latencies in different
+                # orders, so they may differ in the last bits of a float64.
+                assert pop_latency(area, a, b) == pytest.approx(dist[a][b], rel=1e-12, abs=0)
+
+    def test_duplicate_ids_resolve_to_the_first_entry(self):
+        area = reference_area()
+        first_region, first_pop = area.region("city-center"), area.pop("pop-agg-city-center")
+        twin_region = dataclasses.replace(
+            first_region, fronthaul_tech=FronthaulTech.CPRI, cell_sites=("cs-dup-01",)
+        )
+        twin_pop = Pop("pop-agg-city-center", PopTier.EDGE, 4, 8.0)
+        dup = dataclasses.replace(area, regions=area.regions + (twin_region,), pops=area.pops + (twin_pop,))
+        assert dup.region("city-center") is first_region
+        assert dup.pop("pop-agg-city-center") is first_pop
+        assert check_area(dup) == [
+            "duplicate PoP ids",
+            "duplicate region ids",
+            "aggregation PoP pop-agg-city-center serves both city-center and city-center",
+            "cell site cs-dup-01 (city-center) hosts no RU",
+        ]
+
+    def test_replaced_links_are_not_served_from_the_old_memo(self):
+        area = reference_area()
+        assert pop_latency(area, "pop-edge-1", "pop-agg-city-center") == 0.5
+        slower = tuple(
+            dataclasses.replace(link, latency_ms=link.latency_ms * 4) for link in area.links
+        )
+        moved = dataclasses.replace(area, links=slower)
+        assert pop_latency(moved, "pop-edge-1", "pop-agg-city-center") == 2.0
+        assert pop_latency(area, "pop-edge-1", "pop-agg-city-center") == 0.5
+
+    def test_queries_leave_equality_hash_and_bytes_alone(self):
+        queried, fresh = reference_area(), reference_area()
+        text = serialize_document(DocumentEnvelope("TOPOLOGY", queried))
+        for a, b in itertools.product([p.pop_id for p in queried.pops], repeat=2):
+            pop_latency(queried, a, b)
+        assert queried.region("suburban") and queried.pop("pop-edge-2")
+        assert queried == fresh
+        assert hash(queried) == hash(fresh)
+        assert serialize_document(DocumentEnvelope("TOPOLOGY", queried)) == text
