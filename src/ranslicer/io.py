@@ -5,7 +5,10 @@ with ``schema_version``, ``kind`` and a kind-specific ``body``.  Parsing
 is strict (unknown or missing fields are diagnostics, not warnings) and
 serialization is canonical: sorted keys, two-space indent, trailing
 newline, so equal documents always render to equal bytes and
-``serialize(parse(serialize(x))) == serialize(x)``.
+``serialize(parse(serialize(x))) == serialize(x)``.  One writer,
+``canonical_json``, makes all canonical text (documents and bundle files);
+its output equals ``json.dumps(payload, sort_keys=True, indent=2,
+ensure_ascii=True, allow_nan=False) + "\n"`` byte for byte.
 
 A body is one of the model's frozen dataclasses, and a single codec maps
 every dataclass to JSON from its fields and their type hints.  Fields map
@@ -45,6 +48,7 @@ import tempfile
 import typing
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from pathlib import Path
 from types import NoneType, UnionType
@@ -138,9 +142,13 @@ def _int(value, path: str) -> int:
 def _num(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail("expected a number", path)
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise _fail("numbers must be finite", path)
-    return float(value)
+    return number
 
 
 def _list(value, path: str) -> list:
@@ -426,8 +434,93 @@ def serialize_document(envelope: DocumentEnvelope) -> str:
     return canonical_json(payload)
 
 
+def _float_text(value) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _subclass_text(value) -> str:
+    """A scalar whose type subclasses str, int or float (an enum member
+    with a mixin, say), written as its base type's value."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# Text of a scalar, by its exact type.
+_SCALAR_TEXT = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    NoneType: lambda value: "null",
+}
+
+
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
+    """Canonical text of a JSON value: the bytes of ``json.dumps(payload,
+    sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False) + "\\n"``.
+
+    Object keys must be strings.  NaN and infinities raise ``ValueError``,
+    any other type ``TypeError``.  With an indent, ``json.dumps`` falls
+    back to CPython's pure-Python encoder; this writer skips its generator
+    chain and writes scalars inside each container's own loop.
+    """
+    parts: list[str] = []
+    append = parts.append
+    scalar = _SCALAR_TEXT.get
+    indents = ["\n"]  # indents[d]: a newline and the indent of depth d
+
+    def write(value, depth: int) -> None:
+        text = scalar(type(value))
+        if text is not None:
+            append(text(value))
+            return
+        is_dict = isinstance(value, dict)
+        if not is_dict and not isinstance(value, (list, tuple)):
+            append(_subclass_text(value))
+            return
+        if not value:
+            append("{}" if is_dict else "[]")
+            return
+        depth += 1
+        if depth == len(indents):
+            indents.append(indents[-1] + "  ")
+        lead, sep = indents[depth], "," + indents[depth]
+        if is_dict:
+            append("{")
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                item = value[key]
+                text = scalar(type(item))
+                if text is None:
+                    append(f"{lead}{_quote(key)}: ")
+                    write(item, depth)
+                else:
+                    append(f"{lead}{_quote(key)}: {text(item)}")
+                lead = sep
+            append(indents[depth - 1] + "}")
+        else:
+            append("[")
+            for item in value:
+                text = scalar(type(item))
+                if text is None:
+                    append(lead)
+                    write(item, depth)
+                else:
+                    append(lead + text(item))
+                lead = sep
+            append(indents[depth - 1] + "]")
+
+    write(payload, 0)
+    append("\n")
+    return "".join(parts)
 
 
 def parse_path(path: str | Path) -> DocumentEnvelope:

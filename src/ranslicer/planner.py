@@ -600,7 +600,7 @@ def verify_plan(
             )
     ru_sites: set[str] = set()
     for ru_id in plan.selected_rus:
-        ru = catalog.ru(ru_id) or next((r for r in area.rus if r.ru_id == ru_id), None)
+        ru = catalog.ru(ru_id) or area.ru(ru_id)
         if ru is None:
             problems.append(f"selected RU {ru_id} not found")
             continue

@@ -6,8 +6,8 @@ minimal transport latency between two PoPs.  Areas are immutable once
 loaded; all queries are read-only.
 
 Lookups are indexed on first use and memoised per area object: the
-region-id and PoP-id indexes (the first entry wins on duplicate ids, which
-``check_area`` reports) and, for each source PoP ``pop_latency`` is asked
+region-id, PoP-id and RU-id indexes (the first entry wins on duplicate ids,
+which ``check_area`` reports) and, for each source PoP ``pop_latency`` is asked
 about, one row of shortest-path latencies.  The memo is not a dataclass
 field, so it is invisible to equality, hashing, ``dataclasses.replace`` and
 serialization.  Filling it is idempotent: two threads that race on a new
@@ -78,6 +78,10 @@ class DeploymentArea:
         return {p.pop_id: p for p in reversed(self.pops)}
 
     @cached_property
+    def _rus_by_id(self) -> dict[str, RuPnfd]:
+        return {r.ru_id: r for r in reversed(self.rus)}
+
+    @cached_property
     def _latency_rows(self) -> dict[str, dict[str, float]]:
         """Source PoP id -> shortest-path latency to every node it reaches."""
         return {}
@@ -87,6 +91,9 @@ class DeploymentArea:
 
     def pop(self, pop_id: str) -> Pop | None:
         return self._pops_by_id.get(pop_id)
+
+    def ru(self, ru_id: str) -> RuPnfd | None:
+        return self._rus_by_id.get(ru_id)
 
     def edge_pops(self) -> tuple[Pop, ...]:
         return tuple(sorted((p for p in self.pops if p.tier is PopTier.EDGE), key=lambda p: p.pop_id))

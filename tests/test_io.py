@@ -1,6 +1,7 @@
 """Document round-trips, strict parsing, canonical form, bundle emission."""
 
 import dataclasses
+import enum
 import json
 import random
 import typing
@@ -13,6 +14,7 @@ import docgen
 from ranslicer.errors import DocumentError
 from ranslicer.io import (
     SliceRequest,
+    canonical_json,
     emit_onboarding_bundle,
     envelope_for,
     parse_document,
@@ -87,6 +89,70 @@ def test_canonical_output_has_sorted_keys(catalog):
     raw = json.loads(text)
     assert list(raw) == sorted(raw)
     assert text.endswith("\n")
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HUGE = 10**30
+
+
+class _Tag(str, enum.Enum):
+    PLAIN = "plain"
+    ODD = "\u00e9\x01\ud800"
+
+
+class _Ratio(float):
+    def __repr__(self):
+        return "not the number"
+
+
+# Strings that need escaping turn up often: non-ASCII, control characters,
+# lone surrogates, quotes, backslashes and the JSON-legal line separators.
+_strings = st.one_of(
+    st.text(st.characters(codec=None, exclude_categories=()), max_size=8),
+    st.sampled_from(["", "\u00e9", "\x00", "\x1f\x7f", "\ud800", "\udfff\ud83d", "\U0001f600",
+                     "\u2028\u2029", '"\\/', "\n\t\r\b\f"]),
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e16, 0.1, 2.0**53 + 2]),
+    st.floats(allow_nan=False, allow_infinity=False).map(_Ratio),
+    _strings,
+    st.sampled_from([*_Level, *_Tag]),
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(_strings, st.sampled_from(list(_Tag))), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=300, deadline=None)
+    @given(value=_json_values)
+    def test_equals_json_dumps(self, value):
+        expected = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
+        assert canonical_json(value) == expected
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), _Ratio("nan")])
+    def test_non_finite_floats_raise_value_error(self, bad):
+        for value in (bad, [1, bad], {"a": {"b": bad}}):
+            with pytest.raises(ValueError):
+                canonical_json(value)
+
+    @pytest.mark.parametrize("bad", [{1, 2}, b"bytes", frozenset(), object(), {1: "int key"}])
+    def test_other_types_raise_type_error(self, bad):
+        for value in (bad, [bad], {"a": (1, bad)}):
+            with pytest.raises(TypeError):
+                canonical_json(value)
 
 
 class TestStrictParsing:
@@ -250,6 +316,10 @@ _DIAGNOSTIC_CASES = {
     ),
     "non-finite-number": (
         "TOPOLOGY", ("links", 0, "latency_ms"), float("inf"),
+        ("PARSE_ERROR", "body.links[0].latency_ms", "numbers must be finite"),
+    ),
+    "number-beyond-float-range": (
+        "TOPOLOGY", ("links", 0, "latency_ms"), 10**400,
         ("PARSE_ERROR", "body.links[0].latency_ms", "numbers must be finite"),
     ),
     "bad-enum": (

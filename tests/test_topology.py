@@ -197,13 +197,20 @@ class TestAreaIndex:
             first_region, fronthaul_tech=FronthaulTech.CPRI, cell_sites=("cs-dup-01",)
         )
         twin_pop = Pop("pop-agg-city-center", PopTier.EDGE, 4, 8.0)
-        dup = dataclasses.replace(area, regions=area.regions + (twin_region,), pops=area.pops + (twin_pop,))
+        first_ru = area.rus[0]
+        twin_ru = dataclasses.replace(first_ru)  # equal, but not the same object
+        dup = dataclasses.replace(
+            area, regions=area.regions + (twin_region,), pops=area.pops + (twin_pop,), rus=area.rus + (twin_ru,)
+        )
         assert dup.region("city-center") is first_region
         assert dup.pop("pop-agg-city-center") is first_pop
+        assert dup.ru(first_ru.ru_id) is first_ru
+        assert dup.ru("ru-nowhere") is None
         assert check_area(dup) == [
             "duplicate PoP ids",
             "duplicate region ids",
             "aggregation PoP pop-agg-city-center serves both city-center and city-center",
+            "duplicate RU ids",
             "cell site cs-dup-01 (city-center) hosts no RU",
         ]
 
