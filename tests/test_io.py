@@ -326,6 +326,14 @@ _DIAGNOSTIC_CASES = {
         "TOPOLOGY", ("regions", 0, "fronthaul_tech"), "WIFI",
         ("PARSE_ERROR", "body.regions[0].fronthaul_tech", "expected one of 'CPRI', 'ECPRI', got 'WIFI'"),
     ),
+    "unhashable-enum": (
+        "TOPOLOGY", ("regions", 0, "fronthaul_tech"), [],
+        ("PARSE_ERROR", "body.regions[0].fronthaul_tech", "expected one of 'CPRI', 'ECPRI', got []"),
+    ),
+    "boolean-enum": (
+        "TOPOLOGY", ("regions", 1, "fronthaul_tech"), True,
+        ("PARSE_ERROR", "body.regions[1].fronthaul_tech", "expected one of 'CPRI', 'ECPRI', got True"),
+    ),
     "bad-enum-in-set": (
         "CATALOG", ("gnb_nsds", 0, "flavors", 0, "fronthaul_techs", 0), "WIFI",
         ("PARSE_ERROR", "body.gnb_nsds[0].flavors[0].fronthaul_techs[0]",
@@ -409,6 +417,15 @@ _DIAGNOSTIC_CASES = {
         ("PARSE_ERROR", "body.nssts[0].radio_config.bands[0]",
          "carrier bandwidth 1000.0 MHz outside [5.0, 100.0] for SUB6_450_6000"),
     ),
+    "model-value-error-in-later-item": (
+        "CATALOG", ("nssts", 0, "radio_config", "bands", 1, "carrier_bandwidth_mhz"), 1000,
+        ("PARSE_ERROR", "body.nssts[0].radio_config.bands[1]",
+         "carrier bandwidth 1000.0 MHz outside [5.0, 400.0] for MMWAVE_24250_52600"),
+    ),
+    "nested-array-later-item": (
+        "TOPOLOGY", ("regions", 2, "cell_sites", 4), 7,
+        ("PARSE_ERROR", "body.regions[2].cell_sites[4]", "expected a string"),
+    ),
     "body-value-error": (
         "PLANNER_CONFIG", ("cu_du_latency_budget_ms",), -1,
         ("PARSE_ERROR", "body", "latency budget must be positive"),
@@ -456,3 +473,53 @@ def test_single_fault_diagnostics(case, document_bodies):
     with pytest.raises(DocumentError) as err:
         parse_document(json.dumps(raw))
     assert (err.value.code, err.value.path, err.value.args[0]) == expected
+
+
+# Keys whose value is an array of two-element arrays: a fault in either item
+# of a pair is reported at the pair.
+_PAIR_KEYS = {"served_regions", "latency_to_mu_thresholds"}
+
+# For each JSON scalar type, values of other JSON types (never null, which an
+# optional field accepts).
+_WRONG_TYPES = {
+    str: [0, 2.5, True, [], {}],
+    int: ["7", True, [], {}],
+    float: ["7", True, [], {}],
+    bool: ["true", 0, [], {}],
+}
+
+
+def _scalar_leaves(value, path: str, key=None):
+    """Yield ``(container, step, reported_at)`` for every non-null scalar in a
+    JSON value, where ``reported_at`` is the path a wrong-typed value there
+    is reported at: its own, except that a tagged object's ``kind`` reports
+    at the object and an item of a pair at the pair."""
+    if isinstance(value, dict):
+        for step, item in value.items():
+            at = f"{path}.{step}"
+            if isinstance(item, (dict, list)):
+                yield from _scalar_leaves(item, at, step)
+            elif item is not None:
+                yield value, step, path if step == "kind" else at
+        return
+    for i, item in enumerate(value):
+        at = f"{path}[{i}]"
+        if key in _PAIR_KEYS:
+            yield from ((item, j, at) for j, x in enumerate(item) if x is not None)
+        elif isinstance(item, (dict, list)):
+            yield from _scalar_leaves(item, at)
+        elif item is not None:
+            yield value, i, at
+
+
+@pytest.mark.parametrize("kind", sorted(docgen.GENERATORS))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), data=st.data())
+def test_wrong_typed_leaf_is_reported_at_its_path(kind, seed, data):
+    raw = json.loads(serialize_document(envelope_for(docgen.GENERATORS[kind](random.Random(seed)))))
+    leaves = list(_scalar_leaves(raw["body"], "body"))
+    container, step, reported_at = data.draw(st.sampled_from(leaves))
+    container[step] = data.draw(st.sampled_from(_WRONG_TYPES[type(container[step])]))
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(raw))
+    assert (err.value.code, err.value.path) == ("PARSE_ERROR", reported_at)
