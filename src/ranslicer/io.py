@@ -33,7 +33,9 @@ that rule:
   must be a valid S-NSSAI differentiator.
 
 Each codec is built on first use and cached, so type hints are resolved
-once per class, not per value.
+once per class, not per value.  Error paths are built only when a decode
+fails: a decoder takes just the JSON value, and each enclosing object or
+array catches a PARSE_ERROR on its way out and prepends ``.key`` or ``[i]``.
 """
 
 from __future__ import annotations
@@ -112,84 +114,69 @@ KINDS = tuple(_BODY_TYPES)
 # ---------------------------------------------------------------------------
 # strict reading helpers
 
-def _fail(message: str, path: str) -> DocumentError:
+def _fail(message: str, path: str = "") -> DocumentError:
     return DocumentError("PARSE_ERROR", message, path=path)
 
 
-def _obj(value, path: str, keys: frozenset[str]) -> dict:
-    if not isinstance(value, dict):
-        raise _fail(f"expected an object, got {type(value).__name__}", path)
-    if value.keys() != keys:
-        unknown = sorted(value.keys() - keys)
-        if unknown:
-            raise _fail(f"unknown field(s): {', '.join(unknown)}", path)
-        raise _fail(f"missing field(s): {', '.join(sorted(keys - value.keys()))}", path)
-    return value
-
-
-def _str(value, path: str) -> str:
+def _str(value) -> str:
     if not isinstance(value, str):
-        raise _fail("expected a string", path)
+        raise _fail("expected a string")
     return value
 
 
-def _int(value, path: str) -> int:
+def _int(value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise _fail("expected an integer", path)
+        raise _fail("expected an integer")
     return value
 
 
-def _num(value, path: str) -> float:
+def _num(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail("expected a number", path)
+        raise _fail("expected a number")
     try:
         number = float(value)
     except OverflowError:  # an integer literal beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise _fail("numbers must be finite", path)
+        raise _fail("numbers must be finite")
     return number
 
 
-def _list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise _fail("expected an array", path)
-    return value
-
-
-def _enum(enum_cls, value, path: str):
+def _enum(members: dict, value):
     try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = ", ".join(repr(e.value) for e in enum_cls)
-        raise _fail(f"expected one of {allowed}, got {value!r}", path) from None
+        return members[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable array or object
+        raise _fail(f"expected one of {', '.join(map(repr, members))}, got {value!r}") from None
 
 
-def _sst(value, path: str) -> Sst:
-    if _int(value, path) not in (1, 2, 3):
-        raise _fail("sst must be 1, 2 or 3", path)
+def _sst(value) -> Sst:
+    if _int(value) not in (1, 2, 3):
+        raise _fail("sst must be 1, 2 or 3")
     return Sst(value)
 
 
-def _loads(value, path: str) -> tuple[tuple[str, float], ...]:
+def _loads(value) -> tuple[tuple[str, float], ...]:
     if not isinstance(value, dict):
-        raise _fail("expected an object of region -> Mbps", path)
-    return tuple(sorted((region, _num(mbps, f"{path}.{region}")) for region, mbps in value.items()))
+        raise _fail("expected an object of region -> Mbps")
+    try:  # the walrus keeps the region a fault is reported at
+        return tuple(sorted(((region := key), _num(mbps)) for key, mbps in value.items()))
+    except DocumentError as err:
+        raise _fail(err.args[0], f".{region}") from None
 
 
-def _loaded_area(area: DeploymentArea, path: str) -> DeploymentArea:
+def _loaded_area(area: DeploymentArea) -> DeploymentArea:
     try:
         return load_area(area)
     except Exception as err:
-        raise _fail(f"invalid deployment area: {err}", path) from None
+        raise _fail(f"invalid deployment area: {err}") from None
 
 
-def _valid_sd(request: SliceRequest, path: str) -> SliceRequest:
+def _valid_sd(request: SliceRequest) -> SliceRequest:
     if request.sd is not None:
         try:
             SNssai(request.sst, request.sd)
         except ValueError as err:
-            raise _fail(str(err), f"{path}.sd") from None
+            raise _fail(str(err), ".sd") from None
     return request
 
 
@@ -198,7 +185,7 @@ def _valid_sd(request: SliceRequest, path: str) -> SliceRequest:
 
 class _Codec(NamedTuple):
     encode: Callable | None  # model value -> JSON value; None writes the value as it is
-    decode: Callable  # (JSON value, path) -> model value
+    decode: Callable  # JSON value -> model value
 
 
 def _itself(value):
@@ -228,15 +215,24 @@ def _object_codec(make, entries, tag: str | None = None) -> _Codec:
             out[key] = field if write is None else write(field)
         return out
 
-    def decode(value, path: str):
-        value = _obj(value, path, keys)
+    def decode(value):
+        if not isinstance(value, dict):
+            raise _fail(f"expected an object, got {type(value).__name__}")
+        if value.keys() != keys:
+            unknown = sorted(value.keys() - keys)
+            raise _fail(f"unknown field(s): {', '.join(unknown)}" if unknown
+                        else f"missing field(s): {', '.join(sorted(keys - value.keys()))}")
         args: list = []
-        for key, read, add in readers:
-            add(args, read(value[key], f"{path}.{key}"))
+        try:
+            for key, read, add in readers:
+                add(args, read(value[key]))
+        except DocumentError as err:
+            err.path = f".{key}{err.path}"
+            raise
         try:
             return make(*args)
         except ValueError as err:
-            raise _fail(str(err), path) from None
+            raise _fail(str(err)) from None
 
     return _Codec(encode, decode)
 
@@ -264,8 +260,17 @@ def _array(item: _Codec, make, write) -> _Codec:
     """A tuple or frozenset as a JSON array: ``make`` builds the model value
     from the decoded items, ``write`` the array from the encoded ones."""
 
-    def decode(value, path: str):
-        return make([item.decode(x, f"{path}[{i}]") for i, x in enumerate(_list(value, path))])
+    def decode(value):
+        if not isinstance(value, list):
+            raise _fail("expected an array")
+        items: list = []
+        try:
+            for x in value:
+                items.append(item.decode(x))
+        except DocumentError as err:
+            err.path = f"[{len(items)}]{err.path}"
+            raise
+        return make(items)
 
     if item.encode is None:
         return _Codec(write, decode)
@@ -273,8 +278,8 @@ def _array(item: _Codec, make, write) -> _Codec:
 
 
 def _optional(inner: _Codec) -> _Codec:
-    def decode(value, path: str):
-        return None if value is None else inner.decode(value, path)
+    def decode(value):
+        return None if value is None else inner.decode(value)
 
     if inner.encode is None:
         return _Codec(None, decode)
@@ -287,19 +292,18 @@ def _fixed(encode, decode):
 
 
 def _checked(check):
-    """Override: the dataclass codec, then ``check(value, path)`` on every
-    decoded value."""
+    """Override: the dataclass codec, then ``check`` on every decoded value."""
 
     def build(cls) -> _Codec:
         encode, decode = _dataclass_codec(cls)
-        return _Codec(encode, lambda value, path: check(decode(value, path), path))
+        return _Codec(encode, lambda value: check(decode(value)))
 
     return build
 
 
 def _pairs(label: str):
     """Override for ``tuple[tuple[A, B], ...]``: an array of two-element
-    arrays; a fault in either item is reported at the pair's path."""
+    arrays; a fault in either (scalar) item is reported at the pair's path."""
 
     def build(hint) -> _Codec:
         first, second = map(_codec, typing.get_args(typing.get_args(hint)[0]))
@@ -308,16 +312,12 @@ def _pairs(label: str):
         def encode(pairs) -> list:
             return [[write_first(a), write_second(b)] for a, b in pairs]
 
-        def decode(value, path: str) -> tuple:
-            pairs = []
-            for i, item in enumerate(_list(value, path)):
-                at = f"{path}[{i}]"
-                if not isinstance(item, list) or len(item) != 2:
-                    raise _fail(f"expected a {label} pair", at)
-                pairs.append((first.decode(item[0], at), second.decode(item[1], at)))
-            return tuple(pairs)
+        def pair(item) -> tuple:
+            if not isinstance(item, list) or len(item) != 2:
+                raise _fail(f"expected a {label} pair")
+            return first.decode(item[0]), second.decode(item[1])
 
-        return _Codec(encode, decode)
+        return _Codec(encode, _array(_Codec(None, pair), tuple, list).decode)
 
     return build
 
@@ -330,14 +330,14 @@ def _tagged(noun: str, kind_noun: str, members: dict[str, type]):
         by_tag = {tag: _dataclass_codec(cls, tag) for tag, cls in members.items()}
         by_type = {cls: by_tag[tag].encode for tag, cls in members.items()}
 
-        def decode(value, path: str):
+        def decode(value):
             if not isinstance(value, dict) or "kind" not in value:
-                raise _fail(f"expected {noun} with a 'kind' tag", path)
+                raise _fail(f"expected {noun} with a 'kind' tag")
             kind = value["kind"]
             member = by_tag.get(kind) if isinstance(kind, str) else None
             if member is None:
-                raise _fail(f"unknown {kind_noun} kind {kind!r}", path)
-            return member.decode(value, path)
+                raise _fail(f"unknown {kind_noun} kind {kind!r}")
+            return member.decode(value)
 
         return _Codec(lambda value: by_type[type(value)](value), decode)
 
@@ -374,7 +374,7 @@ def _codec(hint) -> _Codec:
     if hint in _PRIMITIVES:
         return _Codec(None, _PRIMITIVES[hint])
     if isinstance(hint, type) and issubclass(hint, Enum):
-        return _Codec(attrgetter("value"), functools.partial(_enum, hint))
+        return _Codec(attrgetter("value"), functools.partial(_enum, {m.value: m for m in hint}))
     if dataclasses.is_dataclass(hint):
         return _dataclass_codec(hint)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -419,7 +419,11 @@ def parse_document(text: str) -> DocumentEnvelope:
     kind = raw["kind"]
     if not isinstance(kind, str) or kind not in _BODY_TYPES:
         raise DocumentError("UNKNOWN_KIND", f"unknown document kind {kind!r}")
-    return DocumentEnvelope(kind, _codec(_BODY_TYPES[kind]).decode(raw["body"], "body"))
+    try:
+        return DocumentEnvelope(kind, _codec(_BODY_TYPES[kind]).decode(raw["body"]))
+    except DocumentError as err:
+        err.path = f"body{err.path}"
+        raise
 
 
 def serialize_document(envelope: DocumentEnvelope) -> str:
