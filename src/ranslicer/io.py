@@ -404,6 +404,8 @@ def parse_document(text: str) -> DocumentEnvelope:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise DocumentError("PARSE_ERROR", err.msg, line=err.lineno, column=err.colno) from None
+    except RecursionError:
+        raise DocumentError("PARSE_ERROR", "document nests too deeply to parse") from None
     if not isinstance(raw, dict):
         raise DocumentError("PARSE_ERROR", "document must be a JSON object", path="$")
     unknown = sorted(set(raw) - {"schema_version", "kind", "body"})
@@ -528,7 +530,11 @@ def canonical_json(payload) -> str:
 
 
 def parse_path(path: str | Path) -> DocumentEnvelope:
-    return parse_document(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise DocumentError("PARSE_ERROR", f"not UTF-8 text: {err.reason} at byte {err.start}") from None
+    return parse_document(text)
 
 
 def write_atomic(path: str | Path, text: str) -> None:

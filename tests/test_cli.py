@@ -48,6 +48,19 @@ def test_validate_broken_catalog(doc_files, tmp_path, capsys):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe", "PARSE_ERROR: not UTF-8 text: invalid start byte at byte 0"),
+    (b'{"schema_version": "1.0.0", "kind": "CATALOG", "body": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+     "PARSE_ERROR: document nests too deeply to parse"),
+], ids=["not-utf-8", "nested-5000-deep"])
+def test_validate_unreadable_document_is_a_diagnostic(tmp_path, capsys, content, message):
+    path = tmp_path / "catalog.json"
+    path.write_bytes(content)
+    assert cli_main(["validate", str(path)]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
 def test_plan_to_stdout(doc_files, capsys):
     code = cli_main([
         "plan", str(doc_files["request"]), str(doc_files["topology"]), str(doc_files["catalog"]),
