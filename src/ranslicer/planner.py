@@ -41,7 +41,7 @@ from .model import (
     level_capacity_mbps,
 )
 from .radio import ProfilerPolicy, area_load_mbps, build_ran_nsst, default_policy
-from .topology import DeploymentArea, Region, fronthaul_techs, pop_latency, select_rus
+from .topology import DeploymentArea, PopTier, Region, fronthaul_techs, pop_latency, select_rus
 from .validate import GNB_FLAVOR_TECHS
 
 
@@ -522,15 +522,19 @@ def verify_plan(
 ) -> list[str]:
     """Independent feasibility check of an emitted plan.
 
-    Re-derives latency, CU capacity, coverage conservation, flavor
-    consistency, each gNB's IL-subset key and each region's DU capacity
-    from the area and catalog instead of trusting the solver.
+    Re-derives each CU's edge-PoP host, latency, CU capacity, coverage
+    conservation, flavor consistency, each gNB's IL-subset key and each
+    region's DU capacity from the area and catalog instead of trusting the
+    solver.
     """
     config = config or PlannerConfig()
     problems: list[str] = []
     site_owner: dict[str, str] = {}
     region_dus: dict[str, list[DuPlan]] = {}
     for gnb in plan.gnbs:
+        cu_pop = area.pop(gnb.cu.host_pop)
+        if cu_pop is None or cu_pop.tier is not PopTier.EDGE:
+            problems.append(f"{gnb.gnb_id}: CU host {gnb.cu.host_pop} is not an edge PoP")
         if not isinstance(gnb.cu.il_subset.key, CuSubsetKey):
             problems.append(f"{gnb.gnb_id}: CU IL subset has the wrong key kind")
         else:

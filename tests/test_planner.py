@@ -478,6 +478,17 @@ class TestPlanSlice:
         config = PlannerConfig(cu_du_latency_budget_ms=1.0)
         assert verify_plan(moved, area, catalog, config)
 
+    @pytest.mark.parametrize("sst", [Sst.EMBB, Sst.MMTC, Sst.URLLC])
+    def test_verifier_checks_cu_is_on_an_edge_pop(self, catalog, area, requests, sst):
+        plan = plan_slice(requests[sst], sst, area, catalog)
+        gnb = plan.gnbs[0]
+        aggregation = gnb.dus[0].host_pop  # 0 ms from the DU, so no latency check fires
+        moved = dataclasses.replace(
+            plan, gnbs=(dataclasses.replace(gnb, cu=dataclasses.replace(gnb.cu, host_pop=aggregation)),
+                        *plan.gnbs[1:]),
+        )
+        assert verify_plan(moved, area, catalog) == [f"{gnb.gnb_id}: CU host {aggregation} is not an edge PoP"]
+
     def test_coverage_conservation(self, catalog, area, requests):
         plan = plan_slice(requests[Sst.MMTC], Sst.MMTC, area, catalog)
         served = [s for g in plan.gnbs for d in g.dus for s in d.served_cell_sites]
