@@ -485,7 +485,6 @@ _WRONG_TYPES = {
     str: [0, 2.5, True, [], {}],
     int: ["7", True, [], {}],
     float: ["7", True, [], {}],
-    bool: ["true", 0, [], {}],
 }
 
 

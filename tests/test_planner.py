@@ -482,7 +482,7 @@ class TestPlanSlice:
     def test_verifier_checks_cu_is_on_an_edge_pop(self, catalog, area, requests, sst):
         plan = plan_slice(requests[sst], sst, area, catalog)
         gnb = plan.gnbs[0]
-        aggregation = gnb.dus[0].host_pop  # 0 ms from the DU, so no latency check fires
+        aggregation = gnb.dus[0].host_pop  # within every DU's latency budget: only the new check fires
         moved = dataclasses.replace(
             plan, gnbs=(dataclasses.replace(gnb, cu=dataclasses.replace(gnb.cu, host_pop=aggregation)),
                         *plan.gnbs[1:]),
