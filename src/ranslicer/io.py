@@ -108,9 +108,6 @@ _BODY_TYPES = {
     "PLANNER_CONFIG": PlannerConfig,
 }
 
-KINDS = tuple(_BODY_TYPES)
-
-
 # ---------------------------------------------------------------------------
 # strict reading helpers
 
@@ -406,6 +403,8 @@ def parse_document(text: str) -> DocumentEnvelope:
         raise DocumentError("PARSE_ERROR", err.msg, line=err.lineno, column=err.colno) from None
     except RecursionError:
         raise DocumentError("PARSE_ERROR", "document nests too deeply to parse") from None
+    except ValueError:  # an integer literal past the interpreter's int-string digit limit
+        raise DocumentError("PARSE_ERROR", "integer literal has too many digits to parse") from None
     if not isinstance(raw, dict):
         raise DocumentError("PARSE_ERROR", "document must be a JSON object", path="$")
     unknown = sorted(set(raw) - {"schema_version", "kind", "body"})
@@ -574,7 +573,8 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundl
     hands to the orchestrator.
 
     Fails with DANGLING_PLAN_REFERENCE when the plan cites descriptors or
-    RUs the catalog no longer contains.
+    RUs the catalog no longer contains, or when no level of a gNB's NSD IL
+    subset references its CU's IL subset or one of its DUs' IL subsets.
     """
     nsd = catalog.gnb_nsd(plan.nsst.nsd_ref)
     if nsd is None:
@@ -595,7 +595,7 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundl
                 f"{gnb.gnb_id}: gNB NSD {nsd.descriptor_id} no longer carries the selected "
                 f"flavor {gnb.nsd_flavor_id} / IL subset"
             )
-        cu_vnfd_ids: set[str] = set()
+        cu_refs: list = []
         du_ref_pool: list = []
         for level in gnb.nsd_il_subset.levels:
             role = level.role_capacity
@@ -605,12 +605,20 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundl
                 if catalog.resolve_vnf_il(ref) is None:
                     raise _dangling(f"{gnb.gnb_id}: VNFD IL reference {ref} does not resolve")
                 used_vnf_refs.setdefault(ref.vnfd_id, set()).add(ref.flavor_id)
-            cu_vnfd_ids.add(role.cu_il_ref.vnfd_id)
+            cu_refs.append(role.cu_il_ref)
             du_ref_pool.extend(role.du_il_refs)
+        cu_il_ids = {lvl.il_id for lvl in gnb.cu.il_subset.levels}
+        if not any(ref.il_id in cu_il_ids for ref in cu_refs):
+            raise _dangling(f"{gnb.gnb_id}: no level of the gNB IL subset references the CU IL subset")
 
         def du_vnfd_ids(du) -> list[str]:
             il_ids = {lvl.il_id for lvl in du.il_subset.levels}
-            return sorted({ref.vnfd_id for ref in du_ref_pool if ref.il_id in il_ids})
+            vnfd_ids = sorted({ref.vnfd_id for ref in du_ref_pool if ref.il_id in il_ids})
+            if not vnfd_ids:
+                raise _dangling(
+                    f"{gnb.gnb_id}: no level of the gNB IL subset references the IL subset of {du.du_id}"
+                )
+            return vnfd_ids
         gnb_sites = {site for du in gnb.dus for site in du.served_cell_sites}
         gnb_rus = sorted(ru.ru_id for ru in rus if ru.location.cell_site in gnb_sites)
         manifest_gnbs.append(
@@ -621,7 +629,7 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundl
                 "il_subset_key": subset_key(gnb.nsd_il_subset.key),
                 "cu": {
                     "host_pop": gnb.cu.host_pop,
-                    "vnfd_ids": sorted(cu_vnfd_ids),
+                    "vnfd_ids": sorted({ref.vnfd_id for ref in cu_refs}),
                     "il_subset_key": subset_key(gnb.cu.il_subset.key),
                 },
                 "dus": [

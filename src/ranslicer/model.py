@@ -373,9 +373,6 @@ class Catalog:
                 return d
         return None
 
-    def nsst(self, nsst_id: str) -> RanNsst | None:
-        return next((t for t in self.nssts if t.nsst_id == nsst_id), None)
-
     def nssts_for(self, sst: Sst) -> tuple[RanNsst, ...]:
         return tuple(sorted((t for t in self.nssts if t.s_nssai.sst is sst), key=lambda t: t.nsst_id))
 

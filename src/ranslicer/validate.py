@@ -3,7 +3,14 @@
 ``validate_catalog`` walks a catalog and returns every rule violation as
 data; an empty report means the catalog is fit for planning.  Violations
 carry the owning document id, a JSON-pointer-ish path and a stable rule
-id.  The report is sorted, so it is independent of document order.
+id.  The report is sorted and de-duplicated, so it is independent of
+document order and of the order in which violations are found.
+
+The gNB NSD, DU VNFD and CU VNFD share one shape (descriptor -> flavor ->
+IL subset -> level), so one walker, ``_check_descriptor``, visits each of
+them once and applies the shared rules.  The ``_KINDS`` table holds what
+differs per descriptor type: flavor count, subset-key type and noun, IL
+role type and its count field, and hooks for the kind's own rules.
 
 Rule ids:
 
@@ -29,7 +36,7 @@ ru-tech-mismatch     RU connection tech differs from its region's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .model import (
     Catalog,
@@ -86,18 +93,12 @@ def validate_catalog(catalog: Catalog, area: "DeploymentArea | None" = None) -> 
     """
     report: list[Violation] = []
     _check_duplicate_ids(catalog, report)
-    for nsd in catalog.gnb_nsds:
-        _check_gnb_nsd(nsd, catalog, report)
-    for vnfd in catalog.du_vnfds:
-        _check_du_vnfd(vnfd, report)
-    for vnfd in catalog.cu_vnfds:
-        _check_cu_vnfd(vnfd, report)
+    for descriptor in (*catalog.gnb_nsds, *catalog.du_vnfds, *catalog.cu_vnfds):
+        _check_descriptor(descriptor, catalog, report)
     for nsst in catalog.nssts:
         if catalog.gnb_nsd(nsst.nsd_ref) is None:
-            report.append(
-                Violation(nsst.nsst_id, "nsd_ref", "dangling-reference",
-                          f"gNB NSD {nsst.nsd_ref!r} not in catalog")
-            )
+            report.append(Violation(nsst.nsst_id, "nsd_ref", "dangling-reference",
+                                    f"gNB NSD {nsst.nsd_ref!r} not in catalog"))
     if area is not None:
         _check_rus(catalog, area, report)
     return sorted(set(report))
@@ -117,116 +118,75 @@ def _check_duplicate_ids(catalog: Catalog, report: list[Violation]) -> None:
             seen.add(doc_id)
 
 
-def _check_levels(
-    doc_id: str,
-    path: str,
-    subset: IlSubset,
-    role_type: type,
-    report: list[Violation],
-) -> None:
+def _check_descriptor(descriptor: GnbNsd | DuVnfd | CuVnfd, catalog: Catalog, report: list[Violation]) -> None:
+    kind = _KINDS[type(descriptor)]
+    doc_id, flavors = descriptor.descriptor_id, descriptor.flavors
+    if len(flavors) != kind.flavor_count:
+        noun = "flavor" if kind.flavor_count == 1 else "flavors"
+        report.append(Violation(doc_id, "flavors", "flavor-count",
+                                f"expected {kind.flavor_count} {noun}, found {len(flavors)}"))
+    report.extend(Violation(doc_id, "flavors", "flavor-tech-mapping", m) for m in kind.flavors_rule(flavors))
+    il_ids: set[str] = set()
+    for fi, flavor in enumerate(flavors):
+        fpath = f"flavors[{fi}]"
+        report.extend(Violation(doc_id, fpath, "flavor-tech-mapping", m) for m in kind.flavor_rule(flavor))
+        if not flavor.il_subsets:
+            report.append(Violation(doc_id, fpath, "empty-subsets", "flavor has no IL subsets"))
+        for si, subset in enumerate(flavor.il_subsets):
+            for level in subset.levels:  # before the key check: a wrong-kind subset's IL ids count too
+                if level.il_id in il_ids:
+                    report.append(Violation(doc_id, f"il:{level.il_id}", "duplicate-id", "duplicate IL id"))
+                il_ids.add(level.il_id)
+            spath = f"{fpath}.il_subsets[{si}]"
+            if not isinstance(subset.key, kind.key_type):
+                report.append(Violation(doc_id, spath, "bad-subset-key", f"expected a {kind.key_noun} key"))
+                continue
+            report.extend(Violation(doc_id, spath, "bad-subset-key", m) for m in kind.key_rule(flavor, subset.key))
+            _check_levels(doc_id, spath, subset, kind, report)
+            for li, level in enumerate(subset.levels):
+                if isinstance(level.role_capacity, kind.role_type):
+                    kind.level_rule(doc_id, f"{spath}.levels[{li}]", flavor, subset.key, level, catalog, report)
+
+
+def _check_levels(doc_id: str, path: str, subset: IlSubset, kind: _Kind, report: list[Violation]) -> None:
+    """Rules every IL subset obeys; a role mismatch ends them for the subset."""
     if not subset.levels:
         report.append(Violation(doc_id, path, "empty-levels", "IL subset has no levels"))
         return
+    sizes = []
     for i, level in enumerate(subset.levels):
         lpath = f"{path}.levels[{i}]"
-        if not isinstance(level.role_capacity, role_type):
-            report.append(
-                Violation(doc_id, lpath, "role-mismatch",
-                          f"expected {role_type.__name__} role")
-            )
+        role = level.role_capacity
+        if not isinstance(role, kind.role_type):
+            report.append(Violation(doc_id, lpath, "role-mismatch", f"expected {kind.role_type.__name__} role"))
             return
         vm = level.vm_spec
         if vm.vcpu_count <= 0 or vm.cpu_ghz <= 0 or vm.ram_gb <= 0:
             report.append(Violation(doc_id, lpath, "non-positive-capacity", "VM sizing must be positive"))
-        for cap_name, value in _capacity_fields(level):
+        caps = (getattr(role, kind.count_field), role.aggregate_capacity_mbps)
+        for cap_name, value in zip((kind.count_field, "aggregate_capacity_mbps"), caps):
             if value <= 0:
-                report.append(
-                    Violation(doc_id, lpath, "non-positive-capacity", f"{cap_name} must be positive")
-                )
-    for i in range(1, len(subset.levels)):
-        prev, cur = subset.levels[i - 1], subset.levels[i]
-        lpath = f"{path}.levels[{i}]"
-        prev_vm = (prev.vm_spec.vcpu_count, prev.vm_spec.cpu_ghz, prev.vm_spec.ram_gb)
-        cur_vm = (cur.vm_spec.vcpu_count, cur.vm_spec.cpu_ghz, cur.vm_spec.ram_gb)
+                report.append(Violation(doc_id, lpath, "non-positive-capacity", f"{cap_name} must be positive"))
+        sizes.append((lpath, (vm.vcpu_count, vm.cpu_ghz, vm.ram_gb), caps))
+    for (_, prev_vm, prev_caps), (lpath, cur_vm, cur_caps) in zip(sizes, sizes[1:]):
         if any(c < p for p, c in zip(prev_vm, cur_vm)):
-            report.append(
-                Violation(doc_id, lpath, "non-monotone-levels", "VM resources decrease along the subset")
-            )
-        prev_caps = [v for _, v in _capacity_fields(prev)]
-        cur_caps = [v for _, v in _capacity_fields(cur)]
+            report.append(Violation(doc_id, lpath, "non-monotone-levels", "VM resources decrease along the subset"))
         if any(c < p for p, c in zip(prev_caps, cur_caps)):
-            report.append(
-                Violation(doc_id, lpath, "non-monotone-levels", "capacities decrease along the subset")
-            )
+            report.append(Violation(doc_id, lpath, "non-monotone-levels", "capacities decrease along the subset"))
         elif not any(c > p for p, c in zip(prev_caps, cur_caps)):
-            report.append(
-                Violation(doc_id, lpath, "non-monotone-levels",
-                          "no capacity field strictly increases between consecutive levels")
-            )
+            report.append(Violation(doc_id, lpath, "non-monotone-levels",
+                                    "no capacity field strictly increases between consecutive levels"))
 
 
-def _capacity_fields(level: InstantiationLevel) -> list[tuple[str, float]]:
-    role = level.role_capacity
-    if isinstance(role, DuIlCapacity):
-        return [("max_cell_sites", role.max_cell_sites),
-                ("aggregate_capacity_mbps", role.aggregate_capacity_mbps)]
-    if isinstance(role, CuIlCapacity):
-        return [("max_dus", role.max_dus),
-                ("aggregate_capacity_mbps", role.aggregate_capacity_mbps)]
-    return [("du_count", role.du_count),
-            ("aggregate_capacity_mbps", role.aggregate_capacity_mbps)]
+def _gnb_flavor(flavor: Flavor) -> Iterator[str]:
+    expected = GNB_FLAVOR_TECHS.get(flavor.flavor_id)
+    if expected is None or flavor.fronthaul_techs != expected or flavor.split_option is not None:
+        yield (f"gNB flavor {flavor.flavor_id} must carry techs "
+               f"{sorted(t.value for t in expected) if expected else '1..3'} and no split option")
 
 
-def _check_level_ids(doc_id: str, flavors: tuple[Flavor, ...], report: list[Violation]) -> None:
-    seen: set[str] = set()
-    for flavor in flavors:
-        for subset in flavor.il_subsets:
-            for level in subset.levels:
-                if level.il_id in seen:
-                    report.append(
-                        Violation(doc_id, f"il:{level.il_id}", "duplicate-id", "duplicate IL id")
-                    )
-                seen.add(level.il_id)
-
-
-def _check_gnb_nsd(nsd: GnbNsd, catalog: Catalog, report: list[Violation]) -> None:
-    doc_id = nsd.descriptor_id
-    if len(nsd.flavors) != 3:
-        report.append(
-            Violation(doc_id, "flavors", "flavor-count",
-                      f"expected 3 flavors, found {len(nsd.flavors)}")
-        )
-    _check_level_ids(doc_id, nsd.flavors, report)
-    for fi, flavor in enumerate(nsd.flavors):
-        fpath = f"flavors[{fi}]"
-        expected = GNB_FLAVOR_TECHS.get(flavor.flavor_id)
-        if expected is None or flavor.fronthaul_techs != expected or flavor.split_option is not None:
-            report.append(
-                Violation(doc_id, fpath, "flavor-tech-mapping",
-                          f"gNB flavor {flavor.flavor_id} must carry techs "
-                          f"{sorted(t.value for t in expected) if expected else '1..3'} and no split option")
-            )
-        if not flavor.il_subsets:
-            report.append(Violation(doc_id, fpath, "empty-subsets", "flavor has no IL subsets"))
-        for si, subset in enumerate(flavor.il_subsets):
-            spath = f"{fpath}.il_subsets[{si}]"
-            if not isinstance(subset.key, GnbSubsetKey):
-                report.append(Violation(doc_id, spath, "bad-subset-key", "expected a served-regions key"))
-                continue
-            _check_levels(doc_id, spath, subset, GnbIlCapacity, report)
-            for li, level in enumerate(subset.levels):
-                if isinstance(level.role_capacity, GnbIlCapacity):
-                    _check_gnb_il(doc_id, f"{spath}.levels[{li}]", flavor, level, catalog, report)
-
-
-def _check_gnb_il(
-    doc_id: str,
-    path: str,
-    flavor: Flavor,
-    level: InstantiationLevel,
-    catalog: Catalog,
-    report: list[Violation],
-) -> None:
+def _check_gnb_il(doc_id: str, path: str, flavor: Flavor, key: GnbSubsetKey, level: InstantiationLevel,
+                  catalog: Catalog, report: list[Violation]) -> None:
     role: GnbIlCapacity = level.role_capacity
     if role.du_count != len(role.du_il_refs):
         report.append(
@@ -273,109 +233,81 @@ def _check_gnb_il(
             )
 
 
-def _check_du_vnfd(vnfd: DuVnfd, report: list[Violation]) -> None:
-    doc_id = vnfd.descriptor_id
-    if len(vnfd.flavors) != 2:
-        report.append(
-            Violation(doc_id, "flavors", "flavor-count",
-                      f"expected 2 flavors, found {len(vnfd.flavors)}")
-        )
-    _check_level_ids(doc_id, vnfd.flavors, report)
-    techs_seen: set[FronthaulTech] = set()
-    for fi, flavor in enumerate(vnfd.flavors):
-        fpath = f"flavors[{fi}]"
-        if len(flavor.fronthaul_techs) != 1:
-            report.append(
-                Violation(doc_id, fpath, "flavor-tech-mapping",
-                          "DU flavor must carry exactly one fronthaul tech")
-            )
-        else:
-            (tech,) = flavor.fronthaul_techs
-            techs_seen.add(tech)
-            if flavor.split_option != SPLIT_FOR_TECH[tech]:
-                report.append(
-                    Violation(doc_id, fpath, "flavor-tech-mapping",
-                              f"{tech.value} maps to split option {SPLIT_FOR_TECH[tech]}, "
-                              f"found {flavor.split_option}")
-                )
-        if not flavor.il_subsets:
-            report.append(Violation(doc_id, fpath, "empty-subsets", "flavor has no IL subsets"))
-        for si, subset in enumerate(flavor.il_subsets):
-            spath = f"{fpath}.il_subsets[{si}]"
-            key = subset.key
-            if not isinstance(key, DuSubsetKey):
-                report.append(Violation(doc_id, spath, "bad-subset-key", "expected a DU cell-site key"))
-                continue
-            if not 1 <= key.min_cell_sites <= key.max_cell_sites:
-                report.append(
-                    Violation(doc_id, spath, "bad-subset-key",
-                              f"cell-site range [{key.min_cell_sites}, {key.max_cell_sites}] is invalid")
-                )
-            if len(flavor.fronthaul_techs) == 1 and key.fronthaul_tech not in flavor.fronthaul_techs:
-                report.append(
-                    Violation(doc_id, spath, "bad-subset-key",
-                              "subset fronthaul tech differs from its flavor")
-                )
-            _check_levels(doc_id, spath, subset, DuIlCapacity, report)
-            for li, level in enumerate(subset.levels):
-                role = level.role_capacity
-                if isinstance(role, DuIlCapacity) and role.max_cell_sites < key.max_cell_sites:
-                    report.append(
-                        Violation(doc_id, f"{spath}.levels[{li}]", "bad-subset-key",
-                                  "level serves fewer cell sites than the subset range promises")
-                    )
-    if len(vnfd.flavors) == 2 and techs_seen == {FronthaulTech.CPRI, FronthaulTech.ECPRI}:
-        pass  # one flavor per split option, as required
-    elif len(vnfd.flavors) == 2:
-        report.append(
-            Violation(doc_id, "flavors", "flavor-tech-mapping",
-                      "DU VNFD must carry one CPRI and one eCPRI flavor")
-        )
+def _du_flavor(flavor: Flavor) -> Iterator[str]:
+    if len(flavor.fronthaul_techs) != 1:
+        yield "DU flavor must carry exactly one fronthaul tech"
+        return
+    (tech,) = flavor.fronthaul_techs
+    if flavor.split_option != SPLIT_FOR_TECH[tech]:
+        yield f"{tech.value} maps to split option {SPLIT_FOR_TECH[tech]}, found {flavor.split_option}"
 
 
-def _check_cu_vnfd(vnfd: CuVnfd, report: list[Violation]) -> None:
-    doc_id = vnfd.descriptor_id
-    if len(vnfd.flavors) != 1:
-        report.append(
-            Violation(doc_id, "flavors", "flavor-count",
-                      f"expected 1 flavor, found {len(vnfd.flavors)}")
-        )
-    _check_level_ids(doc_id, vnfd.flavors, report)
-    for fi, flavor in enumerate(vnfd.flavors):
-        fpath = f"flavors[{fi}]"
-        if flavor.split_option != CU_SPLIT_OPTION:
-            report.append(
-                Violation(doc_id, fpath, "flavor-tech-mapping",
-                          f"CU flavor must declare split option {CU_SPLIT_OPTION}")
-            )
-        if not flavor.il_subsets:
-            report.append(Violation(doc_id, fpath, "empty-subsets", "flavor has no IL subsets"))
-        for si, subset in enumerate(flavor.il_subsets):
-            spath = f"{fpath}.il_subsets[{si}]"
-            key = subset.key
-            if not isinstance(key, CuSubsetKey):
-                report.append(Violation(doc_id, spath, "bad-subset-key", "expected a served-DU-count key"))
-                continue
-            if not 1 <= key.min_dus <= key.max_dus:
-                report.append(
-                    Violation(doc_id, spath, "bad-subset-key",
-                              f"DU-count range [{key.min_dus}, {key.max_dus}] is invalid")
-                )
-            _check_levels(doc_id, spath, subset, CuIlCapacity, report)
+def _du_flavor_pair(flavors: tuple[Flavor, ...]) -> Iterator[str]:
+    techs = {tech for f in flavors if len(f.fronthaul_techs) == 1 for tech in f.fronthaul_techs}
+    if len(flavors) == 2 and techs != {FronthaulTech.CPRI, FronthaulTech.ECPRI}:
+        yield "DU VNFD must carry one CPRI and one eCPRI flavor"
+
+
+def _du_key(flavor: Flavor, key: DuSubsetKey) -> Iterator[str]:
+    if not 1 <= key.min_cell_sites <= key.max_cell_sites:
+        yield f"cell-site range [{key.min_cell_sites}, {key.max_cell_sites}] is invalid"
+    if len(flavor.fronthaul_techs) == 1 and key.fronthaul_tech not in flavor.fronthaul_techs:
+        yield "subset fronthaul tech differs from its flavor"
+
+
+def _du_level(doc_id: str, path: str, flavor: Flavor, key: DuSubsetKey, level: InstantiationLevel,
+              catalog: Catalog, report: list[Violation]) -> None:
+    if level.role_capacity.max_cell_sites < key.max_cell_sites:
+        report.append(Violation(doc_id, path, "bad-subset-key",
+                                "level serves fewer cell sites than the subset range promises"))
+
+
+def _cu_flavor(flavor: Flavor) -> Iterator[str]:
+    if flavor.split_option != CU_SPLIT_OPTION:
+        yield f"CU flavor must declare split option {CU_SPLIT_OPTION}"
+
+
+def _cu_key(flavor: Flavor, key: CuSubsetKey) -> Iterator[str]:
+    if not 1 <= key.min_dus <= key.max_dus:
+        yield f"DU-count range [{key.min_dus}, {key.max_dus}] is invalid"
+
+
+def _no_rule(*_args) -> tuple:
+    return ()
+
+
+class _Kind(NamedTuple):
+    """One descriptor type's data and rules.  The flavor(s) and key rules yield
+    messages, reported as flavor-tech-mapping or bad-subset-key; the level
+    rule runs on each level whose role has ``role_type`` and reports itself."""
+
+    flavor_count: int
+    key_type: type
+    key_noun: str
+    role_type: type
+    count_field: str  # checked beside aggregate_capacity_mbps
+    flavor_rule: Callable
+    key_rule: Callable = _no_rule
+    level_rule: Callable = _no_rule
+    flavors_rule: Callable = _no_rule
+
+
+_KINDS: dict[type, _Kind] = {
+    GnbNsd: _Kind(3, GnbSubsetKey, "served-regions", GnbIlCapacity, "du_count", _gnb_flavor,
+                  level_rule=_check_gnb_il),
+    DuVnfd: _Kind(2, DuSubsetKey, "DU cell-site", DuIlCapacity, "max_cell_sites", _du_flavor,
+                  _du_key, _du_level, _du_flavor_pair),
+    CuVnfd: _Kind(1, CuSubsetKey, "served-DU-count", CuIlCapacity, "max_dus", _cu_flavor, _cu_key),
+}
 
 
 def _check_rus(catalog: Catalog, area: "DeploymentArea", report: list[Violation]) -> None:
     for ru in catalog.ru_pnfds:
         region = area.region(ru.location.region_id)
         if region is None:
-            report.append(
-                Violation(ru.ru_id, "location.region_id", "unknown-region",
-                          f"region {ru.location.region_id!r} not in deployment area")
-            )
-            continue
-        if ru.connection_tech is not region.fronthaul_tech:
-            report.append(
-                Violation(ru.ru_id, "connection_tech", "ru-tech-mismatch",
-                          f"RU uses {ru.connection_tech.value} but region "
-                          f"{region.region_id} runs {region.fronthaul_tech.value}")
-            )
+            report.append(Violation(ru.ru_id, "location.region_id", "unknown-region",
+                                    f"region {ru.location.region_id!r} not in deployment area"))
+        elif ru.connection_tech is not region.fronthaul_tech:
+            report.append(Violation(ru.ru_id, "connection_tech", "ru-tech-mismatch",
+                                    f"RU uses {ru.connection_tech.value} but region "
+                                    f"{region.region_id} runs {region.fronthaul_tech.value}"))

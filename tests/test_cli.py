@@ -52,7 +52,10 @@ def test_validate_broken_catalog(doc_files, tmp_path, capsys):
     (b"\xff\xfe", "PARSE_ERROR: not UTF-8 text: invalid start byte at byte 0"),
     (b'{"schema_version": "1.0.0", "kind": "CATALOG", "body": ' + b"[" * 5000 + b"]" * 5000 + b"}",
      "PARSE_ERROR: document nests too deeply to parse"),
-], ids=["not-utf-8", "nested-5000-deep"])
+    (b'{"schema_version": "1.0.0", "kind": "PLANNER_CONFIG", "body": {"cu_du_latency_budget_ms": 1'
+     + b"0" * 5000 + b"}}",
+     "PARSE_ERROR: integer literal has too many digits to parse"),
+], ids=["not-utf-8", "nested-5000-deep", "integer-5001-digits"])
 def test_validate_unreadable_document_is_a_diagnostic(tmp_path, capsys, content, message):
     path = tmp_path / "catalog.json"
     path.write_bytes(content)

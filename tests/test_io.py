@@ -255,6 +255,46 @@ class TestOnboardingBundle:
             emit_onboarding_bundle(plan, gutted)
         assert err.value.code == "DANGLING_PLAN_REFERENCE"
 
+    @staticmethod
+    def _embb_plan_with(catalog, area, requests, rename):
+        """The eMBB plan with one IL subset's IL ids suffixed "-x", serialized
+        and parsed back, so it no longer shares objects with the catalog."""
+        plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, catalog)
+
+        def renamed(subset):
+            levels = tuple(dataclasses.replace(lvl, il_id=f"{lvl.il_id}-x") for lvl in subset.levels)
+            return dataclasses.replace(subset, levels=levels)
+
+        gnbs = (rename(plan.gnbs[0], renamed),) + plan.gnbs[1:]
+        text = serialize_document(envelope_for(dataclasses.replace(plan, gnbs=gnbs)))
+        return parse_document(text).body
+
+    def test_du_subset_no_gnb_level_references_is_dangling(self, catalog, area, requests):
+        def rename(gnb, renamed):
+            du = dataclasses.replace(gnb.dus[0], il_subset=renamed(gnb.dus[0].il_subset))
+            return dataclasses.replace(gnb, dus=(du,) + gnb.dus[1:])
+
+        plan = self._embb_plan_with(catalog, area, requests, rename)
+        with pytest.raises(DocumentError) as err:
+            emit_onboarding_bundle(plan, catalog)
+        assert err.value.code == "DANGLING_PLAN_REFERENCE"
+        assert str(err.value).endswith(
+            f"{plan.gnbs[0].gnb_id}: no level of the gNB IL subset references the IL subset of "
+            f"{plan.gnbs[0].dus[0].du_id}"
+        )
+
+    def test_cu_subset_no_gnb_level_references_is_dangling(self, catalog, area, requests):
+        def rename(gnb, renamed):
+            return dataclasses.replace(gnb, cu=dataclasses.replace(gnb.cu, il_subset=renamed(gnb.cu.il_subset)))
+
+        plan = self._embb_plan_with(catalog, area, requests, rename)
+        with pytest.raises(DocumentError) as err:
+            emit_onboarding_bundle(plan, catalog)
+        assert err.value.code == "DANGLING_PLAN_REFERENCE"
+        assert str(err.value).endswith(
+            f"{plan.gnbs[0].gnb_id}: no level of the gNB IL subset references the CU IL subset"
+        )
+
     def test_bundle_files_are_canonical_and_written_atomically(self, catalog, area, requests, tmp_path):
         plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, catalog)
         bundle = emit_onboarding_bundle(plan, catalog)
