@@ -3,7 +3,8 @@
 
 Writes the builtin catalog, the reference topology and the three
 reference slice requests in canonical document form, plus the pinned
-stdout of `ranslicer paper-example` used by the acceptance suite.
+stdout of `ranslicer paper-example` used by the acceptance suite and the
+`ranslicer plan` output for each reference request (tests/data/plan_*.json).
 Run from the repository root after changing the builtin data.
 """
 
@@ -37,7 +38,16 @@ def main() -> int:
     if code != 0:
         print("paper-example failed; fixtures NOT updated", file=sys.stderr)
         return 1
-    write_atomic(ROOT / "tests" / "data" / "paper_example_output.txt", buffer.getvalue())
+    data = ROOT / "tests" / "data"
+    write_atomic(data / "paper_example_output.txt", buffer.getvalue())
+    for sst in reference_requests():
+        name = sst.name.lower()
+        code = cli_main(["plan", str(fixtures / f"request_{name}.json"),
+                         str(fixtures / "reference_topology.json"), str(fixtures / "builtin_catalog.json"),
+                         "--out", str(data / f"plan_{name}.json")])
+        if code != 0:
+            print(f"plan {name} failed", file=sys.stderr)
+            return 1
     for path in sorted(fixtures.iterdir()):
         print(path.relative_to(ROOT))
     return 0

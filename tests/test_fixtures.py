@@ -3,8 +3,10 @@
 from pathlib import Path
 
 from ranslicer.io import SliceRequest, envelope_for, serialize_document
+from ranslicer.planner import plan_slice
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+DATA = Path(__file__).parent / "data"
 
 
 def test_catalog_fixture_matches_builtin(catalog):
@@ -19,6 +21,12 @@ def test_request_fixtures_match_reference_rows(requests):
     for sst, requirements in requests.items():
         expected = serialize_document(envelope_for(SliceRequest(sst, None, requirements)))
         assert (FIXTURES / f"request_{sst.name.lower()}.json").read_text() == expected
+
+
+def test_reference_plans_match_pinned_bytes(catalog, area, requests):
+    for sst, requirements in requests.items():
+        plan = plan_slice(requirements, sst, area, catalog)
+        assert (DATA / f"plan_{sst.name.lower()}.json").read_text() == serialize_document(envelope_for(plan))
 
 
 def test_shipped_topology_parses_to_a_topology_envelope(area):
