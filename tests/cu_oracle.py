@@ -1,9 +1,11 @@
-"""Independent oracle and instance generator for CU minimization.
+"""Independent oracle and instance generators for CU minimization.
 
 The oracle recomputes PoP compatibility with Floyd-Warshall (the planner
 uses Dijkstra) and minimizes the CU count by branch-and-bound over set
 partitions (the planner enumerates placement multisets plus matching),
-so the two sides share no code path.
+so the two sides share no code path.  ``greedy_oracle`` is a frozen copy
+of the planner's original greedy CU heuristic, which recounted every
+PoP's feasible DUs after each CU: the reference for the greedy layout.
 """
 
 from __future__ import annotations
@@ -73,6 +75,58 @@ def make_instance(rng: random.Random):
         links.append(TransportLink(f"edge-{a}", f"edge-{b}", round(rng.uniform(0.5, 8.0), 2)))
     area = DeploymentArea((), tuple(pops), tuple(links), ())
     return dus, area, make_cu_vnfd(capacity), capacity
+
+
+def make_scaled_instance(rng: random.Random):
+    """Random greedy-scale instance: 100-160 DUs sharing 25-60 aggregation
+    PoPs, 20-40 edge PoPs listed in shuffled order, CU capacity 2-6.  Each
+    aggregation PoP links to 1-3 edge PoPs, the first within the default
+    latency budget, so every DU reaches at least one edge PoP."""
+    n_dus = rng.randint(100, 160)
+    n_edges = rng.randint(20, 40)
+    n_aggs = rng.randint(25, 60)
+    capacity = rng.randint(2, 6)
+    edges = [f"edge-{e}" for e in range(1, n_edges + 1)]
+    pops = [Pop(edge, PopTier.EDGE, 64, 128.0) for edge in edges]
+    rng.shuffle(pops)
+    links = []
+    for a in range(1, n_aggs + 1):
+        agg = f"agg-{a:02d}"
+        pops.append(Pop(agg, PopTier.AGGREGATION, 32, 64.0))
+        for k, edge in enumerate(rng.sample(edges, rng.randint(1, 3))):
+            latency = rng.uniform(1.0, 9.0) if k == 0 else rng.uniform(1.0, 14.0)
+            links.append(TransportLink(agg, edge, round(latency, 2)))
+    subset = _stub_du_subset()
+    dus = [
+        DuPlan(
+            du_id=f"du-{i:03d}",
+            region_id=f"region-{i:03d}",
+            served_cell_sites=(f"cs-{i:03d}",),
+            vnfd_flavor=DuFlavor.SPLIT8_CPRI,
+            il_subset=subset,
+            host_pop=f"agg-{rng.randint(1, n_aggs):02d}",
+        )
+        for i in range(1, n_dus + 1)
+    ]
+    area = DeploymentArea((), tuple(pops), tuple(links), ())
+    return dus, area, make_cu_vnfd(capacity), capacity
+
+
+def greedy_oracle(
+    dus: list[DuPlan], compat: dict[str, list[str]], edge_pop_ids: list[str], capacity: int
+) -> list[tuple[str, list[DuPlan]]]:
+    """First-fit over edge PoPs ordered by feasible-DU count (ties by id)."""
+    remaining = {du.du_id: du for du in dus}
+    groups: list[tuple[str, list[DuPlan]]] = []
+    while remaining:
+        counts = {
+            pop: sum(1 for du_id in remaining if pop in compat[du_id]) for pop in edge_pop_ids
+        }
+        pop = min(edge_pop_ids, key=lambda p: (-counts[p], p))
+        feasible = sorted(du_id for du_id in remaining if pop in compat[du_id])
+        take = [remaining.pop(du_id) for du_id in feasible[:capacity]]
+        groups.append((pop, take))
+    return groups
 
 
 def floyd_warshall(area: DeploymentArea) -> dict[str, dict[str, float]]:

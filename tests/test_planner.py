@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cu_oracle import make_cu_vnfd, make_instance, oracle_min_cus
-from ranslicer.errors import PlannerError
+from cu_oracle import greedy_oracle, make_cu_vnfd, make_instance, make_scaled_instance, oracle_min_cus
+from ranslicer.errors import PlannerError, TopologyError
 from ranslicer.model import (
     CITY_CENTER,
     INDUSTRIAL,
@@ -245,6 +245,32 @@ class TestAssignDusToCus:
         skeletons = assign_dus_to_cus(dus, area, cu_vnfd, greedy_config)
         assert len(skeletons) >= expected
         self._check_skeletons(skeletons, area, greedy_config.cu_du_latency_budget_ms, capacity, dus)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9), scaled=st.booleans())
+    def test_greedy_layout_matches_greedy_oracle(self, seed, scaled):
+        rng = random.Random(seed)
+        dus, area, cu_vnfd, capacity = (make_scaled_instance if scaled else make_instance)(rng)
+        config = PlannerConfig(exact_solver_limit=0)
+        # The planner's own latencies: this property pins the greedy layout, not compatibility.
+        edge_pop_ids = [p.pop_id for p in area.edge_pops()]
+        compat = {du.du_id: [] for du in dus}
+        for du in dus:
+            for pop_id in edge_pop_ids:
+                try:
+                    if pop_latency(area, pop_id, du.host_pop) <= config.cu_du_latency_budget_ms:
+                        compat[du.du_id].append(pop_id)
+                except TopologyError:
+                    pass
+        if not all(compat.values()):
+            with pytest.raises(PlannerError):
+                assign_dus_to_cus(dus, area, cu_vnfd, config)
+            return
+        ordered = sorted(dus, key=lambda d: d.du_id)
+        expected = sorted((pop, tuple(d.du_id for d in members))
+                          for pop, members in greedy_oracle(ordered, compat, edge_pop_ids, capacity))
+        skeletons = assign_dus_to_cus(dus, area, cu_vnfd, config)
+        assert [(s.cu_host_pop, tuple(d.du_id for d in s.dus)) for s in skeletons] == expected
 
     def test_deterministic_assignment(self):
         rng = random.Random(42)
