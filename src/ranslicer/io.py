@@ -40,6 +40,7 @@ array catches a PARSE_ERROR on its way out and prepends ``.key`` or ``[i]``.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import functools
 import itertools
@@ -66,6 +67,7 @@ from .model import (
     Flavor,
     GnbIlCapacity,
     GnbSubsetKey,
+    IlSubset,
     InstantiationLevel,
     RadioConfig,
     RoleCapacity,
@@ -298,6 +300,32 @@ def _checked(check):
     return build
 
 
+# Within one serialize_document call: id(IlSubset) -> its encoded dict, and
+# the ids of the encoded dicts handed out more than once.  None elsewhere.
+_ENCODED: contextvars.ContextVar[tuple[dict[int, dict], set[int]] | None] = contextvars.ContextVar(
+    "_ENCODED", default=None)
+
+
+def _once_per_call(cls) -> _Codec:
+    """Override: the dataclass codec, but an object met again within one
+    serialize_document call gets the dict encoded for it the first time."""
+    encode, decode = _dataclass_codec(cls)
+
+    def encode_once(value) -> dict:
+        call = _ENCODED.get()
+        if call is None:
+            return encode(value)
+        encoded, shared = call
+        out = encoded.get(id(value))
+        if out is None:
+            out = encoded[id(value)] = encode(value)
+        else:
+            shared.add(id(out))
+        return out
+
+    return _Codec(encode_once, decode)
+
+
 def _pairs(label: str):
     """Override for ``tuple[tuple[A, B], ...]``: an array of two-element
     arrays; a fault in either (scalar) item is reported at the pair's path."""
@@ -356,6 +384,7 @@ _OVERRIDES = {
     SubsetKey: _tagged("a subset key", "subset key",
                        {"DU": DuSubsetKey, "CU": CuSubsetKey, "GNB": GnbSubsetKey}),
     Sst: _fixed(int, _sst),
+    IlSubset: _once_per_call,
     DeploymentArea: _checked(_loaded_area),
     SliceRequest: _checked(_valid_sd),
 }
@@ -431,12 +460,18 @@ def serialize_document(envelope: DocumentEnvelope) -> str:
     """Canonical text for an envelope: sorted keys, stable formatting."""
     if envelope.kind not in _BODY_TYPES:
         raise DocumentError("UNKNOWN_KIND", f"unknown document kind {envelope.kind!r}")
-    payload = {
-        "schema_version": envelope.schema_version,
-        "kind": envelope.kind,
-        "body": _codec(_BODY_TYPES[envelope.kind]).encode(envelope.body),
-    }
-    return canonical_json(payload)
+    encoded: dict[int, dict] = {}
+    shared: set[int] = set()
+    token = _ENCODED.set((encoded, shared))
+    try:
+        payload = {
+            "schema_version": envelope.schema_version,
+            "kind": envelope.kind,
+            "body": _codec(_BODY_TYPES[envelope.kind]).encode(envelope.body),
+        }
+    finally:
+        _ENCODED.reset(token)
+    return canonical_json(payload, _shared=shared)
 
 
 def _float_text(value) -> str:
@@ -467,7 +502,7 @@ _SCALAR_TEXT = {
 }
 
 
-def canonical_json(payload) -> str:
+def canonical_json(payload, *, _shared: set[int] | frozenset[int] = frozenset()) -> str:
     """Canonical text of a JSON value: the bytes of ``json.dumps(payload,
     sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False) + "\\n"``.
 
@@ -475,8 +510,13 @@ def canonical_json(payload) -> str:
     any other type ``TypeError``.  With an indent, ``json.dumps`` falls
     back to CPython's pure-Python encoder; this writer skips its generator
     chain and writes scalars inside each container's own loop.
+
+    ``_shared`` holds the ids of dicts that occur more than once in the
+    payload: the text of such a dict is kept, per depth, for this call and
+    appended again when the dict is met again at the same depth.
     """
     parts: list[str] = []
+    done: dict[tuple[int, int], str] = {}  # (id, depth) of a shared dict -> its text
     append = parts.append
     scalar = _SCALAR_TEXT.get
     indents = ["\n"]  # indents[d]: a newline and the indent of depth d
@@ -498,6 +538,13 @@ def canonical_json(payload) -> str:
             indents.append(indents[-1] + "  ")
         lead, sep = indents[depth], "," + indents[depth]
         if is_dict:
+            memo = (id(value), depth) if _shared and id(value) in _shared else None
+            if memo is not None:
+                text = done.get(memo)
+                if text is not None:
+                    append(text)
+                    return
+                start = len(parts)
             append("{")
             for key in sorted(value):
                 if not isinstance(key, str):
@@ -511,6 +558,8 @@ def canonical_json(payload) -> str:
                     append(f"{lead}{_quote(key)}: {text(item)}")
                 lead = sep
             append(indents[depth - 1] + "}")
+            if memo is not None:
+                parts[start:] = [done.setdefault(memo, "".join(parts[start:]))]
         else:
             append("[")
             for item in value:

@@ -296,16 +296,30 @@ def _exact_cu_assignment(
 def _greedy_cu_assignment(
     dus: list[DuPlan], compat: dict[str, list[str]], edge_pop_ids: list[str], capacity: int
 ) -> list[tuple[str, list[DuPlan]]]:
-    """First-fit over edge PoPs ordered by feasible-DU count (ties by id)."""
-    remaining = {du.du_id: du for du in dus}
+    """First-fit over edge PoPs ordered by feasible-DU count (ties by id).
+
+    Each PoP's unassigned feasible DUs, in ``du_id`` order, and their count
+    are built once; placing a CU drops the DUs it takes from the counts of
+    every PoP they reach.
+    """
+    by_id = {du.du_id: du for du in dus}
+    edge = set(edge_pop_ids)
+    reach = {du_id: [pop for pop in dict.fromkeys(compat[du_id]) if pop in edge] for du_id in by_id}
+    feasible: dict[str, list[DuPlan]] = {}
+    for du_id in sorted(by_id):
+        for pop in reach[du_id]:
+            feasible.setdefault(pop, []).append(by_id[du_id])
+    counts = {pop: len(members) for pop, members in feasible.items()}
+    assigned: set[str] = set()
     groups: list[tuple[str, list[DuPlan]]] = []
-    while remaining:
-        counts = {
-            pop: sum(1 for du_id in remaining if pop in compat[du_id]) for pop in edge_pop_ids
-        }
-        pop = min(edge_pop_ids, key=lambda p: (-counts[p], p))
-        feasible = sorted(du_id for du_id in remaining if pop in compat[du_id])
-        take = [remaining.pop(du_id) for du_id in feasible[:capacity]]
+    while len(assigned) < len(by_id):
+        pop = min(counts, key=lambda p: (-counts[p], p))
+        members = [du for du in feasible[pop] if du.du_id not in assigned]
+        take, feasible[pop] = members[:capacity], members[capacity:]
+        for du in take:
+            assigned.add(du.du_id)
+            for other in reach[du.du_id]:
+                counts[other] -= 1
         groups.append((pop, take))
     return groups
 

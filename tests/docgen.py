@@ -10,8 +10,9 @@ planner over the reference inputs.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
-from ranslicer.builtin import builtin_catalog
+from ranslicer.builtin import builtin_catalog, reference_requests
 from ranslicer.io import SliceRequest
 from ranslicer.model import (
     BAND_BW_LIMITS_MHZ,
@@ -337,3 +338,43 @@ GENERATORS = {
     "PROFILER_POLICY": rand_policy,
     "PLANNER_CONFIG": rand_config,
 }
+
+
+def scaled_greedy_plan(rng: random.Random, n_regions: int = 30, n_edges: int = 4):
+    """A plan on the greedy CU path: ``n_regions`` copies of the reference
+    suburban region (one DU each under the URLLC request), each aggregation
+    PoP linked to one or two of ``n_edges`` edge PoPs within the CU-DU
+    budget.  The builtin catalog's CPRI gNB flavor is given one IL subset
+    per count of suburban DUs a CU can serve, so every greedy layout has
+    its gNB subset."""
+    catalog = builtin_catalog()
+    cu_vnfd, du_vnfd, nsd = catalog.cu_vnfds[0], catalog.du_vnfds[0], catalog.gnb_nsds[0]
+    cpri = du_vnfd.flavor_for_tech(FronthaulTech.CPRI)
+    subsets = []
+    for k in range(1, 6):
+        role = GnbIlCapacity(
+            k,
+            VnfIlRef(cu_vnfd.descriptor_id, 1, "cu-s2-l1" if k <= 2 else "cu-s5-l1"),
+            (VnfIlRef(du_vnfd.descriptor_id, cpri.flavor_id, "du-c-sub-s6-l1"),) * k,
+            1000.0 * k,
+        )
+        key = GnbSubsetKey((("SUBURBAN", FronthaulTech.CPRI),) * k)
+        subsets.append(IlSubset(key, (InstantiationLevel(f"gnb-sub-x{k}", VmSpec(1, 1.0, 1.0), role),)))
+    flavors = (replace(nsd.flavors[0], il_subsets=tuple(subsets)), *nsd.flavors[1:])
+    catalog = replace(catalog, gnb_nsds=(replace(nsd, flavors=flavors),))
+
+    edge_ids = [f"pop-edge-{e}" for e in range(1, n_edges + 1)]
+    pops = [Pop(pop_id, PopTier.EDGE, 512, 1024.0) for pop_id in edge_ids]
+    regions, links, rus = [], [], []
+    for r in range(1, n_regions + 1):
+        region_id, agg_id = f"sub-{r:02d}", f"pop-agg-{r:02d}"
+        sites = tuple(f"cs-{r:02d}-{i}" for i in range(1, 7))
+        pops.append(Pop(agg_id, PopTier.AGGREGATION, 192, 384.0))
+        regions.append(Region(region_id, "SUBURBAN", 8.0, FronthaulTech.CPRI, sites, agg_id))
+        for pop_id in rng.sample(edge_ids, rng.randint(1, 2)):
+            links.append(TransportLink(agg_id, pop_id, round(rng.uniform(0.2, 9.0), 2)))
+        rus += [RuPnfd(f"ru-{r:02d}-{i}", RuLocation(region_id, site, float(i), float(r)), FronthaulTech.CPRI)
+                for i, site in enumerate(sites, start=1)]
+    area = load_area(DeploymentArea(tuple(regions), tuple(pops), tuple(links), tuple(rus)))
+    request = replace(reference_requests()[Sst.URLLC], target_regions=tuple(r.region_id for r in regions))
+    return plan_slice(request, Sst.URLLC, area, catalog)

@@ -4,6 +4,8 @@ import dataclasses
 import enum
 import json
 import random
+import sys
+import threading
 import typing
 
 import pytest
@@ -124,23 +126,46 @@ _scalars = st.one_of(
     _strings,
     st.sampled_from([*_Level, *_Tag]),
 )
-_json_values = st.recursive(
-    _scalars,
-    lambda children: st.one_of(
+
+
+def _containers(children):
+    return st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(st.one_of(_strings, st.sampled_from(list(_Tag))), children, max_size=4),
-    ),
-    max_leaves=24,
-)
+    )
+
+
+_json_values = st.recursive(_scalars, _containers, max_leaves=24)
+
+
+@st.composite
+def _aliased_values(draw):
+    """A JSON value in which container objects recur at several places and
+    depths: one or two drawn containers as leaves of a drawn tree, and the
+    tree itself twice at one depth and again one and two levels deeper."""
+    shared = draw(st.lists(_containers(st.recursive(_scalars, _containers, max_leaves=6)), min_size=1, max_size=2))
+    tree = draw(st.recursive(st.one_of(_scalars, st.sampled_from(shared)), _containers, max_leaves=16))
+    return [tree, *shared, {"again": tree, "deeper": [tree]}, tree]
+
+
+def _dict_ids(value) -> set[int]:
+    """The ids of every dict in a JSON value."""
+    if isinstance(value, dict):
+        return {id(value)}.union(*map(_dict_ids, value.values()))
+    if isinstance(value, (list, tuple)):
+        return set().union(*map(_dict_ids, value))
+    return set()
 
 
 class TestCanonicalJson:
     @settings(max_examples=300, deadline=None)
-    @given(value=_json_values)
+    @given(value=st.one_of(_json_values, _aliased_values()))
     def test_equals_json_dumps(self, value):
         expected = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
         assert canonical_json(value) == expected
+        # Every dict marked as shared: its text is reused wherever it recurs at the same depth.
+        assert canonical_json(value, _shared=_dict_ids(value)) == expected
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), _Ratio("nan")])
     def test_non_finite_floats_raise_value_error(self, bad):
@@ -153,6 +178,49 @@ class TestCanonicalJson:
         for value in (bad, [bad], {"a": (1, bad)}):
             with pytest.raises(TypeError):
                 canonical_json(value)
+
+
+def _serial_texts(catalog, area, requests) -> dict[str, tuple]:
+    """Reference plans and a scaled greedy plan, each with its serialized text."""
+    plans = {sst.name: plan_slice(requests[sst], sst, area, catalog) for sst in requests}
+    plans["scaled"] = docgen.scaled_greedy_plan(random.Random(5))
+    return {name: (plan, serialize_document(envelope_for(plan))) for name, plan in plans.items()}
+
+
+def test_shared_and_distinct_subsets_serialize_alike(catalog, area, requests):
+    for name, (plan, text) in _serial_texts(catalog, area, requests).items():
+        assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text, name
+        parsed = parse_document(text).body  # equal subsets, each its own object
+        subsets = [du.il_subset for gnb in parsed.gnbs for du in gnb.dus]
+        assert len({id(s) for s in subsets}) == len(subsets), name
+        assert serialize_document(envelope_for(parsed)) == text, name
+    plan = _serial_texts(catalog, area, requests)["scaled"][0]
+    assert len({id(du.il_subset) for gnb in plan.gnbs for du in gnb.dus}) < len(plan.gnbs)
+
+
+def test_concurrent_serializes_match_serial_ones(catalog, area, requests):
+    texts = _serial_texts(catalog, area, requests)
+    results: dict[str, list[str]] = {name: [] for name in texts}
+    start = threading.Barrier(len(texts))
+
+    def serialize(name):
+        start.wait(timeout=30)
+        for _ in range(20):
+            results[name].append(serialize_document(envelope_for(texts[name][0])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=serialize, args=(name,)) for name in texts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) == 4 and not any(thread.is_alive() for thread in threads)
+    for name, (_, text) in texts.items():
+        assert results[name] == [text] * 20, name
 
 
 class TestStrictParsing:
