@@ -539,10 +539,33 @@ def verify_plan(
     Re-derives each CU's edge-PoP host, latency, CU capacity, coverage
     conservation, flavor consistency, each gNB's IL-subset key and each
     region's DU capacity from the area and catalog instead of trusting the
-    solver.
+    solver.  Every IL subset the plan cites must be the catalog's: a DU's
+    one of the DU VNFD's subsets for its region's class and fronthaul tech,
+    a CU's one of the CU VNFD's, a gNB's one of its NSD flavor's.  The
+    VNFDs are the catalog's first by descriptor id, as plan_slice picks
+    them; the NSD is the one the plan's NSST references.
     """
     config = config or PlannerConfig()
     problems: list[str] = []
+    cu_vnfd = min(catalog.cu_vnfds, key=lambda d: d.descriptor_id, default=None)
+    du_vnfd = min(catalog.du_vnfds, key=lambda d: d.descriptor_id, default=None)
+    nsd = catalog.gnb_nsd(plan.nsst.nsd_ref)
+    allowed: dict[tuple, list[IlSubset]] = {}  # where a plan may cite a subset -> the catalog's subsets
+    for flavor in cu_vnfd.flavors if cu_vnfd else ():
+        allowed.setdefault(("CU",), []).extend(flavor.il_subsets)
+    for flavor in du_vnfd.flavors if du_vnfd else ():
+        for subset in flavor.il_subsets:
+            key = subset.key
+            if isinstance(key, DuSubsetKey) and key.fronthaul_tech in flavor.fronthaul_techs:
+                allowed.setdefault(("DU", key.region_class, key.fronthaul_tech), []).append(subset)
+    for flavor in nsd.flavors if nsd else ():
+        allowed.setdefault(("GNB", flavor.flavor_id), []).extend(flavor.il_subsets)
+    identities = {where: {id(s) for s in subsets} for where, subsets in allowed.items()}
+
+    def cited(subset: IlSubset, where: tuple) -> bool:
+        """Identity first: a fresh plan holds the catalog's own subset objects."""
+        return id(subset) in identities.get(where, ()) or subset in allowed.get(where, ())
+
     site_owner: dict[str, str] = {}
     region_dus: dict[str, list[DuPlan]] = {}
     for gnb in plan.gnbs:
@@ -565,6 +588,11 @@ def verify_plan(
         ]
         if cu_caps and len(gnb.dus) > max(cu_caps):
             problems.append(f"{gnb.gnb_id}: DU count {len(gnb.dus)} exceeds CU capacity {max(cu_caps)}")
+        if not cited(gnb.cu.il_subset, ("CU",)):
+            problems.append(f"{gnb.gnb_id}: CU IL subset is not one of the CU VNFD's subsets")
+        if not cited(gnb.nsd_il_subset, ("GNB", gnb.nsd_flavor_id)):
+            problems.append(f"{gnb.gnb_id}: gNB IL subset is not in gNB NSD {plan.nsst.nsd_ref} "
+                            f"flavor {gnb.nsd_flavor_id}")
         expected_techs = GNB_FLAVOR_TECHS.get(gnb.nsd_flavor_id, frozenset())
         layout: dict[tuple[str, object], tuple[str, FronthaulTech]] = {}
         for du in gnb.dus:
@@ -595,6 +623,9 @@ def verify_plan(
             key = du.il_subset.key
             if not isinstance(key, DuSubsetKey) or not key.covers(len(du.served_cell_sites)):
                 problems.append(f"{du.du_id}: cell-site group outside its IL subset range")
+            if not cited(du.il_subset, ("DU", region.region_class, region.fronthaul_tech)):
+                problems.append(f"{du.du_id}: IL subset is not one of the DU VNFD's subsets for "
+                                f"({region.region_class}, {region.fronthaul_tech.value})")
             for site in du.served_cell_sites:
                 if site in site_owner:
                     problems.append(f"cell site {site} served by both {site_owner[site]} and {du.du_id}")

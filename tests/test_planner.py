@@ -571,6 +571,44 @@ class TestPlanSlice:
             f"{gnb.gnb_id}: gNB IL subset is not keyed by its DU layout (CITY_CENTER, ECPRI)"
         ]
 
+    @staticmethod
+    def _renamed(subset: IlSubset) -> IlSubset:
+        return dataclasses.replace(
+            subset, levels=tuple(dataclasses.replace(level, il_id=level.il_id + "-x") for level in subset.levels)
+        )
+
+    @pytest.mark.parametrize("parsed", [False, True])
+    def test_verifier_checks_il_subsets_are_the_catalogs(self, catalog, area, requests, parsed):
+        from ranslicer.io import envelope_for, parse_document, serialize_document
+
+        plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, catalog)
+        gnb = plan.gnbs[0]
+        du = gnb.dus[0]
+        region = area.region(du.region_id)
+        mutants = {
+            f"{du.du_id}: IL subset is not one of the DU VNFD's subsets for "
+            f"({region.region_class}, {region.fronthaul_tech.value})": dataclasses.replace(
+                gnb, dus=(dataclasses.replace(du, il_subset=self._renamed(du.il_subset)), *gnb.dus[1:])),
+            f"{gnb.gnb_id}: CU IL subset is not one of the CU VNFD's subsets": dataclasses.replace(
+                gnb, cu=dataclasses.replace(gnb.cu, il_subset=self._renamed(gnb.cu.il_subset))),
+            f"{gnb.gnb_id}: gNB IL subset is not in gNB NSD {plan.nsst.nsd_ref} flavor {gnb.nsd_flavor_id}":
+                dataclasses.replace(gnb, nsd_il_subset=self._renamed(gnb.nsd_il_subset)),
+        }
+        for expected, mutated in mutants.items():
+            tampered = dataclasses.replace(plan, gnbs=(mutated, *plan.gnbs[1:]))
+            if parsed:  # distinct objects equal to the catalog's, as a plan read from a file holds
+                tampered = parse_document(serialize_document(envelope_for(tampered))).body
+            assert verify_plan(tampered, area, catalog) == [expected]
+
+    def test_verifier_accepts_parsed_reference_plans(self, catalog, area, requests):
+        from ranslicer.io import envelope_for, parse_document, serialize_document
+
+        for sst in (Sst.EMBB, Sst.MMTC, Sst.URLLC):
+            plan = plan_slice(requests[sst], sst, area, catalog)
+            parsed = parse_document(serialize_document(envelope_for(plan))).body
+            assert parsed.gnbs[0].cu.il_subset is not plan.gnbs[0].cu.il_subset
+            assert verify_plan(parsed, area, catalog) == []
+
     def test_verifier_checks_du_capacity_covers_offered_load(self, catalog, area, requests):
         for sst in (Sst.EMBB, Sst.MMTC, Sst.URLLC):
             for n in range(1, 4):
