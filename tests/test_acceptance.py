@@ -38,7 +38,7 @@ from ranslicer.planner import PlannerConfig, assign_dus_to_cus, plan_slice, sele
 from ranslicer.radio import build_ran_nsst, default_policy, select_mcs_set, select_numerology
 from ranslicer.topology import reference_area
 from ranslicer.validate import validate_catalog
-from test_catalog_validate import _mutations
+from test_catalog_validate import EXACT_REPORTS
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -172,12 +172,12 @@ def test_criterion_4_invariant_suite():
     if validate_catalog(catalog, area) != []:
         failures.append("builtin catalog did not validate clean")
     mutation_count = 0
-    for name, mutated, rule in _mutations(catalog):
+    for name, (mutate, expected) in sorted(EXACT_REPORTS.items()):
         mutation_count += 1
-        report = validate_catalog(mutated, area)
-        rules = {v.rule for v in report}
-        if rule not in rules:
-            failures.append(f"mutation {name}: wanted rule {rule}, got {sorted(rules)}")
+        rules = {v.rule for v in validate_catalog(mutate(catalog), area)}
+        wanted = {rule for _, _, rule, _ in expected}
+        if rules != wanted:
+            failures.append(f"mutation {name}: wanted rules {sorted(wanted)}, got {sorted(rules)}")
     if mutation_count < 10:
         failures.append(f"only {mutation_count} mutations exercised")
     _report(4, f"catalog invariant suite ({mutation_count} single-fault mutations)", failures)
