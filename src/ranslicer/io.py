@@ -8,7 +8,12 @@ newline, so equal documents always render to equal bytes and
 ``serialize(parse(serialize(x))) == serialize(x)``.  One writer,
 ``canonical_json``, makes all canonical text (documents and bundle files);
 its output equals ``json.dumps(payload, sort_keys=True, indent=2,
-ensure_ascii=True, allow_nan=False) + "\n"`` byte for byte.
+ensure_ascii=True, allow_nan=False) + "\n"`` byte for byte.  Within one
+``serialize_document`` call, a subtree shared by object identity (an
+``IlSubset`` a plan cites many times) is encoded once and written once:
+the codec returns the same dict for the same object, and the writer
+appends the text it wrote for that dict when it meets it again at the
+same depth.
 
 A body is one of the model's frozen dataclasses, and a single codec maps
 every dataclass to JSON from its fields and their type hints.  Fields map
@@ -559,7 +564,7 @@ def canonical_json(payload, *, _shared: set[int] | frozenset[int] = frozenset())
                 lead = sep
             append(indents[depth - 1] + "}")
             if memo is not None:
-                parts[start:] = [done.setdefault(memo, "".join(parts[start:]))]
+                done[memo] = "".join(parts[start:])
         else:
             append("[")
             for item in value:

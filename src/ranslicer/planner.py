@@ -294,7 +294,7 @@ def _exact_cu_assignment(
 
 
 def _greedy_cu_assignment(
-    dus: list[DuPlan], compat: dict[str, list[str]], edge_pop_ids: list[str], capacity: int
+    dus: list[DuPlan], compat: dict[str, list[str]], capacity: int
 ) -> list[tuple[str, list[DuPlan]]]:
     """First-fit over edge PoPs ordered by feasible-DU count (ties by id).
 
@@ -303,8 +303,7 @@ def _greedy_cu_assignment(
     every PoP they reach.
     """
     by_id = {du.du_id: du for du in dus}
-    edge = set(edge_pop_ids)
-    reach = {du_id: [pop for pop in dict.fromkeys(compat[du_id]) if pop in edge] for du_id in by_id}
+    reach = {du_id: list(dict.fromkeys(compat[du_id])) for du_id in by_id}  # a repeated PoP counts once
     feasible: dict[str, list[DuPlan]] = {}
     for du_id in sorted(by_id):
         for pop in reach[du_id]:
@@ -361,7 +360,7 @@ def assign_dus_to_cus(
     if len(ordered) <= config.exact_solver_limit:
         groups = _exact_cu_assignment(ordered, compat, edge_pop_ids, capacity)
     else:
-        groups = _greedy_cu_assignment(ordered, compat, edge_pop_ids, capacity)
+        groups = _greedy_cu_assignment(ordered, compat, capacity)
     skeletons = [
         GnbSkeleton(
             cu_host_pop=pop,

@@ -144,7 +144,8 @@ def _aliased_values(draw):
     """A JSON value in which container objects recur at several places and
     depths: one or two drawn containers as leaves of a drawn tree, and the
     tree itself twice at one depth and again one and two levels deeper."""
-    shared = draw(st.lists(_containers(st.recursive(_scalars, _containers, max_leaves=6)), min_size=1, max_size=2))
+    small = st.recursive(_scalars, _containers, max_leaves=6)
+    shared = draw(st.lists(_containers(small), min_size=1, max_size=2))
     tree = draw(st.recursive(st.one_of(_scalars, st.sampled_from(shared)), _containers, max_leaves=16))
     return [tree, *shared, {"again": tree, "deeper": [tree]}, tree]
 
@@ -188,14 +189,15 @@ def _serial_texts(catalog, area, requests) -> dict[str, tuple]:
 
 
 def test_shared_and_distinct_subsets_serialize_alike(catalog, area, requests):
-    for name, (plan, text) in _serial_texts(catalog, area, requests).items():
+    texts = _serial_texts(catalog, area, requests)
+    scaled = texts["scaled"][0]  # a fresh plan: its DUs share the catalog's subset objects
+    assert len({id(du.il_subset) for gnb in scaled.gnbs for du in gnb.dus}) < len(scaled.gnbs)
+    for name, (plan, text) in texts.items():
         assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text, name
         parsed = parse_document(text).body  # equal subsets, each its own object
         subsets = [du.il_subset for gnb in parsed.gnbs for du in gnb.dus]
         assert len({id(s) for s in subsets}) == len(subsets), name
         assert serialize_document(envelope_for(parsed)) == text, name
-    plan = _serial_texts(catalog, area, requests)["scaled"][0]
-    assert len({id(du.il_subset) for gnb in plan.gnbs for du in gnb.dus}) < len(plan.gnbs)
 
 
 def test_concurrent_serializes_match_serial_ones(catalog, area, requests):

@@ -573,9 +573,8 @@ class TestPlanSlice:
 
     @staticmethod
     def _renamed(subset: IlSubset) -> IlSubset:
-        return dataclasses.replace(
-            subset, levels=tuple(dataclasses.replace(level, il_id=level.il_id + "-x") for level in subset.levels)
-        )
+        levels = tuple(dataclasses.replace(level, il_id=level.il_id + "-x") for level in subset.levels)
+        return dataclasses.replace(subset, levels=levels)
 
     @pytest.mark.parametrize("parsed", [False, True])
     def test_verifier_checks_il_subsets_are_the_catalogs(self, catalog, area, requests, parsed):
