@@ -3,8 +3,10 @@
 
 Writes the builtin catalog, the reference topology and the three
 reference slice requests in canonical document form, plus the pinned
-stdout of `ranslicer paper-example` used by the acceptance suite and the
-`ranslicer plan` output for each reference request (tests/data/plan_*.json).
+stdout of `ranslicer paper-example` used by the acceptance suite, the
+`ranslicer plan` output for each reference request (tests/data/plan_*.json)
+and the `ranslicer emit` bundle of each of those plans
+(tests/data/bundle_*/).
 Run from the repository root after changing the builtin data.
 """
 
@@ -47,6 +49,12 @@ def main() -> int:
                          "--out", str(data / f"plan_{name}.json")])
         if code != 0:
             print(f"plan {name} failed", file=sys.stderr)
+            return 1
+        with redirect_stdout(io.StringIO()):
+            code = cli_main(["emit", str(data / f"plan_{name}.json"), str(fixtures / "builtin_catalog.json"),
+                             "--out-dir", str(data / f"bundle_{name}")])
+        if code != 0:
+            print(f"emit {name} failed", file=sys.stderr)
             return 1
     for path in sorted(fixtures.iterdir()):
         print(path.relative_to(ROOT))

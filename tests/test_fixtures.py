@@ -2,7 +2,9 @@
 
 from pathlib import Path
 
-from ranslicer.io import SliceRequest, envelope_for, serialize_document
+import pytest
+
+from ranslicer.io import SliceRequest, emit_onboarding_bundle, envelope_for, parse_path, serialize_document
 from ranslicer.planner import plan_slice
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -29,9 +31,19 @@ def test_reference_plans_match_pinned_bytes(catalog, area, requests):
         assert (DATA / f"plan_{sst.name.lower()}.json").read_text() == serialize_document(envelope_for(plan))
 
 
-def test_shipped_topology_parses_to_a_topology_envelope(area):
-    from ranslicer.io import parse_path
+@pytest.mark.parametrize("source", ["fresh", "parsed"])
+def test_reference_bundles_match_pinned_bytes(catalog, area, requests, source):
+    for sst, requirements in requests.items():
+        name = sst.name.lower()
+        if source == "fresh":  # the plan cites the catalog's own IL subset objects
+            plan = plan_slice(requirements, sst, area, catalog)
+        else:
+            plan = parse_path(DATA / f"plan_{name}.json").body
+        pinned = {path.name: path.read_text() for path in (DATA / f"bundle_{name}").iterdir()}
+        assert emit_onboarding_bundle(plan, catalog).files == pinned, name
 
+
+def test_shipped_topology_parses_to_a_topology_envelope(area):
     envelope = parse_path(FIXTURES / "reference_topology.json")
     assert envelope.kind == "TOPOLOGY"
     assert envelope.body == area
