@@ -594,7 +594,10 @@ def write_atomic(path: str | Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
     half-written document."""
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    except OSError as err:  # name the target, not the temp file that could not be made
+        raise type(err)(err.errno, err.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

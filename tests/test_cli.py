@@ -91,6 +91,17 @@ def test_plan_to_file_and_emit(doc_files, tmp_path, capsys):
     assert all(str(out_dir / n) in out.out for n in names)
 
 
+def test_plan_out_in_a_missing_directory_names_the_target(doc_files, tmp_path, capsys):
+    target = tmp_path / "missing" / "plan.json"
+    code = cli_main([
+        "plan", str(doc_files["request"]), str(doc_files["topology"]), str(doc_files["catalog"]),
+        "--out", str(target),
+    ])
+    out = capsys.readouterr()
+    assert code == 1
+    assert (out.out, out.err) == ("", f"error: [Errno 2] No such file or directory: {str(target)!r}\n")
+
+
 def test_plan_with_impossible_latency(doc_files, tmp_path, requests, capsys):
     impossible = dataclasses.replace(requests[Sst.URLLC], latency_ms=1.0)
     request = SliceRequest(Sst.URLLC, None, impossible)
