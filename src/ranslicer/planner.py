@@ -333,22 +333,22 @@ def assign_dus_to_cus(
 
     A DU is compatible with an edge PoP when the transport latency from
     the PoP to the DU's aggregation PoP stays within the CU-DU budget.
+    The DUs on one aggregation PoP share one list of compatible edge PoPs.
     """
     if not dus:
         raise ValueError("at least one DU is required")
-    edge_pops = area.edge_pops()
-    edge_pop_ids = [p.pop_id for p in edge_pops]
-    compat: dict[str, list[str]] = {}
-    for du in sorted(dus, key=lambda d: d.du_id):
-        reachable = []
+    edge_pop_ids = [p.pop_id for p in area.edge_pops()]
+    reachable_from: dict[str, list[str]] = {}
+    for host_pop in sorted({du.host_pop for du in dus}):
+        reachable = reachable_from[host_pop] = []
         for pop_id in edge_pop_ids:
             try:
-                latency = pop_latency(area, pop_id, du.host_pop)
+                latency = pop_latency(area, pop_id, host_pop)
             except TopologyError:
                 continue
             if latency <= config.cu_du_latency_budget_ms:
                 reachable.append(pop_id)
-        compat[du.du_id] = reachable
+    compat = {du.du_id: reachable_from[du.host_pop] for du in sorted(dus, key=lambda d: d.du_id)}
     stranded = sorted(du_id for du_id, pops in compat.items() if not pops)
     if stranded:
         raise PlannerError(

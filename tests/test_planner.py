@@ -6,12 +6,14 @@ import dataclasses
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cu_oracle import greedy_oracle, make_cu_vnfd, make_instance, make_scaled_instance, oracle_min_cus
+from ranslicer import planner
 from ranslicer.errors import PlannerError, TopologyError
 from ranslicer.model import (
     CITY_CENTER,
@@ -271,6 +273,35 @@ class TestAssignDusToCus:
                           for pop, members in greedy_oracle(ordered, compat, edge_pop_ids, capacity))
         skeletons = assign_dus_to_cus(dus, area, cu_vnfd, config)
         assert [(s.cu_host_pop, tuple(d.du_id for d in s.dus)) for s in skeletons] == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9), stranded=st.booleans())
+    def test_compatibility_lists_equal_a_per_du_build(self, seed, stranded):
+        dus, area, cu_vnfd, _ = make_scaled_instance(random.Random(seed))
+        if stranded:  # an unknown host PoP reaches no edge PoP
+            dus[seed % len(dus)] = dataclasses.replace(dus[seed % len(dus)], host_pop="agg-unknown")
+        config = PlannerConfig(exact_solver_limit=0)
+        edge_pop_ids = [p.pop_id for p in area.edge_pops()]
+        compat = {}
+        for du in sorted(dus, key=lambda d: d.du_id):  # one list per DU, in edge-PoP order
+            compat[du.du_id] = []
+            for pop_id in edge_pop_ids:
+                try:
+                    if pop_latency(area, pop_id, du.host_pop) <= config.cu_du_latency_budget_ms:
+                        compat[du.du_id].append(pop_id)
+                except TopologyError:
+                    pass
+        with mock.patch.object(planner, "_greedy_cu_assignment", wraps=planner._greedy_cu_assignment) as spy:
+            if stranded:
+                with pytest.raises(PlannerError) as err:
+                    assign_dus_to_cus(dus, area, cu_vnfd, config)
+                ids = ", ".join(sorted(du_id for du_id, pops in compat.items() if not pops))
+                budget = f"{config.cu_du_latency_budget_ms:g}"
+                assert (err.value.code, err.value.args[0]) == (
+                    "INFEASIBLE_LATENCY", f"no edge PoP within {budget} ms of DU(s): {ids}")
+                return
+            assign_dus_to_cus(dus, area, cu_vnfd, config)
+        assert spy.call_args.args[1] == compat
 
     def test_deterministic_assignment(self):
         rng = random.Random(42)
