@@ -8,12 +8,11 @@ newline, so equal documents always render to equal bytes and
 ``serialize(parse(serialize(x))) == serialize(x)``.  One writer,
 ``canonical_json``, makes all canonical text (documents and bundle files);
 its output equals ``json.dumps(payload, sort_keys=True, indent=2,
-ensure_ascii=True, allow_nan=False) + "\n"`` byte for byte.  Within one
-``serialize_document`` call, a subtree shared by object identity (an
-``IlSubset`` a plan cites many times) is encoded once and written once:
-the codec returns the same dict for the same object, and the writer
-appends the text it wrote for that dict when it meets it again at the
-same depth.
+ensure_ascii=True, allow_nan=False) + "\n"`` byte for byte.  An
+``IlSubset`` (a plan cites the catalog's own subset objects many times) is
+written once per object: its canonical text, at depth 0, is kept on the
+object outside its fields, and the writer re-indents that text to the
+depth it meets the subset at.
 
 A body is one of the model's frozen dataclasses, and a single codec maps
 every dataclass to JSON from its fields and their type hints.  Fields map
@@ -45,7 +44,6 @@ array catches a PARSE_ERROR on its way out and prepends ``.key`` or ``[i]``.
 
 from __future__ import annotations
 
-import contextvars
 import dataclasses
 import functools
 import itertools
@@ -305,30 +303,30 @@ def _checked(check):
     return build
 
 
-# Within one serialize_document call: id(IlSubset) -> its encoded dict, and
-# the ids of the encoded dicts handed out more than once.  None elsewhere.
-_ENCODED: contextvars.ContextVar[tuple[dict[int, dict], set[int]] | None] = contextvars.ContextVar(
-    "_ENCODED", default=None)
+class _Text:
+    """Canonical text of a value at depth 0, without the trailing newline,
+    for ``canonical_json`` to write in the value's place."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
-def _once_per_call(cls) -> _Codec:
-    """Override: the dataclass codec, but an object met again within one
-    serialize_document call gets the dict encoded for it the first time."""
+def _written_once(cls) -> _Codec:
+    """Override: the dataclass codec, but each object's canonical text is
+    written once and kept in its ``__dict__`` (not a field, so equality,
+    hashing, ``repr`` and ``dataclasses`` do not see it).  Filling it is
+    idempotent: two threads that race on an object compute the same text."""
     encode, decode = _dataclass_codec(cls)
 
-    def encode_once(value) -> dict:
-        call = _ENCODED.get()
-        if call is None:
-            return encode(value)
-        encoded, shared = call
-        out = encoded.get(id(value))
-        if out is None:
-            out = encoded[id(value)] = encode(value)
-        else:
-            shared.add(id(out))
-        return out
+    def encode_text(value) -> _Text:
+        text = value.__dict__.get("_canonical_text")
+        if text is None:
+            text = value.__dict__["_canonical_text"] = canonical_json(encode(value))[:-1]
+        return _Text(text)
 
-    return _Codec(encode_once, decode)
+    return _Codec(encode_text, decode)
 
 
 def _pairs(label: str):
@@ -389,7 +387,7 @@ _OVERRIDES = {
     SubsetKey: _tagged("a subset key", "subset key",
                        {"DU": DuSubsetKey, "CU": CuSubsetKey, "GNB": GnbSubsetKey}),
     Sst: _fixed(int, _sst),
-    IlSubset: _once_per_call,
+    IlSubset: _written_once,
     DeploymentArea: _checked(_loaded_area),
     SliceRequest: _checked(_valid_sd),
 }
@@ -465,18 +463,11 @@ def serialize_document(envelope: DocumentEnvelope) -> str:
     """Canonical text for an envelope: sorted keys, stable formatting."""
     if envelope.kind not in _BODY_TYPES:
         raise DocumentError("UNKNOWN_KIND", f"unknown document kind {envelope.kind!r}")
-    encoded: dict[int, dict] = {}
-    shared: set[int] = set()
-    token = _ENCODED.set((encoded, shared))
-    try:
-        payload = {
-            "schema_version": envelope.schema_version,
-            "kind": envelope.kind,
-            "body": _codec(_BODY_TYPES[envelope.kind]).encode(envelope.body),
-        }
-    finally:
-        _ENCODED.reset(token)
-    return canonical_json(payload, _shared=shared)
+    return canonical_json({
+        "schema_version": envelope.schema_version,
+        "kind": envelope.kind,
+        "body": _codec(_BODY_TYPES[envelope.kind]).encode(envelope.body),
+    })
 
 
 def _float_text(value) -> str:
@@ -507,7 +498,7 @@ _SCALAR_TEXT = {
 }
 
 
-def canonical_json(payload, *, _shared: set[int] | frozenset[int] = frozenset()) -> str:
+def canonical_json(payload) -> str:
     """Canonical text of a JSON value: the bytes of ``json.dumps(payload,
     sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False) + "\\n"``.
 
@@ -516,12 +507,11 @@ def canonical_json(payload, *, _shared: set[int] | frozenset[int] = frozenset())
     back to CPython's pure-Python encoder; this writer skips its generator
     chain and writes scalars inside each container's own loop.
 
-    ``_shared`` holds the ids of dicts that occur more than once in the
-    payload: the text of such a dict is kept, per depth, for this call and
-    appended again when the dict is met again at the same depth.
+    A ``_Text`` from the codec is written as the value it was made from:
+    its depth-0 text with every newline indented to the depth it is met at
+    (canonical text escapes the newlines inside strings).
     """
     parts: list[str] = []
-    done: dict[tuple[int, int], str] = {}  # (id, depth) of a shared dict -> its text
     append = parts.append
     scalar = _SCALAR_TEXT.get
     indents = ["\n"]  # indents[d]: a newline and the indent of depth d
@@ -533,7 +523,8 @@ def canonical_json(payload, *, _shared: set[int] | frozenset[int] = frozenset())
             return
         is_dict = isinstance(value, dict)
         if not is_dict and not isinstance(value, (list, tuple)):
-            append(_subclass_text(value))
+            append(value.text.replace("\n", indents[depth]) if type(value) is _Text
+                   else _subclass_text(value))
             return
         if not value:
             append("{}" if is_dict else "[]")
@@ -543,13 +534,6 @@ def canonical_json(payload, *, _shared: set[int] | frozenset[int] = frozenset())
             indents.append(indents[-1] + "  ")
         lead, sep = indents[depth], "," + indents[depth]
         if is_dict:
-            memo = (id(value), depth) if _shared and id(value) in _shared else None
-            if memo is not None:
-                text = done.get(memo)
-                if text is not None:
-                    append(text)
-                    return
-                start = len(parts)
             append("{")
             for key in sorted(value):
                 if not isinstance(key, str):
@@ -563,8 +547,6 @@ def canonical_json(payload, *, _shared: set[int] | frozenset[int] = frozenset())
                     append(f"{lead}{_quote(key)}: {text(item)}")
                 lead = sep
             append(indents[depth - 1] + "}")
-            if memo is not None:
-                done[memo] = "".join(parts[start:])
         else:
             append("[")
             for item in value:

@@ -2,20 +2,25 @@
 
 import dataclasses
 import enum
+import gc
 import json
+import pickle
 import random
 import sys
 import threading
 import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import docgen
+from ranslicer.builtin import builtin_catalog
 from ranslicer.errors import DocumentError
 from ranslicer.io import (
     SliceRequest,
+    _Text,
     canonical_json,
     emit_onboarding_bundle,
     envelope_for,
@@ -24,8 +29,10 @@ from ranslicer.io import (
     write_atomic,
     write_bundle,
 )
-from ranslicer.model import FronthaulTech, GnbSubsetKey, Sst
+from ranslicer.model import FronthaulTech, GnbSubsetKey, IlSubset, Sst
 from ranslicer.planner import PlannerConfig, plan_slice
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("kind", sorted(docgen.GENERATORS))
@@ -150,23 +157,41 @@ def _aliased_values(draw):
     return [tree, *shared, {"again": tree, "deeper": [tree]}, tree]
 
 
-def _dict_ids(value) -> set[int]:
-    """The ids of every dict in a JSON value."""
-    if isinstance(value, dict):
-        return {id(value)}.union(*map(_dict_ids, value.values()))
-    if isinstance(value, (list, tuple)):
-        return set().union(*map(_dict_ids, value))
-    return set()
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False)
+
+
+@st.composite
+def _marked_values(draw):
+    """A JSON value, and a copy of it in which random container subtrees,
+    at any depth and the value itself included, are text markers holding
+    the subtree's depth-0 text; a subtree that recurs gets one marker."""
+    value = draw(st.one_of(_json_values, _aliased_values()))
+    markers: dict[int, _Text | None] = {}
+
+    def mark(sub):
+        if not isinstance(sub, (dict, list, tuple)):
+            return sub
+        if id(sub) not in markers:
+            markers[id(sub)] = _Text(_dumps(sub)) if draw(st.booleans()) else None
+        if markers[id(sub)] is not None:
+            return markers[id(sub)]
+        if isinstance(sub, dict):
+            return {key: mark(item) for key, item in sub.items()}
+        return type(sub)(map(mark, sub))
+
+    return value, mark(value)
 
 
 class TestCanonicalJson:
     @settings(max_examples=300, deadline=None)
-    @given(value=st.one_of(_json_values, _aliased_values()))
-    def test_equals_json_dumps(self, value):
-        expected = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
+    @given(values=_marked_values())
+    def test_equals_json_dumps(self, values):
+        value, marked = values
+        expected = _dumps(value) + "\n"
         assert canonical_json(value) == expected
-        # Every dict marked as shared: its text is reused wherever it recurs at the same depth.
-        assert canonical_json(value, _shared=_dict_ids(value)) == expected
+        # A marker is written as the subtree it holds, re-indented to the depth it is met at.
+        assert canonical_json(marked) == expected
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), _Ratio("nan")])
     def test_non_finite_floats_raise_value_error(self, bad):
@@ -181,15 +206,16 @@ class TestCanonicalJson:
                 canonical_json(value)
 
 
-def _serial_texts(catalog, area, requests) -> dict[str, tuple]:
-    """Reference plans and a scaled greedy plan, each with its serialized text."""
+def _plans(catalog, area, requests) -> dict[str, object]:
+    """Reference plans on ``catalog`` and a scaled greedy plan on a catalog of its own."""
     plans = {sst.name: plan_slice(requests[sst], sst, area, catalog) for sst in requests}
     plans["scaled"] = docgen.scaled_greedy_plan(random.Random(5))
-    return {name: (plan, serialize_document(envelope_for(plan))) for name, plan in plans.items()}
+    return plans
 
 
 def test_shared_and_distinct_subsets_serialize_alike(catalog, area, requests):
-    texts = _serial_texts(catalog, area, requests)
+    texts = {name: (plan, serialize_document(envelope_for(plan)))
+             for name, plan in _plans(catalog, area, requests).items()}
     scaled = texts["scaled"][0]  # a fresh plan: its DUs share the catalog's subset objects
     assert len({id(du.il_subset) for gnb in scaled.gnbs for du in gnb.dus}) < len(scaled.gnbs)
     for name, (plan, text) in texts.items():
@@ -200,20 +226,70 @@ def test_shared_and_distinct_subsets_serialize_alike(catalog, area, requests):
         assert serialize_document(envelope_for(parsed)) == text, name
 
 
+@pytest.mark.parametrize("first", ["bundle", "plan"])
+def test_subset_text_is_reindented_wherever_it_is_met(area, requests, first):
+    """A subset's text is kept where it is first written: in a bundle
+    excerpt, whose flavors nest it deeper than a plan does, or in a plan."""
+    for sst, requirements in requests.items():
+        name = sst.name.lower()
+        catalog = builtin_catalog()  # no subset of it written yet
+        plan = plan_slice(requirements, sst, area, catalog)
+        pinned = (DATA / f"plan_{name}.json").read_text()
+        bundle = {path.name: path.read_text() for path in (DATA / f"bundle_{name}").iterdir()}
+        if first == "bundle":
+            assert emit_onboarding_bundle(plan, catalog).files == bundle, name
+        assert [serialize_document(envelope_for(plan)) for _ in range(2)] == [pinned] * 2, name
+        parsed = parse_document(pinned).body
+        assert [serialize_document(envelope_for(parsed)) for _ in range(2)] == [pinned] * 2, name
+        assert emit_onboarding_bundle(plan, catalog).files == bundle, name
+        assert emit_onboarding_bundle(parsed, catalog).files == bundle, name
+
+
+def test_written_subset_equals_a_never_written_copy(catalog):
+    serialize_document(envelope_for(catalog))
+    for descriptor in (catalog.gnb_nsds[0], catalog.cu_vnfds[0], catalog.du_vnfds[0]):
+        written = descriptor.flavors[0].il_subsets[0]
+        copy = IlSubset(written.key, written.levels)
+        assert set(vars(written)) > set(vars(copy))  # the written one keeps its text
+        assert [f.name for f in dataclasses.fields(written)] == ["key", "levels"]
+        assert written == copy and hash(written) == hash(copy)
+        assert repr(written) == repr(copy)
+        assert dataclasses.asdict(written) == dataclasses.asdict(copy)
+        assert dataclasses.replace(written) == copy
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            loaded = pickle.loads(pickle.dumps(written, protocol))
+            assert loaded == copy and hash(loaded) == hash(copy) and repr(loaded) == repr(copy)
+
+
+def test_subsets_made_after_freed_ones_get_their_own_text():
+    # Each catalog is freed before the next is drawn, so a new subset may
+    # get the id of a freed one that was written with other content.
+    for seed in range(40):
+        body = docgen.GENERATORS["CATALOG"](random.Random(seed))
+        text = serialize_document(envelope_for(body))
+        assert parse_document(text).body == body, seed
+        del body, text
+        gc.collect()
+
+
 def test_concurrent_serializes_match_serial_ones(catalog, area, requests):
-    texts = _serial_texts(catalog, area, requests)
-    results: dict[str, list[str]] = {name: [] for name in texts}
-    start = threading.Barrier(len(texts))
+    texts = {name: serialize_document(envelope_for(plan))
+             for name, plan in _plans(catalog, area, requests).items()}
+    # Cold memos: these plans cite a catalog parsed here and not yet serialized.
+    parsed = parse_document(serialize_document(envelope_for(catalog))).body
+    plans = _plans(parsed, area, requests)
+    results: dict[str, list[str]] = {name: [] for name in plans}
+    start = threading.Barrier(len(plans))
 
     def serialize(name):
         start.wait(timeout=30)
         for _ in range(20):
-            results[name].append(serialize_document(envelope_for(texts[name][0])))
+            results[name].append(serialize_document(envelope_for(plans[name])))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=serialize, args=(name,)) for name in texts]
+        threads = [threading.Thread(target=serialize, args=(name,)) for name in plans]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -221,7 +297,7 @@ def test_concurrent_serializes_match_serial_ones(catalog, area, requests):
     finally:
         sys.setswitchinterval(interval)
     assert len(threads) == 4 and not any(thread.is_alive() for thread in threads)
-    for name, (_, text) in texts.items():
+    for name, text in texts.items():
         assert results[name] == [text] * 20, name
 
 
