@@ -154,6 +154,21 @@ class TestDimensionDus:
 # ---------------------------------------------------------------------------
 # CU assignment
 
+def _per_du_compat(dus, area, budget_ms) -> dict[str, list[str]]:
+    """Each DU's edge PoPs within the budget, in edge-PoP id order, asked
+    of ``pop_latency`` per DU; a PoP it cannot reach is skipped."""
+    compat = {}
+    for du in sorted(dus, key=lambda d: d.du_id):
+        compat[du.du_id] = []
+        for pop in area.edge_pops():
+            try:
+                if pop_latency(area, pop.pop_id, du.host_pop) <= budget_ms:
+                    compat[du.du_id].append(pop.pop_id)
+            except TopologyError:
+                pass
+    return compat
+
+
 class TestAssignDusToCus:
     def test_three_dus_one_cu(self):
         rng = random.Random(1)
@@ -256,14 +271,7 @@ class TestAssignDusToCus:
         config = PlannerConfig(exact_solver_limit=0)
         # The planner's own latencies: this property pins the greedy layout, not compatibility.
         edge_pop_ids = [p.pop_id for p in area.edge_pops()]
-        compat = {du.du_id: [] for du in dus}
-        for du in dus:
-            for pop_id in edge_pop_ids:
-                try:
-                    if pop_latency(area, pop_id, du.host_pop) <= config.cu_du_latency_budget_ms:
-                        compat[du.du_id].append(pop_id)
-                except TopologyError:
-                    pass
+        compat = _per_du_compat(dus, area, config.cu_du_latency_budget_ms)
         if not all(compat.values()):
             with pytest.raises(PlannerError):
                 assign_dus_to_cus(dus, area, cu_vnfd, config)
@@ -281,25 +289,16 @@ class TestAssignDusToCus:
         if stranded:  # an unknown host PoP reaches no edge PoP
             dus[seed % len(dus)] = dataclasses.replace(dus[seed % len(dus)], host_pop="agg-unknown")
         config = PlannerConfig(exact_solver_limit=0)
-        edge_pop_ids = [p.pop_id for p in area.edge_pops()]
-        compat = {}
-        for du in sorted(dus, key=lambda d: d.du_id):  # one list per DU, in edge-PoP order
-            compat[du.du_id] = []
-            for pop_id in edge_pop_ids:
-                try:
-                    if pop_latency(area, pop_id, du.host_pop) <= config.cu_du_latency_budget_ms:
-                        compat[du.du_id].append(pop_id)
-                except TopologyError:
-                    pass
+        compat = _per_du_compat(dus, area, config.cu_du_latency_budget_ms)
+        if stranded:
+            with pytest.raises(PlannerError) as err:
+                assign_dus_to_cus(dus, area, cu_vnfd, config)
+            ids = ", ".join(sorted(du_id for du_id, pops in compat.items() if not pops))
+            budget = f"{config.cu_du_latency_budget_ms:g}"
+            assert (err.value.code, err.value.args[0]) == (
+                "INFEASIBLE_LATENCY", f"no edge PoP within {budget} ms of DU(s): {ids}")
+            return
         with mock.patch.object(planner, "_greedy_cu_assignment", wraps=planner._greedy_cu_assignment) as spy:
-            if stranded:
-                with pytest.raises(PlannerError) as err:
-                    assign_dus_to_cus(dus, area, cu_vnfd, config)
-                ids = ", ".join(sorted(du_id for du_id, pops in compat.items() if not pops))
-                budget = f"{config.cu_du_latency_budget_ms:g}"
-                assert (err.value.code, err.value.args[0]) == (
-                    "INFEASIBLE_LATENCY", f"no edge PoP within {budget} ms of DU(s): {ids}")
-                return
             assign_dus_to_cus(dus, area, cu_vnfd, config)
         assert spy.call_args.args[1] == compat
 
