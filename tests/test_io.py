@@ -401,6 +401,24 @@ class TestOnboardingBundle:
             emit_onboarding_bundle(plan, gutted)
         assert err.value.code == "DANGLING_PLAN_REFERENCE"
 
+    def test_deleted_nsd_is_dangling(self, catalog, area, requests):
+        plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, catalog)
+        with pytest.raises(DocumentError) as err:
+            emit_onboarding_bundle(plan, dataclasses.replace(catalog, gnb_nsds=()))
+        assert err.value.code == "DANGLING_PLAN_REFERENCE"
+        assert str(err.value) == "DANGLING_PLAN_REFERENCE: gNB NSD 'nsd-gnb-v1' not in catalog"
+
+    def test_flavor_without_the_subset_is_dangling(self, catalog, area, requests):
+        plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, catalog)
+        moved = dataclasses.replace(plan, gnbs=(dataclasses.replace(plan.gnbs[0], nsd_flavor_id=3),))
+        with pytest.raises(DocumentError) as err:
+            emit_onboarding_bundle(moved, catalog)
+        assert err.value.code == "DANGLING_PLAN_REFERENCE"
+        assert str(err.value) == (
+            "DANGLING_PLAN_REFERENCE: gnb-01: gNB NSD nsd-gnb-v1 no longer carries the selected "
+            "flavor 3 / IL subset"
+        )
+
     @staticmethod
     def _embb_plan_with(catalog, area, requests, rename):
         """The eMBB plan with one IL subset's IL ids suffixed "-x", serialized

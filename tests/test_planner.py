@@ -19,6 +19,8 @@ from ranslicer.model import (
     CITY_CENTER,
     INDUSTRIAL,
     SUBURBAN,
+    CuIlCapacity,
+    CuSubsetKey,
     DuIlCapacity,
     DuSubsetKey,
     DuVnfd,
@@ -390,6 +392,52 @@ class TestDeriveGnbIlSubset:
         pair = f"({CITY_CENTER}, {FronthaulTech.ECPRI.value})"
         assert f"has no IL subset for {pair} + {pair} referencing" in str(err.value)
 
+    def _city_center_pair(self, catalog):
+        """Arguments under which flavor 2's city-center subset matches."""
+        return {
+            "gnb_nsd": catalog.gnb_nsds[0],
+            "flavor_id": 2,
+            "cu_selection": self._cu_selection(catalog, (1, 2)),
+            "dus": self._dus(catalog, CITY_CENTER, FronthaulTech.ECPRI, (1, 4), 2),
+            "du_vnfd_id": catalog.du_vnfds[0].descriptor_id,
+        }
+
+    @staticmethod
+    def _nsd_with_cu_roles(nsd):
+        """The NSD with every gNB level's role replaced by a CU capacity."""
+        flavors = tuple(
+            dataclasses.replace(flavor, il_subsets=tuple(
+                dataclasses.replace(subset, levels=tuple(
+                    dataclasses.replace(level, role_capacity=CuIlCapacity(2, 1.0)) for level in subset.levels))
+                for subset in flavor.il_subsets))
+            for flavor in nsd.flavors
+        )
+        return dataclasses.replace(nsd, flavors=flavors)
+
+    LEVEL_MISMATCHES = {
+        "no-level-runs-three-dus": lambda self, catalog, args: dict(
+            args, dus=self._dus(catalog, CITY_CENTER, FronthaulTech.ECPRI, (1, 4), 3)),
+        "level-role-is-not-a-gnbs": lambda self, catalog, args: dict(
+            args, gnb_nsd=self._nsd_with_cu_roles(args["gnb_nsd"])),
+        "cu-ref-to-another-vnfd": lambda self, catalog, args: dict(
+            args, cu_selection=("vnfd-cu-v2", args["cu_selection"][1])),
+        "cu-ref-to-another-il": lambda self, catalog, args: dict(
+            args, cu_selection=self._cu_selection(catalog, (3, 5))),
+        "du-ref-to-another-vnfd": lambda self, catalog, args: dict(args, du_vnfd_id="vnfd-du-v2"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LEVEL_MISMATCHES))
+    def test_no_level_matching_the_layout_is_rejected(self, catalog, case):
+        args = self._city_center_pair(catalog)
+        assert derive_gnb_il_subset(**args).key == GnbSubsetKey(((CITY_CENTER, FronthaulTech.ECPRI),))
+        with pytest.raises(PlannerError) as err:
+            derive_gnb_il_subset(**self.LEVEL_MISMATCHES[case](self, catalog, args))
+        assert err.value.code == "NO_MATCHING_SUBSET"
+        assert str(err.value) == (
+            f"NO_MATCHING_SUBSET: gNB NSD nsd-gnb-v1 flavor 2 has no IL subset for "
+            f"({CITY_CENTER}, {FronthaulTech.ECPRI.value}) referencing the selected CU/DU IL subsets"
+        )
+
 
 # ---------------------------------------------------------------------------
 # IL selection for traffic
@@ -654,3 +702,130 @@ class TestPlanSlice:
         assert len(problems) == 1 and problems[0].startswith("region suburban: 2 DU(s) carry ")
         orphan = dataclasses.replace(plan, offered_load_mbps=plan.offered_load_mbps + (("mars", 1.0),))
         assert verify_plan(orphan, area, catalog) == ["region mars: no DU carries its 1 Mbps offered load"]
+
+
+# ---------------------------------------------------------------------------
+# verifier: one mutation of a reference plan per problem branch
+
+def _with_gnb(plan, **changes):
+    return dataclasses.replace(plan, gnbs=(dataclasses.replace(plan.gnbs[0], **changes), *plan.gnbs[1:]))
+
+
+def _with_cu(plan, **changes):
+    return _with_gnb(plan, cu=dataclasses.replace(plan.gnbs[0].cu, **changes))
+
+
+def _with_cu_subset(plan, **changes):
+    return _with_cu(plan, il_subset=dataclasses.replace(plan.gnbs[0].cu.il_subset, **changes))
+
+
+def _with_du(plan, i, **changes):
+    dus = list(plan.gnbs[0].dus)
+    dus[i] = dataclasses.replace(dus[i], **changes)
+    return _with_gnb(plan, dus=tuple(dus))
+
+
+def _cc_sites(*numbers):
+    return tuple(f"cs-cc-{n:02d}" for n in numbers)
+
+
+def _cu_levels_capped(plan, max_dus):
+    return tuple(
+        dataclasses.replace(level, role_capacity=dataclasses.replace(level.role_capacity, max_dus=max_dus))
+        for level in plan.gnbs[0].cu.il_subset.levels
+    )
+
+
+NOT_THE_CU_VNFDS = "gnb-01: CU IL subset is not one of the CU VNFD's subsets"
+
+VERIFIER_REPORTS = {
+    "cu-wrong-key-kind": (
+        Sst.EMBB,
+        lambda p: _with_cu_subset(p, key=p.gnbs[0].dus[0].il_subset.key),
+        ["gnb-01: CU IL subset has the wrong key kind", NOT_THE_CU_VNFDS],
+    ),
+    "cu-range": (
+        Sst.EMBB,
+        lambda p: _with_cu_subset(p, key=CuSubsetKey(3, 5)),
+        ["gnb-01: 2 DUs outside CU subset range [3, 5]", NOT_THE_CU_VNFDS],
+    ),
+    "cu-capacity": (
+        Sst.EMBB,
+        lambda p: _with_cu_subset(p, levels=_cu_levels_capped(p, 1)),
+        ["gnb-01: DU count 2 exceeds CU capacity 1", NOT_THE_CU_VNFDS],
+    ),
+    "unknown-region": (
+        Sst.MMTC,
+        lambda p: _with_du(p, 0, region_id="mars"),
+        [
+            "du-city-center-01: unknown region mars",
+            "gnb-01: gNB IL subset is not keyed by its DU layout (INDUSTRIAL, ECPRI) + (SUBURBAN, CPRI)",
+            "region city-center: no DU carries its 5000 Mbps offered load",
+            "cell sites of selected RUs not served: " + ", ".join(_cc_sites(*range(1, 9))),
+        ],
+    ),
+    "unreachable-cu-host": (
+        Sst.EMBB,
+        lambda p: _with_cu(p, host_pop="pop-nowhere"),
+        [
+            "gnb-01: CU host pop-nowhere is not an edge PoP",
+            "du-city-center-01: inf ms to CU at pop-nowhere exceeds 10 ms budget",
+            "du-city-center-02: inf ms to CU at pop-nowhere exceeds 10 ms budget",
+        ],
+    ),
+    "du-flavor-vs-region-tech": (
+        Sst.EMBB,
+        lambda p: _with_du(p, 0, vnfd_flavor=DuFlavor.SPLIT8_CPRI),
+        ["du-city-center-01: flavor SPLIT8_CPRI mismatches region fronthaul"],
+    ),
+    "region-tech-not-in-gnb-flavor": (
+        Sst.EMBB,
+        lambda p: _with_gnb(p, nsd_flavor_id=1),
+        [
+            "gnb-01: gNB IL subset is not in gNB NSD nsd-gnb-v1 flavor 1",
+            "du-city-center-01: region tech ECPRI not in gNB flavor 1",
+            "du-city-center-02: region tech ECPRI not in gNB flavor 1",
+        ],
+    ),
+    "du-off-its-aggregation-pop": (
+        Sst.EMBB,
+        lambda p: _with_du(p, 0, host_pop="pop-edge-1"),
+        ["du-city-center-01: not hosted on its region's aggregation PoP"],
+    ),
+    "group-outside-subset-range": (
+        Sst.EMBB,
+        lambda p: _with_du(_with_du(p, 1, served_cell_sites=_cc_sites(6, 7, 8)),
+                           0, served_cell_sites=_cc_sites(1, 2, 3, 4, 5)),
+        ["du-city-center-01: cell-site group outside its IL subset range"],
+    ),
+    "doubly-served-site": (
+        Sst.EMBB,
+        lambda p: _with_du(p, 1, served_cell_sites=_cc_sites(4, 6, 7, 8)),
+        [
+            "cell site cs-cc-04 served by both du-city-center-01 and du-city-center-02",
+            "cell sites of selected RUs not served: cs-cc-05",
+        ],
+    ),
+    "ru-not-found": (
+        Sst.EMBB,
+        lambda p: dataclasses.replace(p, selected_rus=p.selected_rus + ("ru-nowhere",)),
+        ["selected RU ru-nowhere not found"],
+    ),
+    "coverage-missing": (
+        Sst.EMBB,
+        lambda p: dataclasses.replace(p, selected_rus=p.selected_rus + ("ru-ind-01",)),
+        ["cell sites of selected RUs not served: cs-ind-01"],
+    ),
+    "coverage-extra": (
+        Sst.EMBB,
+        lambda p: dataclasses.replace(p, selected_rus=p.selected_rus[:-1]),
+        ["served cell sites without a selected RU: cs-cc-08"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIER_REPORTS))
+def test_verifier_single_mutation_exact_report(name, catalog, area, requests):
+    sst, mutate, expected = VERIFIER_REPORTS[name]
+    plan = plan_slice(requests[sst], sst, area, catalog)
+    assert verify_plan(mutate(plan), area, catalog) == expected
