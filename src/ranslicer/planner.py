@@ -274,7 +274,6 @@ def _exact_cu_assignment(
     respects latency compatibility and per-CU capacity.  The first
     feasible k is optimal because adding a slot never hurts.
     """
-    by_id = {du.du_id: du for du in dus}
     lower = max(1, math.ceil(len(dus) / capacity))
     for k in range(lower, len(dus) + 1):
         for combo in itertools.combinations_with_replacement(edge_pop_ids, k):
@@ -348,15 +347,15 @@ def assign_dus_to_cus(
                 continue
             if latency <= config.cu_du_latency_budget_ms:
                 reachable.append(pop_id)
-    compat = {du.du_id: reachable_from[du.host_pop] for du in sorted(dus, key=lambda d: d.du_id)}
-    stranded = sorted(du_id for du_id, pops in compat.items() if not pops)
+    ordered = sorted(dus, key=lambda d: d.du_id)
+    compat = {du.du_id: reachable_from[du.host_pop] for du in ordered}
+    stranded = [du_id for du_id, pops in compat.items() if not pops]
     if stranded:
         raise PlannerError(
             "INFEASIBLE_LATENCY",
             f"no edge PoP within {config.cu_du_latency_budget_ms:g} ms of DU(s): {', '.join(stranded)}",
         )
     capacity = _cu_capacity_dus(cu_vnfd)
-    ordered = sorted(dus, key=lambda d: d.du_id)
     if len(ordered) <= config.exact_solver_limit:
         groups = _exact_cu_assignment(ordered, compat, edge_pop_ids, capacity)
     else:
@@ -596,6 +595,13 @@ def verify_plan(
         layout: dict[tuple[str, object], tuple[str, FronthaulTech]] = {}
         for du in gnb.dus:
             region_dus.setdefault(du.region_id, []).append(du)
+            key = du.il_subset.key
+            if not isinstance(key, DuSubsetKey) or not key.covers(len(du.served_cell_sites)):
+                problems.append(f"{du.du_id}: cell-site group outside its IL subset range")
+            for site in du.served_cell_sites:
+                if site in site_owner:
+                    problems.append(f"cell site {site} served by both {site_owner[site]} and {du.du_id}")
+                site_owner[site] = du.du_id
             region = area.region(du.region_id)
             if region is None:
                 problems.append(f"{du.du_id}: unknown region {du.region_id}")
@@ -619,16 +625,9 @@ def verify_plan(
                 )
             if du.host_pop != region.aggregation_pop:
                 problems.append(f"{du.du_id}: not hosted on its region's aggregation PoP")
-            key = du.il_subset.key
-            if not isinstance(key, DuSubsetKey) or not key.covers(len(du.served_cell_sites)):
-                problems.append(f"{du.du_id}: cell-site group outside its IL subset range")
             if not cited(du.il_subset, ("DU", region.region_class, region.fronthaul_tech)):
                 problems.append(f"{du.du_id}: IL subset is not one of the DU VNFD's subsets for "
                                 f"({region.region_class}, {region.fronthaul_tech.value})")
-            for site in du.served_cell_sites:
-                if site in site_owner:
-                    problems.append(f"cell site {site} served by both {site_owner[site]} and {du.du_id}")
-                site_owner[site] = du.du_id
         want_key = GnbSubsetKey(tuple(layout.values()))
         if gnb.nsd_il_subset.key != want_key:
             key_text = " + ".join(f"({cls}, {tech.value})" for cls, tech in want_key.served_regions)

@@ -761,7 +761,6 @@ VERIFIER_REPORTS = {
             "du-city-center-01: unknown region mars",
             "gnb-01: gNB IL subset is not keyed by its DU layout (INDUSTRIAL, ECPRI) + (SUBURBAN, CPRI)",
             "region city-center: no DU carries its 5000 Mbps offered load",
-            "cell sites of selected RUs not served: " + ", ".join(_cc_sites(*range(1, 9))),
         ],
     ),
     "unreachable-cu-host": (
