@@ -80,7 +80,7 @@ from .model import (
     Sst,
     SubsetKey,
 )
-from .planner import PlannerConfig, SlicePlan
+from .planner import PlannerConfig, SlicePlan, verify_plan
 from .radio import ProfilerPolicy
 from .topology import DeploymentArea, Pop, load_area
 
@@ -611,29 +611,20 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundl
     """Assemble the descriptor excerpts and the flavor/IL manifest a plan
     hands to the orchestrator.
 
-    Fails with DANGLING_PLAN_REFERENCE when the plan cites descriptors or
-    RUs the catalog no longer contains, or when no level of a gNB's NSD IL
-    subset references its CU's IL subset or one of its DUs' IL subsets.
+    The plan is first re-verified against the catalog alone, by
+    ``verify_plan`` without an area; its problems, joined by "; ", fail
+    with one DANGLING_PLAN_REFERENCE.  So does a gNB IL's reference to a
+    VNFD IL that no longer resolves.
     """
+    problems = verify_plan(plan, None, catalog)
+    if problems:
+        raise _dangling("; ".join(problems))
     nsd = catalog.gnb_nsd(plan.nsst.nsd_ref)
-    if nsd is None:
-        raise _dangling(f"gNB NSD {plan.nsst.nsd_ref!r} not in catalog")
-    rus = []
-    for ru_id in plan.selected_rus:
-        ru = catalog.ru(ru_id)
-        if ru is None:
-            raise _dangling(f"RU PNFD {ru_id!r} not in catalog")
-        rus.append(ru)
+    rus = [catalog.ru(ru_id) for ru_id in plan.selected_rus]
     subset_key = _codec(SubsetKey).encode
     used_vnf_refs: dict[str, set[int]] = {}
     manifest_gnbs = []
     for gnb in plan.gnbs:
-        flavor = nsd.flavor(gnb.nsd_flavor_id)
-        if flavor is None or gnb.nsd_il_subset not in flavor.il_subsets:
-            raise _dangling(
-                f"{gnb.gnb_id}: gNB NSD {nsd.descriptor_id} no longer carries the selected "
-                f"flavor {gnb.nsd_flavor_id} / IL subset"
-            )
         cu_refs: list = []
         du_ref_pool: list = []
         for level in gnb.nsd_il_subset.levels:
@@ -646,18 +637,10 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundl
                 used_vnf_refs.setdefault(ref.vnfd_id, set()).add(ref.flavor_id)
             cu_refs.append(role.cu_il_ref)
             du_ref_pool.extend(role.du_il_refs)
-        cu_il_ids = {lvl.il_id for lvl in gnb.cu.il_subset.levels}
-        if not any(ref.il_id in cu_il_ids for ref in cu_refs):
-            raise _dangling(f"{gnb.gnb_id}: no level of the gNB IL subset references the CU IL subset")
 
         def du_vnfd_ids(du) -> list[str]:
             il_ids = {lvl.il_id for lvl in du.il_subset.levels}
-            vnfd_ids = sorted({ref.vnfd_id for ref in du_ref_pool if ref.il_id in il_ids})
-            if not vnfd_ids:
-                raise _dangling(
-                    f"{gnb.gnb_id}: no level of the gNB IL subset references the IL subset of {du.du_id}"
-                )
-            return vnfd_ids
+            return sorted({ref.vnfd_id for ref in du_ref_pool if ref.il_id in il_ids})
         gnb_sites = {site for du in gnb.dus for site in du.served_cell_sites}
         gnb_rus = sorted(ru.ru_id for ru in rus if ru.location.cell_site in gnb_sites)
         manifest_gnbs.append(
@@ -704,9 +687,7 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundl
     }
     files[f"nsd-{nsd.descriptor_id}.json"] = canonical_json(nsd_excerpt)
     for vnfd_id in sorted(used_vnf_refs):
-        vnfd = catalog.vnfd(vnfd_id)
-        if vnfd is None:
-            raise _dangling(f"VNFD {vnfd_id!r} not in catalog")
+        vnfd = catalog.vnfd(vnfd_id)  # every ref resolved above
         excerpt = {
             "descriptor_id": vnfd.descriptor_id,
             "flavors": [

@@ -530,7 +530,7 @@ def plan_slice(
 
 
 def verify_plan(
-    plan: SlicePlan, area: DeploymentArea, catalog: Catalog, config: PlannerConfig | None = None
+    plan: SlicePlan, area: DeploymentArea | None, catalog: Catalog, config: PlannerConfig | None = None
 ) -> list[str]:
     """Independent feasibility check of an emitted plan.
 
@@ -539,15 +539,19 @@ def verify_plan(
     region's DU capacity from the area and catalog instead of trusting the
     solver.  Every IL subset the plan cites must be the catalog's: a DU's
     one of the DU VNFD's subsets for its region's class and fronthaul tech,
-    a CU's one of the CU VNFD's, a gNB's one of its NSD flavor's.  The
-    VNFDs are the catalog's first by descriptor id, as plan_slice picks
-    them; the NSD is the one the plan's NSST references.
+    a CU's one of the CU VNFD's, a gNB's one of its NSD flavor's, and some
+    level of the gNB's must reference the CU's and each DU's.  The VNFDs are
+    the catalog's first by descriptor id, as plan_slice picks them; the NSD
+    is the one the plan's NSST references.  Without an area, only the facts
+    that need none are checked, with coverage against the catalog's RUs.
     """
     config = config or PlannerConfig()
     problems: list[str] = []
     cu_vnfd = min(catalog.cu_vnfds, key=lambda d: d.descriptor_id, default=None)
     du_vnfd = min(catalog.du_vnfds, key=lambda d: d.descriptor_id, default=None)
     nsd = catalog.gnb_nsd(plan.nsst.nsd_ref)
+    if nsd is None:
+        problems.append(f"gNB NSD {plan.nsst.nsd_ref!r} not in catalog")
     allowed: dict[tuple, list[IlSubset]] = {}  # where a plan may cite a subset -> the catalog's subsets
     for flavor in cu_vnfd.flavors if cu_vnfd else ():
         allowed.setdefault(("CU",), []).extend(flavor.il_subsets)
@@ -567,9 +571,10 @@ def verify_plan(
     site_owner: dict[str, str] = {}
     region_dus: dict[str, list[DuPlan]] = {}
     for gnb in plan.gnbs:
-        cu_pop = area.pop(gnb.cu.host_pop)
-        if cu_pop is None or cu_pop.tier is not PopTier.EDGE:
-            problems.append(f"{gnb.gnb_id}: CU host {gnb.cu.host_pop} is not an edge PoP")
+        if area is not None:
+            cu_pop = area.pop(gnb.cu.host_pop)
+            if cu_pop is None or cu_pop.tier is not PopTier.EDGE:
+                problems.append(f"{gnb.gnb_id}: CU host {gnb.cu.host_pop} is not an edge PoP")
         if not isinstance(gnb.cu.il_subset.key, CuSubsetKey):
             problems.append(f"{gnb.gnb_id}: CU IL subset has the wrong key kind")
         else:
@@ -591,6 +596,12 @@ def verify_plan(
         if not cited(gnb.nsd_il_subset, ("GNB", gnb.nsd_flavor_id)):
             problems.append(f"{gnb.gnb_id}: gNB IL subset is not in gNB NSD {plan.nsst.nsd_ref} "
                             f"flavor {gnb.nsd_flavor_id}")
+        roles = [lvl.role_capacity for lvl in gnb.nsd_il_subset.levels
+                 if isinstance(lvl.role_capacity, GnbIlCapacity)]
+        cu_il_ids = {lvl.il_id for lvl in gnb.cu.il_subset.levels}
+        if not any(role.cu_il_ref.il_id in cu_il_ids for role in roles):
+            problems.append(f"{gnb.gnb_id}: no level of the gNB IL subset references the CU IL subset")
+        du_il_refs = {ref.il_id for role in roles for ref in role.du_il_refs}
         expected_techs = GNB_FLAVOR_TECHS.get(gnb.nsd_flavor_id, frozenset())
         layout: dict[tuple[str, object], tuple[str, FronthaulTech]] = {}
         for du in gnb.dus:
@@ -602,6 +613,10 @@ def verify_plan(
                 if site in site_owner:
                     problems.append(f"cell site {site} served by both {site_owner[site]} and {du.du_id}")
                 site_owner[site] = du.du_id
+            if du_il_refs.isdisjoint(lvl.il_id for lvl in du.il_subset.levels):
+                problems.append(f"{gnb.gnb_id}: no level of the gNB IL subset references the IL subset of {du.du_id}")
+            if area is None:
+                continue
             region = area.region(du.region_id)
             if region is None:
                 problems.append(f"{du.du_id}: unknown region {du.region_id}")
@@ -629,7 +644,7 @@ def verify_plan(
                 problems.append(f"{du.du_id}: IL subset is not one of the DU VNFD's subsets for "
                                 f"({region.region_class}, {region.fronthaul_tech.value})")
         want_key = GnbSubsetKey(tuple(layout.values()))
-        if gnb.nsd_il_subset.key != want_key:
+        if area is not None and gnb.nsd_il_subset.key != want_key:
             key_text = " + ".join(f"({cls}, {tech.value})" for cls, tech in want_key.served_regions)
             problems.append(f"{gnb.gnb_id}: gNB IL subset is not keyed by its DU layout {key_text}")
     for region_id, load in plan.offered_load_mbps:
@@ -647,7 +662,7 @@ def verify_plan(
             )
     ru_sites: set[str] = set()
     for ru_id in plan.selected_rus:
-        ru = catalog.ru(ru_id) or area.ru(ru_id)
+        ru = catalog.ru(ru_id) or (area.ru(ru_id) if area is not None else None)
         if ru is None:
             problems.append(f"selected RU {ru_id} not found")
             continue

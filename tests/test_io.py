@@ -406,7 +406,10 @@ class TestOnboardingBundle:
         with pytest.raises(DocumentError) as err:
             emit_onboarding_bundle(plan, dataclasses.replace(catalog, gnb_nsds=()))
         assert err.value.code == "DANGLING_PLAN_REFERENCE"
-        assert str(err.value) == "DANGLING_PLAN_REFERENCE: gNB NSD 'nsd-gnb-v1' not in catalog"
+        assert str(err.value) == (
+            "DANGLING_PLAN_REFERENCE: gNB NSD 'nsd-gnb-v1' not in catalog; "
+            "gnb-01: gNB IL subset is not in gNB NSD nsd-gnb-v1 flavor 2"
+        )
 
     def test_flavor_without_the_subset_is_dangling(self, catalog, area, requests):
         plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, catalog)
@@ -414,10 +417,7 @@ class TestOnboardingBundle:
         with pytest.raises(DocumentError) as err:
             emit_onboarding_bundle(moved, catalog)
         assert err.value.code == "DANGLING_PLAN_REFERENCE"
-        assert str(err.value) == (
-            "DANGLING_PLAN_REFERENCE: gnb-01: gNB NSD nsd-gnb-v1 no longer carries the selected "
-            "flavor 3 / IL subset"
-        )
+        assert str(err.value) == "DANGLING_PLAN_REFERENCE: gnb-01: gNB IL subset is not in gNB NSD nsd-gnb-v1 flavor 3"
 
     @staticmethod
     def _embb_plan_with(catalog, area, requests, rename):

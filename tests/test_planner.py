@@ -572,6 +572,7 @@ class TestPlanSlice:
         for sst in (Sst.EMBB, Sst.MMTC, Sst.URLLC):
             plan = plan_slice(requests[sst], sst, area, catalog)
             assert verify_plan(plan, area, catalog) == []
+            assert verify_plan(plan, None, catalog) == []
 
     def test_verifier_catches_tampering(self, catalog, area, requests):
         plan = plan_slice(requests[Sst.URLLC], Sst.URLLC, area, catalog)
@@ -646,7 +647,9 @@ class TestPlanSlice:
         swapped = dataclasses.replace(plan, gnbs=(dataclasses.replace(gnb, nsd_il_subset=industrial),))
         problems = verify_plan(swapped, area, catalog)
         assert problems == [
-            f"{gnb.gnb_id}: gNB IL subset is not keyed by its DU layout (CITY_CENTER, ECPRI)"
+            *(f"{gnb.gnb_id}: no level of the gNB IL subset references the IL subset of {du.du_id}"
+              for du in gnb.dus),
+            f"{gnb.gnb_id}: gNB IL subset is not keyed by its DU layout (CITY_CENTER, ECPRI)",
         ]
 
     @staticmethod
@@ -662,20 +665,27 @@ class TestPlanSlice:
         gnb = plan.gnbs[0]
         du = gnb.dus[0]
         region = area.region(du.region_id)
-        mutants = {
-            f"{du.du_id}: IL subset is not one of the DU VNFD's subsets for "
-            f"({region.region_class}, {region.fronthaul_tech.value})": dataclasses.replace(
-                gnb, dus=(dataclasses.replace(du, il_subset=self._renamed(du.il_subset)), *gnb.dus[1:])),
-            f"{gnb.gnb_id}: CU IL subset is not one of the CU VNFD's subsets": dataclasses.replace(
-                gnb, cu=dataclasses.replace(gnb.cu, il_subset=self._renamed(gnb.cu.il_subset))),
-            f"{gnb.gnb_id}: gNB IL subset is not in gNB NSD {plan.nsst.nsd_ref} flavor {gnb.nsd_flavor_id}":
-                dataclasses.replace(gnb, nsd_il_subset=self._renamed(gnb.nsd_il_subset)),
-        }
-        for expected, mutated in mutants.items():
+        unreferenced = f"{gnb.gnb_id}: no level of the gNB IL subset references the"
+        mutants = [
+            (dataclasses.replace(
+                gnb, dus=(dataclasses.replace(du, il_subset=self._renamed(du.il_subset)), *gnb.dus[1:])), [
+                f"{unreferenced} IL subset of {du.du_id}",
+                f"{du.du_id}: IL subset is not one of the DU VNFD's subsets for "
+                f"({region.region_class}, {region.fronthaul_tech.value})",
+            ]),
+            (dataclasses.replace(gnb, cu=dataclasses.replace(gnb.cu, il_subset=self._renamed(gnb.cu.il_subset))), [
+                f"{gnb.gnb_id}: CU IL subset is not one of the CU VNFD's subsets",
+                f"{unreferenced} CU IL subset",
+            ]),
+            (dataclasses.replace(gnb, nsd_il_subset=self._renamed(gnb.nsd_il_subset)), [
+                f"{gnb.gnb_id}: gNB IL subset is not in gNB NSD {plan.nsst.nsd_ref} flavor {gnb.nsd_flavor_id}",
+            ]),
+        ]
+        for mutated, expected in mutants:
             tampered = dataclasses.replace(plan, gnbs=(mutated, *plan.gnbs[1:]))
             if parsed:  # distinct objects equal to the catalog's, as a plan read from a file holds
                 tampered = parse_document(serialize_document(envelope_for(tampered))).body
-            assert verify_plan(tampered, area, catalog) == [expected]
+            assert verify_plan(tampered, area, catalog) == expected
 
     def test_verifier_accepts_parsed_reference_plans(self, catalog, area, requests):
         from ranslicer.io import envelope_for, parse_document, serialize_document
@@ -685,6 +695,7 @@ class TestPlanSlice:
             parsed = parse_document(serialize_document(envelope_for(plan))).body
             assert parsed.gnbs[0].cu.il_subset is not plan.gnbs[0].cu.il_subset
             assert verify_plan(parsed, area, catalog) == []
+            assert verify_plan(parsed, None, catalog) == []
 
     def test_verifier_checks_du_capacity_covers_offered_load(self, catalog, area, requests):
         for sst in (Sst.EMBB, Sst.MMTC, Sst.URLLC):
@@ -696,6 +707,7 @@ class TestPlanSlice:
                     except PlannerError:
                         continue
                     assert verify_plan(plan, area, catalog) == []
+                    assert verify_plan(plan, None, catalog) == []
         plan = plan_slice(requests[Sst.MMTC], Sst.MMTC, area, catalog)
         loads = tuple((rid, load * 10 if rid == "suburban" else load) for rid, load in plan.offered_load_mbps)
         problems = verify_plan(dataclasses.replace(plan, offered_load_mbps=loads), area, catalog)
@@ -828,3 +840,20 @@ def test_verifier_single_mutation_exact_report(name, catalog, area, requests):
     sst, mutate, expected = VERIFIER_REPORTS[name]
     plan = plan_slice(requests[sst], sst, area, catalog)
     assert verify_plan(mutate(plan), area, catalog) == expected
+
+
+# Without an area the checks that need one drop out; every other case reports as with one.
+WITHOUT_AREA = {
+    "unknown-region": ["region city-center: no DU carries its 5000 Mbps offered load"],
+    "unreachable-cu-host": [],
+    "du-flavor-vs-region-tech": [],
+    "region-tech-not-in-gnb-flavor": ["gnb-01: gNB IL subset is not in gNB NSD nsd-gnb-v1 flavor 1"],
+    "du-off-its-aggregation-pop": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIER_REPORTS))
+def test_verifier_without_an_area_checks_the_area_free_facts(name, catalog, area, requests):
+    sst, mutate, expected = VERIFIER_REPORTS[name]
+    plan = plan_slice(requests[sst], sst, area, catalog)
+    assert verify_plan(mutate(plan), None, catalog) == WITHOUT_AREA.get(name, expected)
