@@ -87,16 +87,19 @@ def _region(n_sites, region_class=SUBURBAN, tech=FronthaulTech.CPRI):
 
 def _oracle_min_dus(n_sites, ranges, peak):
     """Exhaustive search over DU counts, straight from the definition."""
+    return len(layout) if (layout := _oracle_layout(n_sites, ranges, peak)) else None
+
+
+def _oracle_layout(n_sites, ranges, peak):
+    """The fewest balanced groups, larger first, each with the first range
+    in (lo, hi) order covering it, whose largest group's top capacity times
+    the group count carries ``peak``: [(group size, range)], or None."""
+    ordered = sorted(ranges, key=lambda r: (r[0], r[1]))
     for n in range(1, n_sites + 1):
-        hi_size = math.ceil(n_sites / n)
-        lo_size = n_sites // n
-        covering = [r for r in ranges if r[0] <= hi_size <= r[1]]
-        if not covering:
-            continue
-        if lo_size not in (0, hi_size) and not any(r[0] <= lo_size <= r[1] for r in ranges):
-            continue
-        if covering[0][2] * n >= peak:
-            return n
+        sizes = [math.ceil(n_sites / n)] * (n_sites % n) + [n_sites // n] * (n - n_sites % n)
+        covering = [next((r for r in ordered if r[0] <= size <= r[1]), None) for size in sizes]
+        if None not in covering and covering[0][2] * n >= peak:
+            return list(zip(sizes, covering))
     return None
 
 
@@ -137,20 +140,37 @@ class TestDimensionDus:
         sizes = [len(p.served_cell_sites) for p in plans]
         assert max(sizes) - min(sizes) <= 1
 
+    def test_count_whose_smaller_group_is_uncovered_is_skipped(self):
+        # n=2 and n=3 leave a 3-site group, which neither (1, 2) nor (4, 4) covers.
+        vnfd = _test_du_vnfd(SUBURBAN, FronthaulTech.CPRI, ((1, 2, 10_000.0), (4, 4, 20_000.0)))
+        plans = dimension_dus(_region(7), 0.0, vnfd)
+        assert [len(p.served_cell_sites) for p in plans] == [2, 2, 2, 1]
+        assert {(p.il_subset.key.min_cell_sites, p.il_subset.key.max_cell_sites) for p in plans} == {(1, 2)}
+
     @given(
         n_sites=st.integers(min_value=1, max_value=16),
         peak=st.floats(min_value=0.0, max_value=60_000.0),
+        ranges=st.lists(
+            st.tuples(st.integers(1, 10), st.integers(0, 4), st.sampled_from((5_000.0, 10_000.0, 20_000.0)))
+            .map(lambda r: (r[0], r[0] + r[1], r[2])),
+            min_size=1, max_size=4,
+        ),
     )
-    def test_matches_exhaustive_oracle(self, n_sites, peak):
-        ranges = ((1, 4, 10_000.0), (5, 8, 20_000.0))
+    def test_matches_exhaustive_oracle(self, n_sites, peak, ranges):
+        # Ranges come gapped, overlapping and unsorted, in the VNFD's order.
         vnfd = _test_du_vnfd(SUBURBAN, FronthaulTech.CPRI, ranges)
-        expected = _oracle_min_dus(n_sites, ranges, peak)
+        region = _region(n_sites)
+        expected = _oracle_layout(n_sites, ranges, peak)
         if expected is None:
-            with pytest.raises(PlannerError):
-                dimension_dus(_region(n_sites), peak, vnfd)
-        else:
-            plans = dimension_dus(_region(n_sites), peak, vnfd)
-            assert len(plans) == expected
+            with pytest.raises(PlannerError) as err:
+                dimension_dus(region, peak, vnfd)
+            assert err.value.code == "INSUFFICIENT_DU_CAPACITY"
+            return
+        plans = dimension_dus(region, peak, vnfd)
+        assert [(len(p.served_cell_sites), p.il_subset.key.min_cell_sites, p.il_subset.key.max_cell_sites,
+                 p.il_subset.levels[-1].role_capacity.aggregate_capacity_mbps) for p in plans] == [
+            (size, lo, hi, top) for size, (lo, hi, top) in expected]
+        assert tuple(s for p in plans for s in p.served_cell_sites) == region.cell_sites
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +734,68 @@ class TestPlanSlice:
         assert len(problems) == 1 and problems[0].startswith("region suburban: 2 DU(s) carry ")
         orphan = dataclasses.replace(plan, offered_load_mbps=plan.offered_load_mbps + (("mars", 1.0),))
         assert verify_plan(orphan, area, catalog) == ["region mars: no DU carries its 1 Mbps offered load"]
+
+
+# ---------------------------------------------------------------------------
+# planning errors: one change to the builtin catalog per error path
+
+def _with_cu_flavor(catalog, **changes):
+    cu = catalog.cu_vnfds[0]
+    flavor = dataclasses.replace(cu.flavors[0], **changes)
+    return dataclasses.replace(catalog, cu_vnfds=(dataclasses.replace(cu, flavors=(flavor,)),))
+
+
+def _cu_subsets_rekeyed(catalog, old, new):
+    return tuple(dataclasses.replace(s, key=CuSubsetKey(*new)) if (s.key.min_dus, s.key.max_dus) == old else s
+                 for s in catalog.cu_vnfds[0].flavors[0].il_subsets)
+
+
+def _cu_subsets_with_du_roles(catalog):
+    return tuple(
+        dataclasses.replace(s, levels=tuple(
+            dataclasses.replace(level, role_capacity=DuIlCapacity(level.role_capacity.max_dus, 1.0))
+            for level in s.levels))
+        for s in catalog.cu_vnfds[0].flavors[0].il_subsets
+    )
+
+
+def _du_flavors_without(catalog, tech):
+    du = catalog.du_vnfds[0]
+    flavors = tuple(f for f in du.flavors if tech not in f.fronthaul_techs)
+    return dataclasses.replace(catalog, du_vnfds=(dataclasses.replace(du, flavors=flavors),))
+
+
+PLANNER_ERRORS = {
+    "cu-two-flavors": (
+        lambda c: dataclasses.replace(c, cu_vnfds=(
+            dataclasses.replace(c.cu_vnfds[0], flavors=c.cu_vnfds[0].flavors * 2),)),
+        "assign_dus_to_cus", "CU VNFD vnfd-cu-v1 must carry exactly one flavor",
+    ),
+    "cu-no-subset-for-the-count": (
+        lambda c: _with_cu_flavor(c, il_subsets=_cu_subsets_rekeyed(c, (1, 2), (1, 1))),
+        "assign_dus_to_cus", "CU VNFD vnfd-cu-v1 has no IL subset for 2 served DUs",
+    ),
+    "cu-no-cu-levels": (
+        lambda c: _with_cu_flavor(c, il_subsets=_cu_subsets_with_du_roles(c)),
+        "assign_dus_to_cus", "CU VNFD defines no CU instantiation levels",
+    ),
+    "du-no-flavor-for-the-tech": (
+        lambda c: _du_flavors_without(c, FronthaulTech.ECPRI),
+        "dimension_dus", "DU VNFD vnfd-du-v1 has no flavor for ECPRI",
+    ),
+    "no-gnb-nsd": (lambda c: dataclasses.replace(c, gnb_nsds=()), "plan_slice", "catalog has no gNB NSD"),
+    "no-cu-vnfd": (lambda c: dataclasses.replace(c, cu_vnfds=()), "plan_slice", "catalog lacks CU or DU VNFDs"),
+    "no-du-vnfd": (lambda c: dataclasses.replace(c, du_vnfds=()), "plan_slice", "catalog lacks CU or DU VNFDs"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANNER_ERRORS))
+def test_planner_error_paths(name, catalog, area, requests):
+    mutate, stage, message = PLANNER_ERRORS[name]
+    with pytest.raises(PlannerError) as err:
+        plan_slice(requests[Sst.EMBB], Sst.EMBB, area, mutate(catalog))
+    assert (err.value.code, err.value.stage, err.value.args[0]) == ("NO_MATCHING_SUBSET", stage, message)
+    assert str(err.value) == f"NO_MATCHING_SUBSET (stage {stage}): {message}"
 
 
 # ---------------------------------------------------------------------------
