@@ -5,7 +5,8 @@ Subcommands:
 * ``validate <catalog> [<topology>]`` - run catalog validation, with RU
   cross-checks when a topology is given; exit 0 iff the report is empty.
 * ``plan <request> <topology> <catalog>`` - plan one slice and write the
-  SLICE_PLAN document to stdout or ``--out``.
+  SLICE_PLAN document to stdout or ``--out``; ``--config`` (repeatable)
+  reads a PROFILER_POLICY or PLANNER_CONFIG document.
 * ``emit <plan> <catalog> --out-dir DIR`` - write the onboarding bundle.
 * ``paper-example`` - plan the three reference requests against the
   builtin catalog and reference topology and compare every derived
@@ -312,8 +313,6 @@ def _cmd_paper_example(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="accepted for reproducibility")
-    common.add_argument("--config", action="append", metavar="FILE",
-                        help="PROFILER_POLICY or PLANNER_CONFIG document (repeatable)")
     parser = argparse.ArgumentParser(prog="ranslicer",
                                      description="RAN slice descriptor compiler and deployment planner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -328,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("topology")
     p_plan.add_argument("catalog")
     p_plan.add_argument("--out", default=None, help="write the plan here instead of stdout")
+    p_plan.add_argument("--config", action="append", metavar="FILE",
+                        help="PROFILER_POLICY or PLANNER_CONFIG document (repeatable)")
     p_plan.set_defaults(func=_cmd_plan)
 
     p_emit = sub.add_parser("emit", parents=[common], help="emit the onboarding bundle for a plan")

@@ -41,7 +41,7 @@ from .model import (
     level_capacity_mbps,
 )
 from .radio import ProfilerPolicy, area_load_mbps, build_ran_nsst, default_policy
-from .topology import DeploymentArea, PopTier, Region, fronthaul_techs, pop_latency, select_rus
+from .topology import DeploymentArea, PopTier, Region, pop_latency, select_rus
 from .validate import GNB_FLAVOR_TECHS
 
 
@@ -118,10 +118,7 @@ def select_gnb_flavor(techs: frozenset[FronthaulTech]) -> int:
     """gNB NSD flavor id for a set of fronthaul technologies."""
     if not techs:
         raise ValueError("at least one fronthaul technology is required")
-    for flavor_id, flavor_techs in GNB_FLAVOR_TECHS.items():
-        if techs == flavor_techs:
-            return flavor_id
-    raise ValueError(f"unmappable technology set {techs!r}")  # pragma: no cover
+    return next(flavor_id for flavor_id, flavor_techs in GNB_FLAVOR_TECHS.items() if techs == flavor_techs)
 
 
 def _du_subsets_for(du_vnfd: DuVnfd, region: Region) -> list[IlSubset]:
@@ -141,16 +138,19 @@ def _du_subsets_for(du_vnfd: DuVnfd, region: Region) -> list[IlSubset]:
     return sorted(subsets, key=lambda s: (s.key.min_cell_sites, s.key.max_cell_sites))
 
 
-def _covering_subset(subsets: list[IlSubset], group_size: int) -> IlSubset | None:
-    return next((s for s in subsets if s.key.covers(group_size)), None)
+def _covering_subset(subsets: list[IlSubset], size: int) -> IlSubset | None:
+    """The planner's one subset rule: the first subset, in range order, covering ``size``."""
+    return next((s for s in subsets if s.key.covers(size)), None)
 
 
 def dimension_dus(region: Region, peak_load_mbps: float, du_vnfd: DuVnfd) -> list[DuPlan]:
     """Minimal DU count for a region, with balanced cell-site groups.
 
-    A DU count n is feasible when every group size has an IL subset
-    covering it and the top IL capacity of the subset covering the
-    largest group, times n, carries the region's peak load.
+    For a DU count n the sites, in id order, split into n groups whose
+    sizes differ by at most one, larger groups first; each group takes its
+    covering subset.  n is feasible when every group has one and the top
+    IL capacity of the largest group's subset (0 for a subset without
+    levels), times n, carries the region's peak load.
     """
     if not region.cell_sites:
         raise ValueError(f"region {region.region_id} has no cell sites")
@@ -159,34 +159,26 @@ def dimension_dus(region: Region, peak_load_mbps: float, du_vnfd: DuVnfd) -> lis
     subsets = _du_subsets_for(du_vnfd, region)
     sites = sorted(region.cell_sites)
     for n in range(1, len(sites) + 1):
-        size_hi = math.ceil(len(sites) / n)
-        size_lo = len(sites) // n
-        subset_hi = _covering_subset(subsets, size_hi)
-        if subset_hi is None:
+        small, larger = divmod(len(sites), n)
+        sizes = [small + 1] * larger + [small] * (n - larger)
+        chosen = [_covering_subset(subsets, size) for size in sizes]
+        if None in chosen:
             continue
-        if size_lo != size_hi and size_lo > 0 and _covering_subset(subsets, size_lo) is None:
+        levels = chosen[0].levels
+        if (level_capacity_mbps(levels[-1]) if levels else 0.0) * n < peak_load_mbps:
             continue
-        top_capacity = level_capacity_mbps(subset_hi.levels[-1])
-        if top_capacity * n < peak_load_mbps:
-            continue
-        plans = []
-        cursor = 0
-        remainder = len(sites) % n
-        for i in range(n):
-            size = size_hi if i < remainder or remainder == 0 else size_lo
-            group = tuple(sites[cursor:cursor + size])
-            cursor += size
-            plans.append(
-                DuPlan(
-                    du_id=f"du-{region.region_id}-{i + 1:02d}",
-                    region_id=region.region_id,
-                    served_cell_sites=group,
-                    vnfd_flavor=DU_FLAVOR_FOR_TECH[region.fronthaul_tech],
-                    il_subset=_covering_subset(subsets, len(group)),
-                    host_pop=region.aggregation_pop,
-                )
+        starts = list(itertools.accumulate(sizes, initial=0))
+        return [
+            DuPlan(
+                du_id=f"du-{region.region_id}-{i + 1:02d}",
+                region_id=region.region_id,
+                served_cell_sites=tuple(sites[starts[i]:starts[i + 1]]),
+                vnfd_flavor=DU_FLAVOR_FOR_TECH[region.fronthaul_tech],
+                il_subset=subset,
+                host_pop=region.aggregation_pop,
             )
-        return plans
+            for i, subset in enumerate(chosen)
+        ]
     raise PlannerError(
         "INSUFFICIENT_DU_CAPACITY",
         f"region {region.region_id}: no DU count up to {len(sites)} carries "
@@ -194,40 +186,25 @@ def dimension_dus(region: Region, peak_load_mbps: float, du_vnfd: DuVnfd) -> lis
     )
 
 
-def _cu_flavor(cu_vnfd: CuVnfd):
+def _cu_subsets(cu_vnfd: CuVnfd) -> tuple[int, list[IlSubset]]:
+    """A CU's capacity in DUs (its largest CU level's max_dus) and its
+    CU-keyed IL subsets in range order."""
     if len(cu_vnfd.flavors) != 1:
         raise PlannerError(
             "NO_MATCHING_SUBSET",
             f"CU VNFD {cu_vnfd.descriptor_id} must carry exactly one flavor",
         )
-    return cu_vnfd.flavors[0]
-
-
-def _cu_subset_for_count(cu_vnfd: CuVnfd, count: int) -> IlSubset:
-    flavor = _cu_flavor(cu_vnfd)
-    subsets = sorted(
-        (s for s in flavor.il_subsets if isinstance(s.key, CuSubsetKey) and s.key.covers(count)),
-        key=lambda s: (s.key.min_dus, s.key.max_dus),
-    )
-    if not subsets:
-        raise PlannerError(
-            "NO_MATCHING_SUBSET",
-            f"CU VNFD {cu_vnfd.descriptor_id} has no IL subset for {count} served DUs",
-        )
-    return subsets[0]
-
-
-def _cu_capacity_dus(cu_vnfd: CuVnfd) -> int:
-    flavor = _cu_flavor(cu_vnfd)
+    subsets = cu_vnfd.flavors[0].il_subsets
     caps = [
         level.role_capacity.max_dus
-        for subset in flavor.il_subsets
+        for subset in subsets
         for level in subset.levels
         if isinstance(level.role_capacity, CuIlCapacity)
     ]
     if not caps:
         raise PlannerError("NO_MATCHING_SUBSET", "CU VNFD defines no CU instantiation levels")
-    return max(caps)
+    keyed = [s for s in subsets if isinstance(s.key, CuSubsetKey)]
+    return max(caps), sorted(keyed, key=lambda s: (s.key.min_dus, s.key.max_dus))
 
 
 def _match_slots(dus: list[DuPlan], compat: dict[str, list[str]], slots: dict[str, int], capacity: int) -> dict[str, str] | None:
@@ -333,6 +310,8 @@ def assign_dus_to_cus(
     A DU is compatible with an edge PoP when the transport latency from
     the PoP to the DU's aggregation PoP stays within the CU-DU budget.
     The DUs on one aggregation PoP share one list of compatible edge PoPs.
+    Each CU takes the first CU IL subset, in range order, covering its DU
+    count; the CU capacity is the largest CU level's ``max_dus``.
     """
     if not dus:
         raise ValueError("at least one DU is required")
@@ -355,19 +334,20 @@ def assign_dus_to_cus(
             "INFEASIBLE_LATENCY",
             f"no edge PoP within {config.cu_du_latency_budget_ms:g} ms of DU(s): {', '.join(stranded)}",
         )
-    capacity = _cu_capacity_dus(cu_vnfd)
+    capacity, cu_subsets = _cu_subsets(cu_vnfd)
     if len(ordered) <= config.exact_solver_limit:
         groups = _exact_cu_assignment(ordered, compat, edge_pop_ids, capacity)
     else:
         groups = _greedy_cu_assignment(ordered, compat, capacity)
-    skeletons = [
-        GnbSkeleton(
-            cu_host_pop=pop,
-            cu_il_subset=_cu_subset_for_count(cu_vnfd, len(members)),
-            dus=tuple(sorted(members, key=lambda d: d.du_id)),
-        )
-        for pop, members in groups
-    ]
+    skeletons = []
+    for pop, members in groups:
+        subset = _covering_subset(cu_subsets, len(members))
+        if subset is None:
+            raise PlannerError(
+                "NO_MATCHING_SUBSET",
+                f"CU VNFD {cu_vnfd.descriptor_id} has no IL subset for {len(members)} served DUs",
+            )
+        skeletons.append(GnbSkeleton(pop, subset, tuple(sorted(members, key=lambda d: d.du_id))))
     return sorted(skeletons, key=lambda s: (s.cu_host_pop, s.dus[0].du_id))
 
 
@@ -388,7 +368,7 @@ def derive_gnb_il_subset(
     """
     flavor = gnb_nsd.flavor(flavor_id)
     if flavor is None:
-        raise ValueError(f"gNB NSD {gnb_nsd.descriptor_id} has no flavor {flavor_id}")
+        raise PlannerError("NO_MATCHING_SUBSET", f"gNB NSD {gnb_nsd.descriptor_id} has no flavor {flavor_id}")
     cu_vnfd_id, cu_subset = cu_selection
     by_subset: dict[tuple[str, DuSubsetKey], list[DuPlan]] = {}
     for du in dus:
@@ -480,10 +460,8 @@ def plan_slice(
         "build_ran_nsst", build_ran_nsst, requirements, sst, gnb_nsd.descriptor_id, policy, sd=sd
     )
     rus = _staged("select_rus", select_rus, area, requirements.target_regions)
-    techs = _staged("fronthaul_techs", fronthaul_techs, area, requirements.target_regions)
-    flavor_id = select_gnb_flavor(techs)
-
     regions = [area.region(rid) for rid in sorted(set(requirements.target_regions))]
+    flavor_id = select_gnb_flavor(frozenset(region.fronthaul_tech for region in regions))
     loads: list[tuple[str, float]] = []
     all_dus: list[DuPlan] = []
     per_ue = max(requirements.throughput_dl_mbps, requirements.throughput_ul_mbps)
@@ -538,9 +516,10 @@ def verify_plan(
     conservation, flavor consistency, each gNB's IL-subset key and each
     region's DU capacity from the area and catalog instead of trusting the
     solver.  Every IL subset the plan cites must be the catalog's: a DU's
-    one of the DU VNFD's subsets for its region's class and fronthaul tech,
-    a CU's one of the CU VNFD's, a gNB's one of its NSD flavor's, and some
-    level of the gNB's must reference the CU's and each DU's.  The VNFDs are
+    one of the DU VNFD's subsets for its own key's class and fronthaul tech
+    (with an area, its region's), a CU's one of the CU VNFD's, a gNB's one
+    of its NSD flavor's, and some level of the gNB's must reference the
+    CU's and each DU's.  The VNFDs are
     the catalog's first by descriptor id, as plan_slice picks them; the NSD
     is the one the plan's NSST references.  Without an area, only the facts
     that need none are checked, with coverage against the catalog's RUs.
@@ -615,6 +594,10 @@ def verify_plan(
                 site_owner[site] = du.du_id
             if du_il_refs.isdisjoint(lvl.il_id for lvl in du.il_subset.levels):
                 problems.append(f"{gnb.gnb_id}: no level of the gNB IL subset references the IL subset of {du.du_id}")
+            du_where = ("DU", key.region_class, key.fronthaul_tech) if isinstance(key, DuSubsetKey) else None
+            if du_where and not cited(du.il_subset, du_where):
+                problems.append(f"{du.du_id}: IL subset is not one of the DU VNFD's subsets for "
+                                f"({key.region_class}, {key.fronthaul_tech.value})")
             if area is None:
                 continue
             region = area.region(du.region_id)
@@ -640,9 +623,10 @@ def verify_plan(
                 )
             if du.host_pop != region.aggregation_pop:
                 problems.append(f"{du.du_id}: not hosted on its region's aggregation PoP")
-            if not cited(du.il_subset, ("DU", region.region_class, region.fronthaul_tech)):
-                problems.append(f"{du.du_id}: IL subset is not one of the DU VNFD's subsets for "
-                                f"({region.region_class}, {region.fronthaul_tech.value})")
+            if du_where and du_where != ("DU", region.region_class, region.fronthaul_tech):
+                problems.append(f"{du.du_id}: IL subset is keyed for ({key.region_class}, "
+                                f"{key.fronthaul_tech.value}), not its region's ({region.region_class}, "
+                                f"{region.fronthaul_tech.value})")
         want_key = GnbSubsetKey(tuple(layout.values()))
         if area is not None and gnb.nsd_il_subset.key != want_key:
             key_text = " + ".join(f"({cls}, {tech.value})" for cls, tech in want_key.served_regions)

@@ -276,7 +276,6 @@ def build_ran_nsst(
     policy: ProfilerPolicy | None = None,
     *,
     sd: str | None = None,
-    nsst_id: str | None = None,
 ) -> RanNsst:
     """Compile a full slice template from a requirement vector."""
     policy = policy or default_policy()
@@ -300,7 +299,7 @@ def build_ran_nsst(
         scheduler_policy=select_scheduler(requirements),
     )
     return RanNsst(
-        nsst_id=nsst_id or f"nsst-{sst.name.lower()}",
+        nsst_id=f"nsst-{sst.name.lower()}",
         s_nssai=SNssai(sst, sd),
         radio_config=config,
         nsd_ref=nsd_ref,

@@ -161,6 +161,42 @@ def test_config_flag_applies_planner_config(doc_files, tmp_path, capsys):
     assert "INFEASIBLE_LATENCY" in out.err
 
 
+def _without_gnb_flavor_2(body):
+    nsd = body["gnb_nsds"][0]
+    nsd["flavors"] = [f for f in nsd["flavors"] if f["flavor_id"] != 2]
+
+
+def _city_center_subset_without_levels(body):
+    flavor = next(f for f in body["du_vnfds"][0]["flavors"] if f["fronthaul_techs"] == ["ECPRI"])
+    subset = next(s for s in flavor["il_subsets"]
+                  if s["key"]["region_class"] == "CITY_CENTER" and s["key"]["min_cell_sites"] == 1)
+    subset["levels"] = []
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_without_gnb_flavor_2,
+     "NO_MATCHING_SUBSET (stage derive_gnb_il_subset): gNB NSD nsd-gnb-v1 has no flavor 2"),
+    (_city_center_subset_without_levels,  # a subset without levels carries nothing
+     "INSUFFICIENT_DU_CAPACITY (stage dimension_dus): region city-center: no DU count up to 8 carries "
+     "150000 Mbps with the available IL subsets"),
+], ids=["gnb-nsd-without-the-flavor", "du-subset-without-levels"])
+def test_plan_on_an_unvalidated_catalog_is_a_diagnostic(doc_files, tmp_path, capsys, mutate, message):
+    raw = json.loads(doc_files["catalog"].read_text())
+    mutate(raw["body"])
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(raw))
+    code = cli_main(["plan", str(doc_files["request"]), str(doc_files["topology"]), str(path)])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (1, "", f"error: {message}\n")
+
+
+def test_config_is_a_plan_option_only(doc_files, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(serialize_document(envelope_for(PlannerConfig())))
+    assert cli_main(["validate", str(doc_files["catalog"]), "--config", str(path)]) == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(ranslicer.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -30,7 +30,7 @@ from ranslicer.io import (
     write_bundle,
 )
 from ranslicer.model import FronthaulTech, GnbSubsetKey, IlSubset, Sst
-from ranslicer.planner import PlannerConfig, plan_slice
+from ranslicer.planner import PlannerConfig, plan_slice, verify_plan
 
 DATA = Path(__file__).parent / "data"
 
@@ -442,10 +442,26 @@ class TestOnboardingBundle:
         with pytest.raises(DocumentError) as err:
             emit_onboarding_bundle(plan, catalog)
         assert err.value.code == "DANGLING_PLAN_REFERENCE"
-        assert str(err.value).endswith(
-            f"{plan.gnbs[0].gnb_id}: no level of the gNB IL subset references the IL subset of "
-            f"{plan.gnbs[0].dus[0].du_id}"
+        assert str(err.value) == (
+            "DANGLING_PLAN_REFERENCE: gnb-01: no level of the gNB IL subset references the IL subset of "
+            "du-city-center-01; du-city-center-01: IL subset is not one of the DU VNFD's subsets for "
+            "(CITY_CENTER, ECPRI)"
         )
+
+    def test_du_subset_the_catalog_lacks_is_dangling(self, catalog, area, requests):
+        def rekeyed(gnb, _):  # the catalog's levels under a key no DU subset carries
+            du = gnb.dus[0]
+            subset = dataclasses.replace(du.il_subset, key=dataclasses.replace(du.il_subset.key, max_cell_sites=7))
+            return dataclasses.replace(gnb, dus=(dataclasses.replace(du, il_subset=subset),) + gnb.dus[1:])
+
+        plan = self._embb_plan_with(catalog, area, requests, rekeyed)
+        missing = "du-city-center-01: IL subset is not one of the DU VNFD's subsets for (CITY_CENTER, ECPRI)"
+        assert verify_plan(plan, None, catalog) == [missing]
+        assert verify_plan(plan, area, catalog) == [
+            missing, "gnb-01: gNB IL subset is not keyed by its DU layout (CITY_CENTER, ECPRI) + (CITY_CENTER, ECPRI)"]
+        with pytest.raises(DocumentError) as err:
+            emit_onboarding_bundle(plan, catalog)
+        assert str(err.value) == f"DANGLING_PLAN_REFERENCE: {missing}"
 
     def test_cu_subset_no_gnb_level_references_is_dangling(self, catalog, area, requests):
         def rename(gnb, renamed):

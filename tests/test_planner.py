@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from cu_oracle import greedy_oracle, make_cu_vnfd, make_instance, make_scaled_instance, oracle_min_cus
 from ranslicer import planner
+from ranslicer.builtin import builtin_catalog
 from ranslicer.errors import PlannerError, TopologyError
 from ranslicer.model import (
     CITY_CENTER,
@@ -885,6 +886,17 @@ VERIFIER_REPORTS = {
         lambda p: _with_du(p, 0, host_pop="pop-edge-1"),
         ["du-city-center-01: not hosted on its region's aggregation PoP"],
     ),
+    "du-subset-of-another-region-class": (
+        Sst.EMBB,
+        lambda p: _with_du(p, 1, il_subset=next(  # a catalog subset covering its 4 sites
+            s for s in builtin_catalog().du_vnfds[0].flavors[0].il_subsets
+            if s.key == DuSubsetKey(INDUSTRIAL, FronthaulTech.ECPRI, 3, 4))),
+        [
+            "gnb-01: no level of the gNB IL subset references the IL subset of du-city-center-02",
+            "du-city-center-02: IL subset is keyed for (INDUSTRIAL, ECPRI), not its region's (CITY_CENTER, ECPRI)",
+            "gnb-01: gNB IL subset is not keyed by its DU layout (CITY_CENTER, ECPRI) + (CITY_CENTER, ECPRI)",
+        ],
+    ),
     "group-outside-subset-range": (
         Sst.EMBB,
         lambda p: _with_du(_with_du(p, 1, served_cell_sites=_cc_sites(6, 7, 8)),
@@ -931,6 +943,9 @@ WITHOUT_AREA = {
     "du-flavor-vs-region-tech": [],
     "region-tech-not-in-gnb-flavor": ["gnb-01: gNB IL subset is not in gNB NSD nsd-gnb-v1 flavor 1"],
     "du-off-its-aggregation-pop": [],
+    "du-subset-of-another-region-class": [
+        "gnb-01: no level of the gNB IL subset references the IL subset of du-city-center-02",
+    ],
 }
 
 
