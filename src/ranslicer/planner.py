@@ -147,10 +147,11 @@ def dimension_dus(region: Region, peak_load_mbps: float, du_vnfd: DuVnfd) -> lis
     """Minimal DU count for a region, with balanced cell-site groups.
 
     For a DU count n the sites, in id order, split into n groups whose
-    sizes differ by at most one, larger groups first; each group takes its
-    covering subset.  n is feasible when every group has one and the top
-    IL capacity of the largest group's subset (0 for a subset without
-    levels), times n, carries the region's peak load.
+    sizes differ by at most one, larger groups first; each group takes the
+    first IL subset, in range order, covering its size.  n is feasible
+    when every group has one and the top IL capacity of the largest
+    group's subset (0 for a subset without levels), times n, carries the
+    region's peak load.
     """
     if not region.cell_sites:
         raise ValueError(f"region {region.region_id} has no cell sites")
