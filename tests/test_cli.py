@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ranslicer
+from ranslicer import cli
 from ranslicer.cli import cli_main
 from ranslicer.io import SliceRequest, envelope_for, parse_document, serialize_document
 from ranslicer.model import Sst
@@ -159,6 +160,39 @@ def test_config_flag_applies_planner_config(doc_files, tmp_path, capsys):
     out = capsys.readouterr()
     assert code == 1
     assert "INFEASIBLE_LATENCY" in out.err
+
+
+def test_config_flag_applies_profiler_policy(doc_files, tmp_path, policy, capsys):
+    # Half the default activity factor halves the offered load, which one DU then carries.
+    path = tmp_path / "policy.json"
+    path.write_text(serialize_document(envelope_for(dataclasses.replace(policy, activity_factor=0.05))))
+    code = cli_main([
+        "plan", str(doc_files["request"]), str(doc_files["topology"]), str(doc_files["catalog"]),
+        "--config", str(path),
+    ])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    plan = parse_document(out.out).body
+    assert plan.offered_load_mbps == (("city-center", 75_000.0),)
+    assert [du.du_id for gnb in plan.gnbs for du in gnb.dus] == ["du-city-center-01"]
+
+
+def test_config_flag_rejects_other_document_kinds(doc_files, capsys):
+    catalog = str(doc_files["catalog"])
+    code = cli_main(["plan", str(doc_files["request"]), str(doc_files["topology"]), catalog, "--config", catalog])
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert out.err == (f"error: UNKNOWN_KIND: {catalog}: --config accepts PROFILER_POLICY or "
+                       "PLANNER_CONFIG, found CATALOG\n")
+
+
+def test_paper_example_reports_each_mismatch(monkeypatch, capsys):
+    embb, *rest = cli._EXPECTED
+    monkeypatch.setattr(cli, "_EXPECTED", (dataclasses.replace(embb, mu=3), *rest))
+    assert cli_main(["paper-example"]) == 1
+    out = capsys.readouterr()
+    assert "checks: 34/35 matched\n" in out.out
+    assert out.err == "mismatch: eMBB: numerology: expected 3, got 2\n"
 
 
 def _without_gnb_flavor_2(body):

@@ -4,6 +4,7 @@ import dataclasses
 import enum
 import gc
 import json
+import os
 import pickle
 import random
 import sys
@@ -29,7 +30,17 @@ from ranslicer.io import (
     write_atomic,
     write_bundle,
 )
-from ranslicer.model import FronthaulTech, GnbSubsetKey, IlSubset, Sst
+from ranslicer.model import (
+    DuIlCapacity,
+    FronthaulTech,
+    GnbIlCapacity,
+    GnbSubsetKey,
+    IlSubset,
+    InstantiationLevel,
+    Sst,
+    VmSpec,
+    VnfIlRef,
+)
 from ranslicer.planner import PlannerConfig, plan_slice, verify_plan
 
 DATA = Path(__file__).parent / "data"
@@ -475,6 +486,41 @@ class TestOnboardingBundle:
             f"{plan.gnbs[0].gnb_id}: no level of the gNB IL subset references the CU IL subset"
         )
 
+    @staticmethod
+    def _with_city_center_level(catalog, level):
+        """The catalog with ``level`` appended to gNB NSD flavor 2's city-center IL subset."""
+        nsd = catalog.gnb_nsds[0]
+        city_center = GnbSubsetKey((("CITY_CENTER", FronthaulTech.ECPRI),))
+        flavors = tuple(
+            dataclasses.replace(f, il_subsets=tuple(
+                dataclasses.replace(s, levels=s.levels + (level,)) if s.key == city_center else s
+                for s in f.il_subsets))
+            if f.flavor_id == 2 else f
+            for f in nsd.flavors
+        )
+        return dataclasses.replace(catalog, gnb_nsds=(dataclasses.replace(nsd, flavors=flavors),))
+
+    def test_levels_without_a_gnb_role_are_skipped(self, catalog, area, requests):
+        level = InstantiationLevel("gnb-f2-cc-du-role", VmSpec(2, 2.0, 4.0), DuIlCapacity(8, 1_000.0))
+        extended = self._with_city_center_level(catalog, level)
+        plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, extended)
+        assert all(gnb.nsd_il_subset.levels[-1] is level for gnb in plan.gnbs)
+        manifest = emit_onboarding_bundle(plan, extended).manifest
+        assert [gnb["cu"]["vnfd_ids"] for gnb in manifest["gnbs"]] == [["vnfd-cu-v1"]] * len(plan.gnbs)
+        assert {tuple(du["vnfd_ids"]) for gnb in manifest["gnbs"] for du in gnb["dus"]} == {("vnfd-du-v1",)}
+
+    def test_unresolved_vnfd_il_reference_is_dangling(self, catalog, area, requests):
+        missing = VnfIlRef("vnfd-du-v1", 1, "du-missing")
+        role = GnbIlCapacity(1, VnfIlRef("vnfd-cu-v1", 1, "cu-s2-l1"), (missing,), 1_000.0)
+        extended = self._with_city_center_level(catalog, InstantiationLevel("gnb-f2-cc-l3", VmSpec(2, 2.0, 4.0), role))
+        plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, extended)
+        with pytest.raises(DocumentError) as err:
+            emit_onboarding_bundle(plan, extended)
+        assert str(err.value) == (
+            "DANGLING_PLAN_REFERENCE: gnb-01: VNFD IL reference "
+            "VnfIlRef(vnfd_id='vnfd-du-v1', flavor_id=1, il_id='du-missing') does not resolve"
+        )
+
     def test_bundle_files_are_canonical_and_written_atomically(self, catalog, area, requests, tmp_path):
         plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, catalog)
         bundle = emit_onboarding_bundle(plan, catalog)
@@ -493,6 +539,20 @@ def test_write_atomic_replaces_content(tmp_path):
     write_atomic(target, "one\n")
     write_atomic(target, "two\n")
     assert target.read_text() == "two\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_write_atomic_keeps_the_target_when_the_rename_fails(tmp_path, monkeypatch):
+    target = tmp_path / "doc.json"
+    write_atomic(target, "one\n")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        write_atomic(target, "two\n")
+    assert target.read_text() == "one\n"
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
@@ -653,6 +713,59 @@ _DIAGNOSTIC_CASES = {
     "planner-config-activity-factor": (
         "PLANNER_CONFIG", ("activity_factor",), 0.5,
         ("PARSE_ERROR", "body", "unknown field(s): activity_factor"),
+    ),
+    "planner-config-solver-limit": (
+        "PLANNER_CONFIG", ("exact_solver_limit",), -1,
+        ("PARSE_ERROR", "body", "exact solver limit must be non-negative"),
+    ),
+    # One case per ProfilerPolicy invariant, on the default policy.
+    "policy-no-latency-thresholds": (
+        "PROFILER_POLICY", ("latency_to_mu_thresholds",), [],
+        ("PARSE_ERROR", "body", "latency thresholds must be non-empty"),
+    ),
+    "policy-unbounded-threshold-first": (
+        "PROFILER_POLICY", ("latency_to_mu_thresholds", 0, 0), None,
+        ("PARSE_ERROR", "body", "only the last latency threshold may be unbounded"),
+    ),
+    "policy-thresholds-not-increasing": (
+        "PROFILER_POLICY", ("latency_to_mu_thresholds", 1, 0), 1.0,
+        ("PARSE_ERROR", "body", "latency thresholds must be strictly increasing"),
+    ),
+    "policy-mu-not-decreasing": (
+        "PROFILER_POLICY", ("latency_to_mu_thresholds", 1, 1), 3,
+        ("PARSE_ERROR", "body", "mu values must be strictly decreasing along the thresholds"),
+    ),
+    "policy-mu-out-of-range": (
+        "PROFILER_POLICY", ("latency_to_mu_thresholds", 0, 1), 4,
+        ("PARSE_ERROR", "body", "mu values must lie in 0..3"),
+    ),
+    "policy-no-slot-formats": (
+        "PROFILER_POLICY", ("slot_format_table",), [],
+        ("PARSE_ERROR", "body", "slot format table must be non-empty"),
+    ),
+    "policy-slot-formats-miss-zero": (
+        "PROFILER_POLICY", ("slot_format_table", 0, "min_dl_ul_ratio"), 0.1,
+        ("PARSE_ERROR", "body", "slot format ratio intervals must cover (0, inf)"),
+    ),
+    "policy-slot-formats-gap": (
+        "PROFILER_POLICY", ("slot_format_table", 0, "max_dl_ul_ratio"), 0.2,
+        ("PARSE_ERROR", "body", "slot format ratio intervals must tile without gaps or overlaps"),
+    ),
+    "policy-no-5qi": (
+        "PROFILER_POLICY", ("fiveqi_table",), [],
+        ("PARSE_ERROR", "body", "5QI table must be non-empty"),
+    ),
+    "policy-mcs-threshold": (
+        "PROFILER_POLICY", ("mcs_threshold_mbps",), 0,
+        ("PARSE_ERROR", "body", "thresholds must be positive"),
+    ),
+    "policy-activity-factor": (
+        "PROFILER_POLICY", ("activity_factor",), 0,
+        ("PARSE_ERROR", "body", "activity factor must lie in (0, 1]"),
+    ),
+    "policy-spectral-efficiency": (
+        "PROFILER_POLICY", ("spectral_efficiency_bps_per_hz",), 0,
+        ("PARSE_ERROR", "body", "demand-model constants must be positive"),
     ),
     "host-capacity-field": (
         "TOPOLOGY", ("pops", 0, "host_capacity", "vcpu"), 1.5,

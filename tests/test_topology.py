@@ -157,6 +157,41 @@ class TestAreaChecks:
         problems = check_area(shared)
         assert any("serves both" in p for p in problems)
 
+    @pytest.mark.parametrize("mutate, expected", [
+        (lambda a: _mutant(a, "regions", 0, area_km2=0.0),
+         ["region city-center: area must be positive"]),
+        (lambda a: _mutant(a, "regions", 1, cell_sites=()),
+         ["region industrial: no cell sites"]
+         + [f"RU ru-ind-{i:02d}: cell site cs-ind-{i:02d} not in its region" for i in range(1, 5)]),
+        (lambda a: _mutant(a, "regions", 1, cell_sites=a.regions[1].cell_sites + ("cs-cc-01",)),
+         ["cell site cs-cc-01 appears in both city-center and industrial"]),
+        (lambda a: _mutant(a, "pops", 0, tier=PopTier.EDGE),
+         ["region city-center: PoP pop-agg-city-center is not aggregation-tier"]),
+        (lambda a: _mutant(a, "pops", 1, host_capacity_ram_gb=0.0),
+         ["PoP pop-agg-industrial: host capacity must be positive"]),
+        (lambda a: _mutant(a, "links", 0, latency_ms=0.0),
+         ["link pop-agg-city-center-pop-edge-1: latency must be positive"]),
+        (lambda a: _mutant(a, "links", 0, b="pop-nowhere"),
+         ["link endpoint pop-nowhere is not a PoP"]),
+        (lambda a: _mutant(a, "rus", 0, location=dataclasses.replace(a.rus[0].location, region_id="mars")),
+         ["RU ru-cc-01: unknown region mars", "cell site cs-cc-01 (city-center) hosts no RU"]),
+        (lambda a: _mutant(a, "rus", 0, location=dataclasses.replace(a.rus[0].location, cell_site="cs-ind-01")),
+         ["RU ru-cc-01: cell site cs-ind-01 not in its region", "cell site cs-cc-01 (city-center) hosts no RU"]),
+        (lambda a: _mutant(a, "rus", 0, connection_tech=FronthaulTech.CPRI),
+         ["RU ru-cc-01: connection tech CPRI differs from region fronthaul ECPRI"]),
+    ], ids=["region-area", "region-without-sites", "site-in-two-regions", "aggregation-pop-tier",
+            "host-capacity", "link-latency", "link-endpoint", "ru-unknown-region", "ru-site-outside-region",
+            "ru-tech"])
+    def test_each_rule_on_a_single_field_mutant(self, area, mutate, expected):
+        assert check_area(mutate(area)) == expected
+
+
+def _mutant(area: DeploymentArea, collection: str, index: int, **changes) -> DeploymentArea:
+    """``area`` with fields of one region, PoP, link or RU replaced."""
+    items = list(getattr(area, collection))
+    items[index] = dataclasses.replace(items[index], **changes)
+    return dataclasses.replace(area, **{collection: tuple(items)})
+
 
 class TestAreaIndex:
     def test_one_search_per_source_pop(self, monkeypatch):
