@@ -204,6 +204,11 @@ def _cu_subsets(cu_vnfd: CuVnfd) -> tuple[int, list[IlSubset]]:
     ]
     if not caps:
         raise PlannerError("NO_MATCHING_SUBSET", "CU VNFD defines no CU instantiation levels")
+    if max(caps) < 1:  # both solvers need a CU to take at least one DU
+        raise PlannerError(
+            "NO_MATCHING_SUBSET",
+            f"CU VNFD {cu_vnfd.descriptor_id} has no CU level that serves a DU (largest max_dus {max(caps)})",
+        )
     keyed = [s for s in subsets if isinstance(s.key, CuSubsetKey)]
     return max(caps), sorted(keyed, key=lambda s: (s.key.min_dus, s.key.max_dus))
 

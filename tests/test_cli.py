@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -222,6 +223,37 @@ def test_plan_on_an_unvalidated_catalog_is_a_diagnostic(doc_files, tmp_path, cap
     code = cli_main(["plan", str(doc_files["request"]), str(doc_files["topology"]), str(path)])
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (1, "", f"error: {message}\n")
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+
+@pytest.mark.parametrize("max_dus, solver_limit", [(0, None), (-1, None), (0, 0)],
+                         ids=["zero", "negative", "zero-greedy"])
+def test_plan_with_cu_levels_that_serve_no_du(doc_files, tmp_path, max_dus, solver_limit):
+    # A child process under a time and memory limit, so a solver that never
+    # stops fails the test instead of filling the host's memory.
+    raw = json.loads(doc_files["catalog"].read_text())
+    for subset in raw["body"]["cu_vnfds"][0]["flavors"][0]["il_subsets"]:
+        for level in subset["levels"]:
+            level["role"]["max_dus"] = max_dus
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(raw))
+    argv = ["plan", str(doc_files["request"]), str(doc_files["topology"]), str(catalog)]
+    if solver_limit is not None:
+        config = tmp_path / "config.json"
+        config.write_text(serialize_document(envelope_for(PlannerConfig(exact_solver_limit=solver_limit))))
+        argv += ["--config", str(config)]
+    src = str(Path(ranslicer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-m", "ranslicer", *argv], capture_output=True, text=True,
+                            env=env, timeout=10, preexec_fn=_limit_memory)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        "error: NO_MATCHING_SUBSET (stage assign_dus_to_cus): CU VNFD vnfd-cu-v1 has no CU level "
+        f"that serves a DU (largest max_dus {max_dus})\n"
+    )
 
 
 def test_config_is_a_plan_option_only(doc_files, tmp_path, capsys):
