@@ -14,7 +14,7 @@ from .io import (
 from .model import Catalog, RadioConfig, RanNsst, SliceRequirements, SNssai, Sst
 from .planner import PlannerConfig, SlicePlan, plan_slice, select_il_for_traffic, verify_plan
 from .radio import ProfilerPolicy, build_ran_nsst, default_policy
-from .topology import DeploymentArea, fronthaul_techs, pop_latency, reference_area, select_rus
+from .topology import DeploymentArea, pop_latency, reference_area, select_rus
 from .validate import Violation, validate_catalog
 
 __version__ = "0.1.0"
@@ -44,7 +44,6 @@ __all__ = [
     "cli_main",
     "default_policy",
     "emit_onboarding_bundle",
-    "fronthaul_techs",
     "parse_document",
     "plan_slice",
     "pop_latency",

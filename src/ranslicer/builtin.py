@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from .model import (
     CITY_CENTER,
+    CU_SPLIT_OPTION,
     INDUSTRIAL,
+    SPLIT_FOR_TECH,
     SUBURBAN,
     Catalog,
     CuIlCapacity,
@@ -148,8 +150,8 @@ def _builtin_du_vnfd() -> DuVnfd:
     return DuVnfd(
         DU_VNFD_ID,
         flavors=(
-            Flavor(1, frozenset({_ECPRI}), split_option=7, il_subsets=ecpri_subsets),
-            Flavor(2, frozenset({_CPRI}), split_option=8, il_subsets=cpri_subsets),
+            Flavor(1, frozenset({_ECPRI}), split_option=SPLIT_FOR_TECH[_ECPRI], il_subsets=ecpri_subsets),
+            Flavor(2, frozenset({_CPRI}), split_option=SPLIT_FOR_TECH[_CPRI], il_subsets=cpri_subsets),
         ),
     )
 
@@ -173,7 +175,7 @@ def _builtin_cu_vnfd() -> CuVnfd:
             ),
         ),
     )
-    return CuVnfd(CU_VNFD_ID, flavors=(Flavor(1, frozenset(), split_option=2, il_subsets=subsets),))
+    return CuVnfd(CU_VNFD_ID, flavors=(Flavor(1, frozenset(), split_option=CU_SPLIT_OPTION, il_subsets=subsets),))
 
 
 def _cu_ref(il_id: str) -> VnfIlRef:
@@ -192,7 +194,6 @@ def _gnb_level(il_id: str, vcpu: int, ghz: float, ram: float, cu_ref: VnfIlRef,
 
 
 def _builtin_gnb_nsd() -> GnbNsd:
-    # eCPRI DU flavor is 1, CPRI DU flavor is 2 (split options 7 and 8).
     flavor1 = Flavor(
         1,
         frozenset({_CPRI}),

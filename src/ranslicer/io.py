@@ -101,7 +101,6 @@ class SliceRequest:
 class DocumentEnvelope:
     kind: str
     body: object
-    schema_version: str = SCHEMA_VERSION
 
 
 _BODY_TYPES = {
@@ -464,7 +463,7 @@ def serialize_document(envelope: DocumentEnvelope) -> str:
     if envelope.kind not in _BODY_TYPES:
         raise DocumentError("UNKNOWN_KIND", f"unknown document kind {envelope.kind!r}")
     return canonical_json({
-        "schema_version": envelope.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "kind": envelope.kind,
         "body": _codec(_BODY_TYPES[envelope.kind]).encode(envelope.body),
     })

@@ -33,6 +33,24 @@ class FronthaulTech(Enum):
     ECPRI = "ECPRI"
 
 
+# The descriptor set's fixed flavor rules: catalogs must honour them and
+# planning keys off them.  gNB NSD flavor id -> the fronthaul techs it spans.
+GNB_FLAVOR_TECHS: dict[int, frozenset[FronthaulTech]] = {
+    1: frozenset({FronthaulTech.CPRI}),
+    2: frozenset({FronthaulTech.ECPRI}),
+    3: frozenset({FronthaulTech.CPRI, FronthaulTech.ECPRI}),
+}
+
+# DU-RU split option of the DU flavor for each fronthaul technology.
+SPLIT_FOR_TECH: dict[FronthaulTech, int] = {
+    FronthaulTech.ECPRI: 7,
+    FronthaulTech.CPRI: 8,
+}
+
+# CU-DU split option of the CU VNFD's single flavor.
+CU_SPLIT_OPTION = 2
+
+
 class BandRange(Enum):
     SUB6_450_6000 = "SUB6_450_6000"
     MMWAVE_24250_52600 = "MMWAVE_24250_52600"
@@ -293,8 +311,8 @@ class Flavor:
 
     gNB NSD and DU VNFD flavors are keyed by fronthaul technology; the CU
     VNFD's single flavor is keyed by the CU-DU split marker instead.
-    ``split_option`` is 7/8 for DU flavors, 2 for the CU flavor, None for
-    gNB NSD flavors.
+    ``split_option`` is ``SPLIT_FOR_TECH`` of the tech for DU flavors,
+    ``CU_SPLIT_OPTION`` for the CU flavor, None for gNB NSD flavors.
     """
 
     flavor_id: int
@@ -372,9 +390,6 @@ class Catalog:
             if d.descriptor_id == descriptor_id:
                 return d
         return None
-
-    def nssts_for(self, sst: Sst) -> tuple[RanNsst, ...]:
-        return tuple(sorted((t for t in self.nssts if t.s_nssai.sst is sst), key=lambda t: t.nsst_id))
 
     @cached_property
     def _rus_by_id(self) -> dict[str, RuPnfd]:

@@ -4,7 +4,9 @@ Implements the planning procedure a slice-subnet manager runs per
 request: select covering RUs, pick the gNB NSD flavor from the fronthaul
 technologies in play, dimension DUs per region, distribute the DUs over
 the minimum number of CUs subject to the CU-DU transport-latency budget,
-and look up the gNB NSD IL subset matching the resulting layout.
+and look up the gNB NSD IL subset matching the resulting layout.  The
+flavor rules are ``model.GNB_FLAVOR_TECHS`` for the gNB flavor and
+``model.SPLIT_FOR_TECH``, by whose split option each DU flavor is named.
 
 CU minimization is solved exactly on small instances (slot-multiset
 enumeration over edge PoPs plus bipartite matching) and by a first-fit
@@ -22,6 +24,8 @@ from enum import Enum
 
 from .errors import PlannerError, RanSliceError, TopologyError
 from .model import (
+    GNB_FLAVOR_TECHS,
+    SPLIT_FOR_TECH,
     Catalog,
     CuIlCapacity,
     CuSubsetKey,
@@ -42,7 +46,6 @@ from .model import (
 )
 from .radio import ProfilerPolicy, area_load_mbps, build_ran_nsst, default_policy
 from .topology import DeploymentArea, PopTier, Region, pop_latency, select_rus
-from .validate import GNB_FLAVOR_TECHS
 
 
 class DuFlavor(Enum):
@@ -52,10 +55,7 @@ class DuFlavor(Enum):
     SPLIT8_CPRI = "SPLIT8_CPRI"
 
 
-DU_FLAVOR_FOR_TECH = {
-    FronthaulTech.ECPRI: DuFlavor.SPLIT7_ECPRI,
-    FronthaulTech.CPRI: DuFlavor.SPLIT8_CPRI,
-}
+DU_FLAVOR_FOR_TECH = {tech: DuFlavor(f"SPLIT{split}_{tech.value}") for tech, split in SPLIT_FOR_TECH.items()}
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,13 @@ class SlicePlan:
     gnbs: tuple[GnbPlan, ...]
     selected_rus: tuple[str, ...]
     offered_load_mbps: tuple[tuple[str, float], ...]
+
+
+def _first_descriptors(catalog: Catalog) -> tuple[GnbNsd | None, CuVnfd | None, DuVnfd | None]:
+    """The catalog's first gNB NSD, CU VNFD and DU VNFD by descriptor id; None for a kind it lacks."""
+    def first(docs):
+        return min(docs, key=lambda d: d.descriptor_id, default=None)
+    return first(catalog.gnb_nsds), first(catalog.cu_vnfds), first(catalog.du_vnfds)
 
 
 def select_gnb_flavor(techs: frozenset[FronthaulTech]) -> int:
@@ -454,13 +461,11 @@ def plan_slice(
     """
     config = config or PlannerConfig()
     policy = policy or default_policy()
-    if not catalog.gnb_nsds:
+    gnb_nsd, cu_vnfd, du_vnfd = _first_descriptors(catalog)
+    if gnb_nsd is None:
         raise PlannerError("NO_MATCHING_SUBSET", "catalog has no gNB NSD", stage="plan_slice")
-    gnb_nsd = sorted(catalog.gnb_nsds, key=lambda d: d.descriptor_id)[0]
-    if not catalog.du_vnfds or not catalog.cu_vnfds:
+    if cu_vnfd is None or du_vnfd is None:
         raise PlannerError("NO_MATCHING_SUBSET", "catalog lacks CU or DU VNFDs", stage="plan_slice")
-    du_vnfd = sorted(catalog.du_vnfds, key=lambda d: d.descriptor_id)[0]
-    cu_vnfd = sorted(catalog.cu_vnfds, key=lambda d: d.descriptor_id)[0]
 
     nsst = _staged(
         "build_ran_nsst", build_ran_nsst, requirements, sst, gnb_nsd.descriptor_id, policy, sd=sd
@@ -532,8 +537,7 @@ def verify_plan(
     """
     config = config or PlannerConfig()
     problems: list[str] = []
-    cu_vnfd = min(catalog.cu_vnfds, key=lambda d: d.descriptor_id, default=None)
-    du_vnfd = min(catalog.du_vnfds, key=lambda d: d.descriptor_id, default=None)
+    _, cu_vnfd, du_vnfd = _first_descriptors(catalog)
     nsd = catalog.gnb_nsd(plan.nsst.nsd_ref)
     if nsd is None:
         problems.append(f"gNB NSD {plan.nsst.nsd_ref!r} not in catalog")

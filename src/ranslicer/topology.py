@@ -1,8 +1,7 @@
 """Deployment-area model: regions, cell sites, RUs, PoPs and transport links.
 
-The area answers the three queries planning needs: which RUs cover a set
-of regions, which fronthaul technologies those regions run, and the
-minimal transport latency between two PoPs.  Areas are immutable once
+The area answers the two queries planning needs: which RUs cover a set
+of regions, and the minimal transport latency between two PoPs.  Areas are immutable once
 loaded; all queries are read-only.
 
 Lookups are indexed on first use and memoised per area object: the
@@ -170,22 +169,13 @@ def load_area(area: DeploymentArea) -> DeploymentArea:
     return area
 
 
-def _require_regions(area: DeploymentArea, target_regions) -> list[Region]:
-    unknown = sorted(set(target_regions) - {r.region_id for r in area.regions})
-    if unknown:
-        raise TopologyError("UNKNOWN_REGION", f"unknown region(s): {', '.join(unknown)}")
-    return [area.region(rid) for rid in sorted(set(target_regions))]
-
-
 def select_rus(area: DeploymentArea, target_regions) -> list[RuPnfd]:
     """All RUs covering the target regions, sorted by RU id."""
-    regions = {r.region_id for r in _require_regions(area, target_regions)}
+    regions = set(target_regions)
+    unknown = sorted(regions - {r.region_id for r in area.regions})
+    if unknown:
+        raise TopologyError("UNKNOWN_REGION", f"unknown region(s): {', '.join(unknown)}")
     return sorted((ru for ru in area.rus if ru.location.region_id in regions), key=lambda r: r.ru_id)
-
-
-def fronthaul_techs(area: DeploymentArea, target_regions) -> frozenset[FronthaulTech]:
-    """Union of fronthaul technologies over the target regions."""
-    return frozenset(r.fronthaul_tech for r in _require_regions(area, target_regions))
 
 
 def _shortest_paths(links: tuple[TransportLink, ...], source: str) -> dict[str, float]:

@@ -11,6 +11,8 @@ IL subset -> level), so one walker, ``_check_descriptor``, visits each of
 them once and applies the shared rules.  The ``_KINDS`` table holds what
 differs per descriptor type: flavor count, subset-key type and noun, IL
 role type and its count field, and hooks for the kind's own rules.
+``flavor-tech-mapping`` checks flavors against the fixed flavor rules in
+``ranslicer.model`` (``GNB_FLAVOR_TECHS``, ``SPLIT_FOR_TECH``, ``CU_SPLIT_OPTION``).
 
 Rule ids:
 
@@ -39,6 +41,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .model import (
+    CU_SPLIT_OPTION,
+    GNB_FLAVOR_TECHS,
+    SPLIT_FOR_TECH,
     Catalog,
     CuIlCapacity,
     CuSubsetKey,
@@ -65,23 +70,6 @@ class Violation:
     path: str
     rule: str
     message: str
-
-
-# Fixed flavor-id semantics for the gNB NSD (paperless catalogs must still
-# honour these; planning keys off them).
-GNB_FLAVOR_TECHS: dict[int, frozenset[FronthaulTech]] = {
-    1: frozenset({FronthaulTech.CPRI}),
-    2: frozenset({FronthaulTech.ECPRI}),
-    3: frozenset({FronthaulTech.CPRI, FronthaulTech.ECPRI}),
-}
-
-# DU-RU split option implied by the fronthaul technology.
-SPLIT_FOR_TECH: dict[FronthaulTech, int] = {
-    FronthaulTech.ECPRI: 7,
-    FronthaulTech.CPRI: 8,
-}
-
-CU_SPLIT_OPTION = 2
 
 
 def validate_catalog(catalog: Catalog, area: "DeploymentArea | None" = None) -> list[Violation]:

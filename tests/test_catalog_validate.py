@@ -30,10 +30,10 @@ def test_builtin_catalog_is_clean(catalog, area):
 def test_builtin_template_values(catalog):
     from ranslicer.model import Sst
 
-    embb = catalog.nssts_for(Sst.EMBB)[0]
+    embb = next(t for t in catalog.nssts if t.s_nssai.sst is Sst.EMBB)
     assert embb.radio_config.numerology_mu == 2
     assert embb.nsd_ref == "nsd-gnb-v1"
-    mmtc = catalog.nssts_for(Sst.MMTC)[0]
+    mmtc = next(t for t in catalog.nssts if t.s_nssai.sst is Sst.MMTC)
     assert mmtc.radio_config.five_qi.id == 4
     assert mmtc.radio_config.five_qi.packet_delay_budget_ms == 300.0
 

@@ -1,5 +1,5 @@
 """Deployment-area queries: RU coverage, fronthaul techs, PoP latency,
-and the per-area lookup indexes behind them."""
+the area checks, and the per-area lookup indexes behind them."""
 
 import dataclasses
 import itertools
@@ -22,7 +22,6 @@ from ranslicer.topology import (
     PopTier,
     TransportLink,
     check_area,
-    fronthaul_techs,
     pop_latency,
     reference_area,
     select_rus,
@@ -61,13 +60,6 @@ class TestSelectRus:
 
 
 class TestFronthaulTechs:
-    def test_reference_regions(self, area):
-        assert fronthaul_techs(area, ["suburban"]) == {FronthaulTech.CPRI}
-        assert fronthaul_techs(area, ["city-center"]) == {FronthaulTech.ECPRI}
-        assert fronthaul_techs(area, ["city-center", "industrial", "suburban"]) == {
-            FronthaulTech.CPRI, FronthaulTech.ECPRI,
-        }
-
     def test_ru_tech_matches_region(self, area):
         for ru in area.rus:
             assert ru.connection_tech is area.region(ru.location.region_id).fronthaul_tech
