@@ -1,8 +1,8 @@
 """Deployment-area model: regions, cell sites, RUs, PoPs and transport links.
 
 The area answers the two queries planning needs: which RUs cover a set
-of regions, and the minimal transport latency between two PoPs.  Areas are immutable once
-loaded; all queries are read-only.
+of regions, and the minimal transport latency between two PoPs.  Areas
+are immutable once loaded; all queries are read-only.
 
 Lookups are indexed on first use and memoised per area object: the
 region-id, PoP-id and RU-id indexes (the first entry wins on duplicate ids,

@@ -187,7 +187,7 @@ def test_config_flag_rejects_other_document_kinds(doc_files, capsys):
                        "PLANNER_CONFIG, found CATALOG\n")
 
 
-def test_paper_example_reports_each_mismatch(monkeypatch, capsys):
+def test_paper_example_reports_a_mismatch(monkeypatch, capsys):
     embb, *rest = cli._EXPECTED
     monkeypatch.setattr(cli, "_EXPECTED", (dataclasses.replace(embb, mu=3), *rest))
     assert cli_main(["paper-example"]) == 1
