@@ -20,6 +20,7 @@ import docgen
 from ranslicer.builtin import builtin_catalog
 from ranslicer.errors import DocumentError
 from ranslicer.io import (
+    DocumentEnvelope,
     SliceRequest,
     _Text,
     canonical_json,
@@ -319,12 +320,21 @@ class TestStrictParsing:
             parse_document(text)
         assert err.value.code == "PARSE_ERROR"
         assert err.value.line is not None and err.value.column is not None
+        with pytest.raises(DocumentError) as err:
+            parse_document("{")
+        assert str(err.value) == "PARSE_ERROR: Expecting property name enclosed in double quotes at line 1, column 2"
 
     def test_unknown_envelope_field(self):
         with pytest.raises(DocumentError) as err:
             parse_document('{"schema_version": "1.0.0", "kind": "PLANNER_CONFIG", "body": {}, "x": 1}')
         assert err.value.code == "PARSE_ERROR"
         assert "x" in str(err.value)
+
+    def test_missing_envelope_field(self):
+        with pytest.raises(DocumentError) as err:
+            parse_document('{"schema_version": "1.0.0", "kind": "PLANNER_CONFIG"}')
+        assert (err.value.code, err.value.path, err.value.args[0]) == (
+            "PARSE_ERROR", "$", "missing envelope field(s): body")
 
     def test_unsupported_version(self):
         with pytest.raises(DocumentError) as err:
@@ -339,6 +349,9 @@ class TestStrictParsing:
             with pytest.raises(DocumentError) as err:
                 parse_document(f'{{"schema_version": "1.0.0", "kind": {kind}, "body": {{}}}}')
             assert (err.value.code, err.value.args[0]) == ("UNKNOWN_KIND", f"unknown document kind {kind}")
+        with pytest.raises(DocumentError) as err:
+            serialize_document(DocumentEnvelope("NOPE", PlannerConfig()))
+        assert str(err.value) == "UNKNOWN_KIND: unknown document kind 'NOPE'"
 
     def test_kind_body_mismatch_is_a_shape_diagnostic(self, area):
         topology_body = json.loads(serialize_document(envelope_for(area)))["body"]
@@ -667,6 +680,18 @@ _DIAGNOSTIC_CASES = {
     "threshold-pair-item": (
         "PROFILER_POLICY", ("latency_to_mu_thresholds", 0, 1), 1.5,
         ("PARSE_ERROR", "body.latency_to_mu_thresholds[0]", "expected an integer"),
+    ),
+    "request-negative-mobility": (
+        "SLICE_REQUEST", ("requirements", "max_mobility_kmh"), -1,
+        ("PARSE_ERROR", "body.requirements", "mobility must be non-negative"),
+    ),
+    "request-negative-throughput": (
+        "SLICE_REQUEST", ("requirements", "throughput_ul_mbps"), -1,
+        ("PARSE_ERROR", "body.requirements", "throughputs must be non-negative"),
+    ),
+    "request-zero-ue-density": (
+        "SLICE_REQUEST", ("requirements", "ue_density_per_km2"), 0,
+        ("PARSE_ERROR", "body.requirements", "UE density must be positive"),
     ),
     "sst-out-of-range": (
         "SLICE_REQUEST", ("sst",), 4,
