@@ -532,8 +532,10 @@ def verify_plan(
     of its NSD flavor's, and some level of the gNB's must reference the
     CU's and each DU's.  The VNFDs are
     the catalog's first by descriptor id, as plan_slice picks them; the NSD
-    is the one the plan's NSST references.  Without an area, only the facts
-    that need none are checked, with coverage against the catalog's RUs.
+    is the one the plan's NSST references.  Coverage is checked against the
+    area's RUs, which plan_slice selects (the catalog's for an id the area
+    lacks).  Without an area, only the facts that need none are checked,
+    with coverage against the catalog's RUs.
     """
     config = config or PlannerConfig()
     problems: list[str] = []
@@ -656,7 +658,7 @@ def verify_plan(
             )
     ru_sites: set[str] = set()
     for ru_id in plan.selected_rus:
-        ru = catalog.ru(ru_id) or (area.ru(ru_id) if area is not None else None)
+        ru = (area.ru(ru_id) if area is not None else None) or catalog.ru(ru_id)
         if ru is None:
             problems.append(f"selected RU {ru_id} not found")
             continue

@@ -31,6 +31,7 @@ tech-not-permitted   referenced DU flavor tech outside the gNB flavor
 gnb-il-capacity      declared gNB IL capacity exceeds CU/DU backing
 duplicate-id         document or IL identifier used twice
 unknown-region       RU names a region absent from the deployment area
+ru-site-mismatch     RU cell site is not one of its region's sites
 ru-tech-mismatch     RU connection tech differs from its region's
 ==================== =====================================================
 """
@@ -75,9 +76,9 @@ class Violation:
 def validate_catalog(catalog: Catalog, area: "DeploymentArea | None" = None) -> list[Violation]:
     """Return all invariant violations in ``catalog``; empty means valid.
 
-    RU-versus-region technology checks need topology context and run only
-    when ``area`` is given (the CLI passes it for ``validate <catalog>
-    <topology>``).
+    RU-versus-region site and technology checks need topology context and
+    run only when ``area`` is given (the CLI passes it for ``validate
+    <catalog> <topology>``).
     """
     report: list[Violation] = []
     _check_duplicate_ids(catalog, report)
@@ -295,7 +296,11 @@ def _check_rus(catalog: Catalog, area: "DeploymentArea", report: list[Violation]
         if region is None:
             report.append(Violation(ru.ru_id, "location.region_id", "unknown-region",
                                     f"region {ru.location.region_id!r} not in deployment area"))
-        elif ru.connection_tech is not region.fronthaul_tech:
+            continue
+        if ru.location.cell_site not in region.cell_sites:
+            report.append(Violation(ru.ru_id, "location.cell_site", "ru-site-mismatch",
+                                    f"cell site {ru.location.cell_site!r} not in region {region.region_id}"))
+        if ru.connection_tech is not region.fronthaul_tech:
             report.append(Violation(ru.ru_id, "connection_tech", "ru-tech-mismatch",
                                     f"RU uses {ru.connection_tech.value} but region "
                                     f"{region.region_id} runs {region.fronthaul_tech.value}"))

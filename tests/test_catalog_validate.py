@@ -489,6 +489,14 @@ EXACT_REPORTS = {
             ("ru-cc-01", "location.region_id", "unknown-region", "region 'atlantis' not in deployment area"),
         ],
     ),
+    "ru-site-outside-region": (
+        lambda c: dataclasses.replace(c, ru_pnfds=(dataclasses.replace(
+            c.ru_pnfds[0], location=dataclasses.replace(c.ru_pnfds[0].location, cell_site="x")),)
+            + c.ru_pnfds[1:]),
+        [
+            ("ru-cc-01", "location.cell_site", "ru-site-mismatch", "cell site 'x' not in region city-center"),
+        ],
+    ),
     "ru-flipped-tech": (
         lambda c: dataclasses.replace(c, ru_pnfds=(dataclasses.replace(
             c.ru_pnfds[0], connection_tech=FronthaulTech.CPRI),) + c.ru_pnfds[1:]),

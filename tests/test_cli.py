@@ -225,6 +225,28 @@ def test_plan_on_an_unvalidated_catalog_is_a_diagnostic(doc_files, tmp_path, cap
     assert (code, out.out, out.err) == (1, "", f"error: {message}\n")
 
 
+def test_catalog_ru_on_another_site_than_the_areas(doc_files, tmp_path, capsys):
+    raw = json.loads(doc_files["catalog"].read_text())
+    raw["body"]["ru_pnfds"][0]["location"]["cell_site"] = "x"
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(raw))
+    code = cli_main(["validate", str(catalog), str(doc_files["topology"])])
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert out.err == ("ru-cc-01: [ru-site-mismatch] cell site 'x' not in region city-center (location.cell_site)\n"
+                       "1 violation(s)\n")
+    plan = tmp_path / "plan.json"
+    code = cli_main(["plan", str(doc_files["request"]), str(doc_files["topology"]), str(catalog), "--out", str(plan)])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (0, "", "")
+    assert plan.read_text() == (Path(__file__).parent / "data" / "plan_embb.json").read_text()
+    code = cli_main(["emit", str(plan), str(catalog), "--out-dir", str(tmp_path / "bundle")])
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert out.err == ("error: DANGLING_PLAN_REFERENCE: cell sites of selected RUs not served: x; "
+                       "served cell sites without a selected RU: cs-cc-01\n")
+
+
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
 

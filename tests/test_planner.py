@@ -936,6 +936,19 @@ def test_verifier_single_mutation_exact_report(name, catalog, area, requests):
     assert verify_plan(mutate(plan), area, catalog) == expected
 
 
+def test_verifier_takes_the_areas_ru_over_the_catalogs(catalog, area, requests):
+    """plan_slice selects the area's RUs, so with an area coverage is checked
+    against those; without one, against the catalog's."""
+    ru = catalog.ru_pnfds[0]
+    moved = dataclasses.replace(catalog, ru_pnfds=(
+        dataclasses.replace(ru, location=dataclasses.replace(ru.location, cell_site="x")),) + catalog.ru_pnfds[1:])
+    plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, catalog)
+    assert plan_slice(requests[Sst.EMBB], Sst.EMBB, area, moved) == plan
+    assert verify_plan(plan, area, moved) == []
+    assert verify_plan(plan, None, moved) == [
+        "cell sites of selected RUs not served: x", "served cell sites without a selected RU: cs-cc-01"]
+
+
 # Without an area the checks that need one drop out; every other case reports as with one.
 WITHOUT_AREA = {
     "unknown-region": ["region city-center: no DU carries its 5000 Mbps offered load"],
