@@ -351,10 +351,7 @@ def cli_main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except RanSliceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (RanSliceError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
