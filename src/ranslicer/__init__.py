@@ -5,7 +5,6 @@ from .cli import cli_main
 from .errors import DocumentError, PlannerError, ProfilerError, RanSliceError, TopologyError
 from .io import (
     DocumentEnvelope,
-    OnboardingBundle,
     SliceRequest,
     emit_onboarding_bundle,
     parse_document,
@@ -24,7 +23,6 @@ __all__ = [
     "DeploymentArea",
     "DocumentEnvelope",
     "DocumentError",
-    "OnboardingBundle",
     "PlannerConfig",
     "PlannerError",
     "ProfilerError",

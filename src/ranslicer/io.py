@@ -40,6 +40,10 @@ Each codec is built on first use and cached, so type hints are resolved
 once per class, not per value.  Error paths are built only when a decode
 fails: a decoder takes just the JSON value, and each enclosing object or
 array catches a PARSE_ERROR on its way out and prepends ``.key`` or ``[i]``.
+
+The onboarding bundle is just its files: ``emit_onboarding_bundle``
+returns a dict of file name -> canonical text, and ``write_bundle`` writes
+each file atomically.
 """
 
 from __future__ import annotations
@@ -594,21 +598,15 @@ def write_atomic(path: str | Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 # onboarding bundle
 
-@dataclass(frozen=True)
-class OnboardingBundle:
-    """Rendered files for the orchestrator hand-off, keyed by file name."""
-
-    files: dict[str, str]
-    manifest: dict
-
-
 def _dangling(message: str) -> DocumentError:
     return DocumentError("DANGLING_PLAN_REFERENCE", message)
 
 
-def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundle:
-    """Assemble the descriptor excerpts and the flavor/IL manifest a plan
-    hands to the orchestrator.
+def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> dict[str, str]:
+    """The files a plan hands to the orchestrator, by file name: the
+    flavor/IL manifest, the selected RUs' PNFDs, and an excerpt of the gNB
+    NSD and of each VNFD the gNB levels reference, cut down to the flavors
+    the plan uses.
 
     The plan is first re-verified against the catalog alone, by
     ``verify_plan`` without an area; its problems, joined by "; ", fail
@@ -668,41 +666,33 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> OnboardingBundl
                 "rus": gnb_rus,
             }
         )
-    pnfds = [_codec(RuPnfd).encode(ru) for ru in rus]
-    manifest = {
-        "s_nssai": _codec(SNssai).encode(plan.s_nssai),
-        "nsst_ref": plan.nsst_ref,
-        "radio_config": _codec(RadioConfig).encode(plan.nsst.radio_config),
-        "offered_load_mbps": dict(plan.offered_load_mbps),
-        "gnbs": manifest_gnbs,
+    files = {
+        "manifest.json": canonical_json({
+            "s_nssai": _codec(SNssai).encode(plan.s_nssai),
+            "nsst_ref": plan.nsst_ref,
+            "radio_config": _codec(RadioConfig).encode(plan.nsst.radio_config),
+            "offered_load_mbps": dict(plan.offered_load_mbps),
+            "gnbs": manifest_gnbs,
+        }),
+        "pnfd-list.json": canonical_json([_codec(RuPnfd).encode(ru) for ru in rus]),
     }
-    files = {"manifest.json": canonical_json(manifest), "pnfd-list.json": canonical_json(pnfds)}
-    used_flavors = {
-        gnb.nsd_flavor_id for gnb in plan.gnbs
-    }
-    nsd_excerpt = {
-        "descriptor_id": nsd.descriptor_id,
-        "flavors": [_codec(Flavor).encode(f) for f in nsd.flavors if f.flavor_id in used_flavors],
-    }
-    files[f"nsd-{nsd.descriptor_id}.json"] = canonical_json(nsd_excerpt)
-    for vnfd_id in sorted(used_vnf_refs):
-        vnfd = catalog.vnfd(vnfd_id)  # every ref resolved above
-        excerpt = {
-            "descriptor_id": vnfd.descriptor_id,
-            "flavors": [
-                _codec(Flavor).encode(f) for f in vnfd.flavors if f.flavor_id in used_vnf_refs[vnfd_id]
-            ],
-        }
-        files[f"vnfd-{vnfd_id}.json"] = canonical_json(excerpt)
-    return OnboardingBundle(files=files, manifest=manifest)
+    excerpts = [("nsd", nsd, {gnb.nsd_flavor_id for gnb in plan.gnbs})]
+    excerpts += [("vnfd", catalog.vnfd(vnfd_id), used_vnf_refs[vnfd_id])  # every ref resolved above
+                 for vnfd_id in sorted(used_vnf_refs)]
+    for prefix, descriptor, flavor_ids in excerpts:
+        files[f"{prefix}-{descriptor.descriptor_id}.json"] = canonical_json({
+            "descriptor_id": descriptor.descriptor_id,
+            "flavors": [_codec(Flavor).encode(f) for f in descriptor.flavors if f.flavor_id in flavor_ids],
+        })
+    return files
 
 
-def write_bundle(bundle: OnboardingBundle, out_dir: str | Path) -> list[Path]:
+def write_bundle(bundle: dict[str, str], out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name in sorted(bundle.files):
+    for name in sorted(bundle):
         target = out / name
-        write_atomic(target, bundle.files[name])
+        write_atomic(target, bundle[name])
         written.append(target)
     return written

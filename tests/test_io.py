@@ -249,12 +249,12 @@ def test_subset_text_is_reindented_wherever_it_is_met(area, requests, first):
         pinned = (DATA / f"plan_{name}.json").read_text()
         bundle = {path.name: path.read_text() for path in (DATA / f"bundle_{name}").iterdir()}
         if first == "bundle":
-            assert emit_onboarding_bundle(plan, catalog).files == bundle, name
+            assert emit_onboarding_bundle(plan, catalog) == bundle, name
         assert [serialize_document(envelope_for(plan)) for _ in range(2)] == [pinned] * 2, name
         parsed = parse_document(pinned).body
         assert [serialize_document(envelope_for(parsed)) for _ in range(2)] == [pinned] * 2, name
-        assert emit_onboarding_bundle(plan, catalog).files == bundle, name
-        assert emit_onboarding_bundle(parsed, catalog).files == bundle, name
+        assert emit_onboarding_bundle(plan, catalog) == bundle, name
+        assert emit_onboarding_bundle(parsed, catalog) == bundle, name
 
 
 def test_written_subset_equals_a_never_written_copy(catalog):
@@ -388,7 +388,7 @@ class TestOnboardingBundle:
     def test_mmtc_bundle_names_flavor_3_and_the_triple(self, catalog, area, requests):
         plan = plan_slice(requests[Sst.MMTC], Sst.MMTC, area, catalog)
         bundle = emit_onboarding_bundle(plan, catalog)
-        entry = bundle.manifest["gnbs"][0]
+        entry = json.loads(bundle["manifest.json"])["gnbs"][0]
         assert entry["flavor_id"] == 3
         assert entry["il_subset_key"]["served_regions"] == [
             ["CITY_CENTER", "ECPRI"], ["INDUSTRIAL", "ECPRI"], ["SUBURBAN", "CPRI"],
@@ -398,7 +398,7 @@ class TestOnboardingBundle:
         assert all(d["vnfd_ids"] == ["vnfd-du-v1"] for d in entry["dus"])
         assert entry["cu"]["vnfd_ids"] == ["vnfd-cu-v1"]
         assert sorted(entry["rus"]) == sorted(plan.selected_rus)
-        assert set(bundle.files) == {
+        assert set(bundle) == {
             "manifest.json", "pnfd-list.json", "nsd-nsd-gnb-v1.json",
             "vnfd-vnfd-cu-v1.json", "vnfd-vnfd-du-v1.json",
         }
@@ -406,9 +406,10 @@ class TestOnboardingBundle:
     def test_embb_bundle_names_flavor_2(self, catalog, area, requests):
         plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, catalog)
         bundle = emit_onboarding_bundle(plan, catalog)
-        assert bundle.manifest["gnbs"][0]["flavor_id"] == 2
-        assert bundle.manifest["radio_config"]["numerology_mu"] == 2
-        nsd_excerpt = json.loads(bundle.files["nsd-nsd-gnb-v1.json"])
+        manifest = json.loads(bundle["manifest.json"])
+        assert manifest["gnbs"][0]["flavor_id"] == 2
+        assert manifest["radio_config"]["numerology_mu"] == 2
+        nsd_excerpt = json.loads(bundle["nsd-nsd-gnb-v1.json"])
         assert [f["flavor_id"] for f in nsd_excerpt["flavors"]] == [2]
 
     def test_deleted_vnfd_is_dangling(self, catalog, area, requests):
@@ -518,7 +519,7 @@ class TestOnboardingBundle:
         extended = self._with_city_center_level(catalog, level)
         plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, extended)
         assert all(gnb.nsd_il_subset.levels[-1] is level for gnb in plan.gnbs)
-        manifest = emit_onboarding_bundle(plan, extended).manifest
+        manifest = json.loads(emit_onboarding_bundle(plan, extended)["manifest.json"])
         assert [gnb["cu"]["vnfd_ids"] for gnb in manifest["gnbs"]] == [["vnfd-cu-v1"]] * len(plan.gnbs)
         assert {tuple(du["vnfd_ids"]) for gnb in manifest["gnbs"] for du in gnb["dus"]} == {("vnfd-du-v1",)}
 
@@ -538,10 +539,10 @@ class TestOnboardingBundle:
         plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, catalog)
         bundle = emit_onboarding_bundle(plan, catalog)
         written = write_bundle(bundle, tmp_path / "bundle")
-        assert sorted(p.name for p in written) == sorted(bundle.files)
+        assert sorted(p.name for p in written) == sorted(bundle)
         for path in written:
             text = path.read_text()
-            assert text == bundle.files[path.name]
+            assert text == bundle[path.name]
             parsed = json.loads(text)
             assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == text
         assert not [p for p in (tmp_path / "bundle").iterdir() if p.name.startswith(".")]
