@@ -881,3 +881,109 @@ def test_wrong_typed_leaf_is_reported_at_its_path(kind, seed, data):
     with pytest.raises(DocumentError) as err:
         parse_document(json.dumps(raw))
     assert (err.value.code, err.value.path) == ("PARSE_ERROR", reported_at)
+
+
+# Faults at the leaves that the generated decoders check in place, written
+# into the reference documents as raw JSON text: (kind, location of the
+# fault inside the body, JSON text written there) and the exact
+# (code, path, message) the parser must report.
+_INLINE_LEAF_CASES = {
+    "true-in-int": (
+        "TOPOLOGY", ("pops", 0, "host_capacity", "vcpu"), "true",
+        ("PARSE_ERROR", "body.pops[0].host_capacity.vcpu", "expected an integer"),
+    ),
+    "false-in-int": (
+        "CATALOG", ("du_vnfds", 0, "flavors", 1, "il_subsets", 0, "levels", 1, "vm_spec", "vcpu_count"), "false",
+        ("PARSE_ERROR", "body.du_vnfds[0].flavors[1].il_subsets[0].levels[1].vm_spec.vcpu_count",
+         "expected an integer"),
+    ),
+    "true-in-float": (
+        "TOPOLOGY", ("links", 0, "latency_ms"), "true",
+        ("PARSE_ERROR", "body.links[0].latency_ms", "expected a number"),
+    ),
+    "float-in-int": (
+        "TOPOLOGY", ("pops", 1, "host_capacity", "vcpu"), "8.0",
+        ("PARSE_ERROR", "body.pops[1].host_capacity.vcpu", "expected an integer"),
+    ),
+    "nan": (
+        "TOPOLOGY", ("links", 0, "latency_ms"), "NaN",
+        ("PARSE_ERROR", "body.links[0].latency_ms", "numbers must be finite"),
+    ),
+    "infinity": (
+        "CATALOG", ("ru_pnfds", 3, "location", "x_km"), "Infinity",
+        ("PARSE_ERROR", "body.ru_pnfds[3].location.x_km", "numbers must be finite"),
+    ),
+    "minus-infinity": (
+        "PLANNER_CONFIG", ("cu_du_latency_budget_ms",), "-Infinity",
+        ("PARSE_ERROR", "body.cu_du_latency_budget_ms", "numbers must be finite"),
+    ),
+    "float-literal-beyond-range": (
+        "TOPOLOGY", ("links", 2, "latency_ms"), "1e999",
+        ("PARSE_ERROR", "body.links[2].latency_ms", "numbers must be finite"),
+    ),
+    "400-digit-integer-in-float": (
+        "CATALOG", ("ru_pnfds", 3, "location", "y_km"), "9" * 400,
+        ("PARSE_ERROR", "body.ru_pnfds[3].location.y_km", "numbers must be finite"),
+    ),
+    "array-in-enum": (
+        "CATALOG", ("ru_pnfds", 3, "connection_tech"), '["ECPRI"]',
+        ("PARSE_ERROR", "body.ru_pnfds[3].connection_tech", "expected one of 'CPRI', 'ECPRI', got ['ECPRI']"),
+    ),
+    "object-in-enum": (
+        "TOPOLOGY", ("pops", 0, "tier"), '{"EDGE": 1}',
+        ("PARSE_ERROR", "body.pops[0].tier", "expected one of 'AGGREGATION', 'EDGE', got {'EDGE': 1}"),
+    ),
+    "number-in-enum": (
+        "CATALOG", ("ru_pnfds", 3, "connection_tech"), "1",
+        ("PARSE_ERROR", "body.ru_pnfds[3].connection_tech", "expected one of 'CPRI', 'ECPRI', got 1"),
+    ),
+    "fault-in-nested-array-of-objects": (
+        "CATALOG", ("du_vnfds", 0, "flavors", 1, "il_subsets", 0, "levels", 1, "vm_spec", "cpu_ghz"), '"fast"',
+        ("PARSE_ERROR", "body.du_vnfds[0].flavors[1].il_subsets[0].levels[1].vm_spec.cpu_ghz",
+         "expected a number"),
+    ),
+    "string-in-nested-array-of-objects": (
+        "CATALOG", ("gnb_nsds", 0, "flavors", 2, "il_subsets", 1, "levels", 0, "role", "cu_il_ref", "vnfd_id"), "7",
+        ("PARSE_ERROR", "body.gnb_nsds[0].flavors[2].il_subsets[1].levels[0].role.cu_il_ref.vnfd_id",
+         "expected a string"),
+    ),
+}
+
+
+def _with_json_text(document: str, where: tuple, text: str) -> str:
+    """``document`` with the JSON ``text`` written at ``where`` in its body."""
+    raw = json.loads(document)
+    parent = raw["body"]
+    for step in where[:-1]:
+        parent = parent[step]
+    parent[where[-1]] = "\x00marker"
+    return json.dumps(raw).replace('"\\u0000marker"', text)
+
+
+@pytest.mark.parametrize("case", sorted(_INLINE_LEAF_CASES))
+def test_inline_leaf_faults(case, document_bodies):
+    kind, where, text, expected = _INLINE_LEAF_CASES[case]
+    with pytest.raises(DocumentError) as err:
+        parse_document(_with_json_text(document_bodies[kind], where, text))
+    assert (err.value.code, err.value.path, err.value.args[0]) == expected
+
+
+def test_integer_in_float_field_decodes_as_float(document_bodies):
+    text = _with_json_text(document_bodies["TOPOLOGY"], ("links", 0, "latency_ms"), "5")
+    area = parse_document(text).body
+    assert type(area.links[0].latency_ms) is float and area.links[0].latency_ms == 5.0
+    config = parse_document(_with_json_text(document_bodies["PLANNER_CONFIG"], ("cu_du_latency_budget_ms",), "5"))
+    assert type(config.body.cu_du_latency_budget_ms) is float
+    assert '"cu_du_latency_budget_ms": 5.0,' in serialize_document(config)
+    assert '"latency_ms": 5.0\n' in serialize_document(envelope_for(area))
+
+
+def test_decoded_objects_are_made_by_their_constructors(document_bodies):
+    # GnbSubsetKey.__post_init__ sorts served_regions.
+    where = ("gnb_nsds", 0, "flavors", 2, "il_subsets", 0, "key", "served_regions")
+    text = _with_json_text(document_bodies["CATALOG"], where,
+                           '[["SUBURBAN", "CPRI"], ["INDUSTRIAL", "ECPRI"], ["CITY_CENTER", "ECPRI"]]')
+    key = parse_document(text).body.gnb_nsds[0].flavors[2].il_subsets[0].key
+    assert key.served_regions == (("CITY_CENTER", FronthaulTech.ECPRI), ("INDUSTRIAL", FronthaulTech.ECPRI),
+                                  ("SUBURBAN", FronthaulTech.CPRI))
+    assert serialize_document(parse_document(text)) == document_bodies["CATALOG"]
