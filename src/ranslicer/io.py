@@ -12,7 +12,7 @@ ensure_ascii=True, allow_nan=False) + "\n"`` byte for byte.  An
 ``IlSubset`` (a plan cites the catalog's own subset objects many times) is
 written once per object: its canonical text, at depth 0, is kept on the
 object outside its fields, and the writer re-indents that text to the
-depth it meets the subset at.
+depth it meets the subset at, keeping the text of the last depth.
 
 A body is one of the model's frozen dataclasses, and a single codec maps
 every dataclass to JSON from its fields and their type hints.  Fields map
@@ -37,13 +37,17 @@ that rule:
   must be a valid S-NSSAI differentiator.
 
 Each codec is built on first use and cached, so type hints are resolved
-once per class, not per value.  Error paths are built only when a decode
-fails: a decoder takes just the JSON value, and each enclosing object or
-array catches a PARSE_ERROR on its way out and prepends ``.key`` or ``[i]``.
+once per class, not per value.  An object's decoder is generated from
+source on its first decode, as ``dataclasses`` generates ``__init__``: it
+checks ``str``, ``int`` and ``float`` fields in place, calls the other
+fields' decoders, and passes the values to the class's own constructor.
+Error paths are built only when a decode fails: a decoder takes just the
+JSON value, and each enclosing object or array catches a PARSE_ERROR on
+its way out and prepends ``.key`` or ``[i]``.
 
 The onboarding bundle is just its files: ``emit_onboarding_bundle``
 returns a dict of file name -> canonical text, and ``write_bundle`` writes
-each file atomically.
+each file atomically and removes the files of an older bundle.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import itertools
 import json
 import math
 import os
+import re
 import tempfile
 import typing
 from dataclasses import dataclass
@@ -62,7 +67,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import DocumentError
 from .model import (
@@ -188,30 +193,56 @@ def _valid_sd(request: SliceRequest) -> SliceRequest:
 # ---------------------------------------------------------------------------
 # the codec
 
-class _Codec(NamedTuple):
-    encode: Callable | None  # model value -> JSON value; None writes the value as it is
-    decode: Callable  # JSON value -> model value
+class _Codec:
+    """``encode``: model value -> JSON value, or None to write the value as it is.
+    ``decode``: JSON value -> model value; an object codec's is generated on its first decode."""
+
+    __slots__ = ("encode", "decode")
+
+    def __init__(self, encode: Callable | None, decode: Callable):
+        self.encode, self.decode = encode, decode
 
 
 def _itself(value):
     return value
 
 
-def _as_tuple(*values):
-    return values
+def _shape(value, keys: frozenset) -> None:
+    """Reject a value that is not an object with exactly ``keys``."""
+    if not isinstance(value, dict):
+        raise _fail(f"expected an object, got {type(value).__name__}")
+    if value.keys() != keys:
+        unknown = sorted(value.keys() - keys)
+        raise _fail(f"unknown field(s): {', '.join(unknown)}" if unknown
+                    else f"missing field(s): {', '.join(sorted(keys - value.keys()))}")
+
+
+def _fault(err: DocumentError | ValueError, key: str) -> typing.NoReturn:
+    """Re-raise an object decode's fault: the value's at ``key``, or ``make``'s at the object."""
+    if isinstance(err, DocumentError):
+        err.path = f".{key}{err.path}"
+        raise err
+    raise _fail(str(err)) from None
+
+
+# Decoders whose check a generated decoder makes in place: a test that the JSON value
+# read by ``{}`` into ``v`` is already the model value (a finite float minus itself
+# is 0.0).  A value that fails it goes to the decoder, which converts or rejects it.
+_INLINE = {_str: "(v := {}).__class__ is str", _int: "(v := {}).__class__ is int",
+           _num: "(v := {}).__class__ is float and not v - v"}
 
 
 def _object_codec(make, entries, tag: str | None = None) -> _Codec:
     """A JSON object with one key per entry, decoded into ``make(*values)``.
 
-    Entries are ``(key, get, codec, add)``: ``get`` reads the value to
-    encode, and ``add`` puts the decoded value into ``make``'s arguments
-    (``list.extend`` spreads a nested object over several fields).  A
-    ``ValueError`` from ``make`` is a diagnostic at the object's path.
+    Entries are ``(key, get, codec, spread)``: ``get`` reads the value to
+    encode, and a ``spread`` entry decodes to a tuple of several arguments.
+    The first decode generates the decoder from source, as ``dataclasses``
+    generates ``__init__``: it checks the ``_INLINE`` leaves in place,
+    calls the other entries' decoders, and keeps the key it reads in ``k``.
     """
     keys = frozenset([key for key, *_ in entries] + (["kind"] if tag else []))
     writers = [(key, get, codec.encode) for key, get, codec, _ in entries]
-    readers = [(key, codec.decode, add) for key, _, codec, add in entries]
 
     def encode(value) -> dict:
         out = {"kind": tag} if tag else {}
@@ -220,26 +251,26 @@ def _object_codec(make, entries, tag: str | None = None) -> _Codec:
             out[key] = field if write is None else write(field)
         return out
 
-    def decode(value):
-        if not isinstance(value, dict):
-            raise _fail(f"expected an object, got {type(value).__name__}")
-        if value.keys() != keys:
-            unknown = sorted(value.keys() - keys)
-            raise _fail(f"unknown field(s): {', '.join(unknown)}" if unknown
-                        else f"missing field(s): {', '.join(sorted(keys - value.keys()))}")
-        args: list = []
-        try:
-            for key, read, add in readers:
-                add(args, read(value[key]))
-        except DocumentError as err:
-            err.path = f".{key}{err.path}"
-            raise
-        try:
-            return make(*args)
-        except ValueError as err:
-            raise _fail(str(err)) from None
+    def first_decode(value):
+        ns = {"make": make, "keys": keys, "_shape": _shape, "_fault": _fault, "faults": (DocumentError, ValueError)}
+        args = []
+        for i, (key, _, sub, spread) in enumerate(entries):
+            ns[f"d{i}"], ns[f"c{i}"], get = sub.decode, sub, f"value[k := {key!r}]"
+            if sub.decode in _INLINE:
+                args.append(f"v if {_INLINE[sub.decode].format(get)} else d{i}(v)")
+            else:  # looked up at each call: an object codec's decoder is replaced on its first decode
+                args.append(f"{'*' * spread}c{i}.decode({get})")
+        source = ("def decode(value):\n"
+                  " if value.__class__ is not dict or value.keys() != keys: _shape(value, keys)\n"
+                  " try:\n"
+                  "  return make(\n   " + ",\n   ".join(args) + ")\n"
+                  " except faults as err: _fault(err, k)")
+        exec(compile(source, f"<decoder of {make.__qualname__}>", "exec"), ns)  # the name shows in tracebacks
+        codec.decode = ns["decode"]
+        return codec.decode(value)
 
-    return _Codec(encode, decode)
+    codec = _Codec(encode, first_decode)
+    return codec
 
 
 def _dataclass_codec(cls, tag: str | None = None) -> _Codec:
@@ -249,7 +280,7 @@ def _dataclass_codec(cls, tag: str | None = None) -> _Codec:
         override = _OVERRIDES.get((cls, f.name))
         key = override if isinstance(override, str) else f.name
         codec = override(hints[f.name]) if callable(override) else _codec(hints[f.name])
-        fields.append((key, attrgetter(f.name), codec, list.append))
+        fields.append((key, attrgetter(f.name), codec, False))
     entries = []
     for outer, group in itertools.groupby(fields, key=lambda entry: entry[0].partition(".")[0]):
         group = list(group)
@@ -257,7 +288,7 @@ def _dataclass_codec(cls, tag: str | None = None) -> _Codec:
             entries += group
         else:  # "outer.inner" keys: these fields nest in one object under "outer"
             inner = [(key.partition(".")[2], *rest) for key, *rest in group]
-            entries.append((outer, _itself, _object_codec(_as_tuple, inner), list.extend))
+            entries.append((outer, _itself, _object_codec(lambda *values: values, inner), True))
     return _object_codec(cls, entries, tag)
 
 
@@ -300,36 +331,38 @@ def _checked(check):
     """Override: the dataclass codec, then ``check`` on every decoded value."""
 
     def build(cls) -> _Codec:
-        encode, decode = _dataclass_codec(cls)
-        return _Codec(encode, lambda value: check(decode(value)))
+        codec = _dataclass_codec(cls)
+        return _Codec(codec.encode, lambda value: check(codec.decode(value)))
 
     return build
 
 
 class _Text:
     """Canonical text of a value at depth 0, without the trailing newline,
-    for ``canonical_json`` to write in the value's place."""
-
-    __slots__ = ("text",)
+    for ``canonical_json`` to write in the value's place; ``last`` is the
+    depth it was last written at and its text there."""
 
     def __init__(self, text: str):
-        self.text = text
+        self.text, self.last = text, (0, text)
 
 
 def _written_once(cls) -> _Codec:
     """Override: the dataclass codec, but each object's canonical text is
-    written once and kept in its ``__dict__`` (not a field, so equality,
-    hashing, ``repr`` and ``dataclasses`` do not see it).  Filling it is
-    idempotent: two threads that race on an object compute the same text."""
-    encode, decode = _dataclass_codec(cls)
+    written once and kept, as a ``_Text``, in its ``__dict__`` (not a field,
+    so equality, hashing, ``repr`` and ``dataclasses`` do not see it).
+    Filling it is idempotent: two threads that race on an object compute
+    the same text."""
+    codec = _dataclass_codec(cls)
+    encode = codec.encode
 
     def encode_text(value) -> _Text:
         text = value.__dict__.get("_canonical_text")
         if text is None:
-            text = value.__dict__["_canonical_text"] = canonical_json(encode(value))[:-1]
-        return _Text(text)
+            text = value.__dict__["_canonical_text"] = _Text(canonical_json(encode(value))[:-1])
+        return text
 
-    return _Codec(encode_text, decode)
+    codec.encode = encode_text
+    return codec
 
 
 def _pairs(label: str):
@@ -526,8 +559,13 @@ def canonical_json(payload) -> str:
             return
         is_dict = isinstance(value, dict)
         if not is_dict and not isinstance(value, (list, tuple)):
-            append(value.text.replace("\n", indents[depth]) if type(value) is _Text
-                   else _subclass_text(value))
+            if type(value) is not _Text:
+                append(_subclass_text(value))
+                return
+            last = value.last  # one read and one write: threads may share the marker
+            if last[0] != depth:
+                last = value.last = (depth, value.text.replace("\n", indents[depth]))
+            append(last[1])
             return
         if not value:
             append("{}" if is_dict else "[]")
@@ -687,7 +725,12 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> dict[str, str]:
     return files
 
 
+_BUNDLE_NAME = re.compile(r"manifest\.json|pnfd-list\.json|(nsd|vnfd)-.+\.json")
+
+
 def write_bundle(bundle: dict[str, str], out_dir: str | Path) -> list[Path]:
+    """Write each file atomically, then remove the other bundle files in
+    ``out_dir``, so an older bundle leaves nothing behind."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -695,4 +738,7 @@ def write_bundle(bundle: dict[str, str], out_dir: str | Path) -> list[Path]:
         target = out / name
         write_atomic(target, bundle[name])
         written.append(target)
+    for stale in out.iterdir():
+        if stale.name not in bundle and _BUNDLE_NAME.fullmatch(stale.name) and stale.is_file():
+            stale.unlink()
     return written
