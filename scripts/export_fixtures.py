@@ -6,14 +6,13 @@ reference slice requests in canonical document form, plus the pinned
 stdout of `ranslicer paper-example` used by the acceptance suite, the
 `ranslicer plan` output for each reference request (tests/data/plan_*.json)
 and the `ranslicer emit` bundle of each of those plans
-(tests/data/bundle_*/).  Each bundle directory is emptied before its
-emit, so a file the new bundle no longer has does not stay behind.
+(tests/data/bundle_*/); `emit` removes the files of the old bundle that
+the new one no longer has.
 Prints every path it wrote.
 Run from the repository root after changing the builtin data.
 """
 
 import io
-import shutil
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -59,8 +58,6 @@ def main() -> int:
             return 1
         written.append(plan)
         bundle = data / f"bundle_{name}"
-        if bundle.exists():
-            shutil.rmtree(bundle)
         with redirect_stdout(io.StringIO()):
             code = cli_main(["emit", str(plan), str(fixtures / "builtin_catalog.json"), "--out-dir", str(bundle)])
         if code != 0:

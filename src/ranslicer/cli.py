@@ -7,7 +7,8 @@ Subcommands:
 * ``plan <request> <topology> <catalog>`` - plan one slice and write the
   SLICE_PLAN document to stdout or ``--out``; ``--config`` (repeatable)
   reads a PROFILER_POLICY or PLANNER_CONFIG document.
-* ``emit <plan> <catalog> --out-dir DIR`` - write the onboarding bundle.
+* ``emit <plan> <catalog> --out-dir DIR`` - write the onboarding bundle,
+  removing the files of an older bundle in DIR.
 * ``paper-example`` - plan the three reference requests against the
   builtin catalog and reference topology and compare every derived
   parameter against the pinned reference values.
@@ -334,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_emit = sub.add_parser("emit", parents=[common], help="emit the onboarding bundle for a plan")
     p_emit.add_argument("plan")
     p_emit.add_argument("catalog")
-    p_emit.add_argument("--out-dir", required=True)
+    p_emit.add_argument("--out-dir", required=True,
+                        help="write the bundle here; bundle files (manifest.json, pnfd-list.json, nsd-*.json, "
+                             "vnfd-*.json) not in this bundle are removed, other files stay")
     p_emit.set_defaults(func=_cmd_emit)
 
     p_example = sub.add_parser("paper-example", parents=[common],

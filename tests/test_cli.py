@@ -17,6 +17,9 @@ from ranslicer.io import SliceRequest, envelope_for, parse_document, serialize_d
 from ranslicer.model import Sst
 from ranslicer.planner import PlannerConfig
 
+DATA = Path(__file__).parent / "data"
+FIXTURES = Path(__file__).parents[1] / "fixtures"
+
 
 @pytest.fixture
 def doc_files(tmp_path, catalog, area, requests):
@@ -91,6 +94,22 @@ def test_plan_to_file_and_emit(doc_files, tmp_path, capsys):
     assert "manifest.json" in names
     assert "pnfd-list.json" in names
     assert all(str(out_dir / n) in out.out for n in names)
+
+
+def test_emit_removes_an_older_bundles_files_only(tmp_path, capsys):
+    out_dir = tmp_path / "bundle"
+    out_dir.mkdir()
+    for name in ("vnfd-vnfd-old-v0.json", "nsd-old.json", "manifest.json", "notes.txt", "vnfd-old.yaml"):
+        (out_dir / name).write_text("old\n")
+    (out_dir / "nsd-dir.json").mkdir()
+    code = cli_main(["emit", str(DATA / "plan_embb.json"), str(FIXTURES / "builtin_catalog.json"),
+                     "--out-dir", str(out_dir)])
+    assert code == 0
+    bundle = {p.name: p.read_text() for p in (DATA / "bundle_embb").iterdir()}
+    assert capsys.readouterr().out.split() == [str(out_dir / name) for name in sorted(bundle)]
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted([*bundle, "notes.txt", "vnfd-old.yaml", "nsd-dir.json"])
+    assert all((out_dir / name).read_text() == text for name, text in bundle.items())
+    assert (out_dir / "notes.txt").read_text() == "old\n"
 
 
 def test_plan_out_in_a_missing_directory_names_the_target(doc_files, tmp_path, capsys):
