@@ -322,22 +322,20 @@ def assign_dus_to_cus(
 
     A DU is compatible with an edge PoP when the transport latency from
     the PoP to the DU's aggregation PoP stays within the CU-DU budget.
-    The DUs on one aggregation PoP share one list of compatible edge PoPs.
+    Each edge PoP's latency row is read once, cut at the budget, and the
+    DUs on one aggregation PoP share one list of compatible edge PoPs.
     Each CU takes the first CU IL subset, in range order, covering its DU
     count; the CU capacity is the largest CU level's ``max_dus``.
     """
     if not dus:
         raise ValueError("at least one DU is required")
+    budget = config.cu_du_latency_budget_ms
     edge_pop_ids = [p.pop_id for p in area.edge_pops()]
-    reachable_from: dict[str, list[str]] = {}
-    for host_pop in sorted({du.host_pop for du in dus}):
-        reachable = reachable_from[host_pop] = []
-        for pop_id in edge_pop_ids:
-            try:
-                latency = pop_latency(area, pop_id, host_pop)
-            except TopologyError:
-                continue
-            if latency <= config.cu_du_latency_budget_ms:
+    reachable_from: dict[str, list[str]] = {host_pop: [] for host_pop in {du.host_pop for du in dus}}
+    for pop_id in edge_pop_ids:
+        row = area.latency_row(pop_id, budget)
+        for host_pop, reachable in reachable_from.items():
+            if row.get(host_pop, math.inf) <= budget:
                 reachable.append(pop_id)
     ordered = sorted(dus, key=lambda d: d.du_id)
     compat = {du.du_id: reachable_from[du.host_pop] for du in ordered}
@@ -345,7 +343,7 @@ def assign_dus_to_cus(
     if stranded:
         raise PlannerError(
             "INFEASIBLE_LATENCY",
-            f"no edge PoP within {config.cu_du_latency_budget_ms:g} ms of DU(s): {', '.join(stranded)}",
+            f"no edge PoP within {budget:g} ms of DU(s): {', '.join(stranded)}",
         )
     capacity, cu_subsets = _cu_subsets(cu_vnfd)
     if len(ordered) <= config.exact_solver_limit:
@@ -566,6 +564,7 @@ def verify_plan(
             cu_pop = area.pop(gnb.cu.host_pop)
             if cu_pop is None or cu_pop.tier is not PopTier.EDGE:
                 problems.append(f"{gnb.gnb_id}: CU host {gnb.cu.host_pop} is not an edge PoP")
+            cu_row = area.latency_row(cu_pop.pop_id, config.cu_du_latency_budget_ms) if cu_pop else {}
         if not isinstance(gnb.cu.il_subset.key, CuSubsetKey):
             problems.append(f"{gnb.gnb_id}: CU IL subset has the wrong key kind")
         else:
@@ -617,11 +616,12 @@ def verify_plan(
                 problems.append(f"{du.du_id}: unknown region {du.region_id}")
                 continue
             layout[(du.region_id, du.il_subset.key)] = (region.region_class, region.fronthaul_tech)
-            try:
-                latency = pop_latency(area, gnb.cu.host_pop, du.host_pop)
-            except TopologyError:
-                latency = math.inf
+            latency = cu_row.get(du.host_pop, math.inf)
             if latency > config.cu_du_latency_budget_ms:
+                try:  # the full latency, or UNKNOWN_POP and UNREACHABLE, for the message
+                    latency = pop_latency(area, gnb.cu.host_pop, du.host_pop)
+                except TopologyError:
+                    latency = math.inf
                 problems.append(
                     f"{du.du_id}: {latency:g} ms to CU at {gnb.cu.host_pop} exceeds "
                     f"{config.cu_du_latency_budget_ms:g} ms budget"

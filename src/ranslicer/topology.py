@@ -6,16 +6,20 @@ are immutable once loaded; all queries are read-only.
 
 Lookups are indexed on first use and memoised per area object: the
 region-id, PoP-id and RU-id indexes (the first entry wins on duplicate ids,
-which ``check_area`` reports) and, for each source PoP ``pop_latency`` is asked
-about, one row of shortest-path latencies.  The memo is not a dataclass
-field, so it is invisible to equality, hashing, ``dataclasses.replace`` and
-serialization.  Filling it is idempotent: two threads that race on a new
-source compute the same row, so concurrent planning on one area stays safe.
+which ``check_area`` reports), the RUs of each region, one adjacency map of
+the links and, for each source PoP asked about, one row of shortest-path
+latencies together with the bound it is exact to.  The memo is not a
+dataclass field, so it is invisible to equality, hashing,
+``dataclasses.replace`` and serialization.  Filling it is idempotent and
+every row is exact up to its bound, so two threads that race on one source
+each get a correct row (the race can cost one more search later, never a
+wrong latency) and concurrent planning on one area stays safe.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -81,8 +85,23 @@ class DeploymentArea:
         return {r.ru_id: r for r in reversed(self.rus)}
 
     @cached_property
-    def _latency_rows(self) -> dict[str, dict[str, float]]:
-        """Source PoP id -> shortest-path latency to every node it reaches."""
+    def _rus_by_region(self) -> dict[str, list[RuPnfd]]:
+        rus: dict[str, list[RuPnfd]] = {}
+        for ru in self.rus:
+            rus.setdefault(ru.location.region_id, []).append(ru)
+        return rus
+
+    @cached_property
+    def _adjacency(self) -> dict[str, list[tuple[str, float]]]:
+        adjacency: dict[str, list[tuple[str, float]]] = {}
+        for link in self.links:
+            adjacency.setdefault(link.a, []).append((link.b, link.latency_ms))
+            adjacency.setdefault(link.b, []).append((link.a, link.latency_ms))
+        return adjacency
+
+    @cached_property
+    def _latency_rows(self) -> dict[str, tuple[float, dict[str, float]]]:
+        """Source PoP id -> (bound, the row ``latency_row`` returns for it)."""
         return {}
 
     def region(self, region_id: str) -> Region | None:
@@ -96,6 +115,18 @@ class DeploymentArea:
 
     def edge_pops(self) -> tuple[Pop, ...]:
         return tuple(sorted((p for p in self.pops if p.tier is PopTier.EDGE), key=lambda p: p.pop_id))
+
+    def latency_row(self, source: str, bound: float) -> dict[str, float]:
+        """Shortest-path latency from ``source`` to every PoP within ``bound``
+        ms; it may hold PoPs beyond ``bound`` too, each exact.
+
+        The memoised row is reused when it is exact to at least ``bound``,
+        else searched again up to ``bound`` and kept in its place.
+        """
+        memo = self._latency_rows.get(source)
+        if memo is None or memo[0] < bound:
+            memo = self._latency_rows[source] = (bound, _shortest_paths(self, source, bound))
+        return memo[1]
 
 
 def check_area(area: DeploymentArea) -> list[str]:
@@ -171,45 +202,55 @@ def load_area(area: DeploymentArea) -> DeploymentArea:
 
 def select_rus(area: DeploymentArea, target_regions) -> list[RuPnfd]:
     """All RUs covering the target regions, sorted by RU id."""
-    regions = set(target_regions)
-    unknown = sorted(regions - {r.region_id for r in area.regions})
+    regions = sorted(set(target_regions))
+    unknown = [region_id for region_id in regions if region_id not in area._regions_by_id]
     if unknown:
         raise TopologyError("UNKNOWN_REGION", f"unknown region(s): {', '.join(unknown)}")
-    return sorted((ru for ru in area.rus if ru.location.region_id in regions), key=lambda r: r.ru_id)
+    by_region = area._rus_by_region
+    return sorted((ru for region_id in regions for ru in by_region.get(region_id, ())), key=lambda r: r.ru_id)
 
 
-def _shortest_paths(links: tuple[TransportLink, ...], source: str) -> dict[str, float]:
-    """Dijkstra from ``source``: latency to every node it reaches (ms)."""
-    adjacency: dict[str, list[tuple[str, float]]] = {}
-    for link in links:
-        adjacency.setdefault(link.a, []).append((link.b, link.latency_ms))
-        adjacency.setdefault(link.b, []).append((link.a, link.latency_ms))
+def _shortest_paths(area: DeploymentArea, source: str, bound: float) -> dict[str, float]:
+    """Dijkstra from ``source`` over the area's adjacency map: latency to
+    every PoP it reaches within ``bound`` ms, or to all it reaches when
+    ``bound`` is ``math.inf``.
+
+    The search stops at the first popped latency beyond ``bound``.  Every
+    node popped by then is final, so each latency is bit-identical to the
+    one a search without a bound finds.
+    """
+    adjacency, pops = area._adjacency, area._pops_by_id
+    row: dict[str, float] = {}
     best: dict[str, float] = {source: 0.0}
     queue: list[tuple[float, str]] = [(0.0, source)]
     while queue:
         dist, node = heapq.heappop(queue)
+        if dist > bound:
+            break
         if dist > best[node]:
             continue
+        if node in pops:
+            row[node] = dist
         for neighbor, weight in adjacency.get(node, ()):
             candidate = dist + weight
-            if candidate < best.get(neighbor, float("inf")):
+            if candidate < best.get(neighbor, math.inf):
                 best[neighbor] = candidate
                 heapq.heappush(queue, (candidate, neighbor))
-    return best
+    return row
 
 
 def pop_latency(area: DeploymentArea, pop_a: str, pop_b: str) -> float:
     """Minimal transport latency between two PoPs (shortest path, ms).
 
-    The first query from ``pop_a`` runs one Dijkstra over the area and
-    memoises its row; later queries from ``pop_a`` are dictionary reads.
+    Reads ``pop_a``'s whole latency row, without a bound.  The first such
+    query from ``pop_a`` runs one Dijkstra over the area, or a second one
+    when planning has already cut ``pop_a``'s row at its budget; later
+    queries from ``pop_a`` are dictionary reads.
     """
     for pop_id in (pop_a, pop_b):
         if area.pop(pop_id) is None:
             raise TopologyError("UNKNOWN_POP", f"PoP {pop_id!r} not in deployment area")
-    row = area._latency_rows.get(pop_a)
-    if row is None:
-        row = area._latency_rows[pop_a] = _shortest_paths(area.links, pop_a)
+    row = area.latency_row(pop_a, math.inf)
     if pop_b not in row:
         raise TopologyError("UNREACHABLE", f"no transport path between {pop_a} and {pop_b}")
     return row[pop_b]

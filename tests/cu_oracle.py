@@ -1,11 +1,12 @@
 """Independent oracle and instance generators for CU minimization.
 
-The oracle recomputes PoP compatibility with Floyd-Warshall (the planner
-uses Dijkstra) and minimizes the CU count by branch-and-bound over set
-partitions (the planner enumerates placement multisets plus matching),
-so the two sides share no code path.  ``greedy_oracle`` is a frozen copy
-of the planner's original greedy CU heuristic, which recounted every
-PoP's feasible DUs after each CU: the reference for the greedy layout.
+The oracle recomputes PoP compatibility with Floyd-Warshall and minimizes
+the CU count by branch-and-bound over set partitions (the planner uses
+Dijkstra, and enumerates placement multisets plus matching), so the two
+sides share no code path; ``bellman_ford`` recomputes latencies bit for
+bit.  ``greedy_oracle`` is a frozen copy of the planner's original greedy
+CU heuristic, which recounted every PoP's feasible DUs after each CU: the
+reference for the greedy layout.
 """
 
 from __future__ import annotations
@@ -152,6 +153,24 @@ def floyd_warshall(area: DeploymentArea) -> dict[str, dict[str, float]]:
                 if alt < dist[i][j]:
                     dist[i][j] = alt
     return {a: dict(zip(pop_ids, row)) for a, row in zip(pop_ids, dist)}
+
+
+def bellman_ford(area: DeploymentArea, sources) -> dict[str, float]:
+    """Shortest latency from the nearest of ``sources`` to every node the
+    links reach, by Bellman-Ford rounds over the link list until none
+    improves.  Each latency is summed from its source along the path, as
+    the planner's Dijkstra sums it, and float addition is monotone, so the
+    two agree bit for bit."""
+    arcs = [(l.a, l.b, l.latency_ms) for l in area.links] + [(l.b, l.a, l.latency_ms) for l in area.links]
+    dist = {source: 0.0 for source in sources}
+    changed = True
+    while changed:
+        changed = False
+        for a, b, latency in arcs:
+            if a in dist and dist[a] + latency < dist.get(b, float("inf")):
+                dist[b] = dist[a] + latency
+                changed = True
+    return dist
 
 
 def oracle_min_cus(dus, area: DeploymentArea, budget_ms: float, capacity: int) -> int | None:

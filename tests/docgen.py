@@ -9,6 +9,7 @@ planner over the reference inputs.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -340,13 +341,11 @@ GENERATORS = {
 }
 
 
-def scaled_greedy_plan(rng: random.Random, n_regions: int = 30, n_edges: int = 4):
-    """A plan on the greedy CU path: ``n_regions`` copies of the reference
-    suburban region (one DU each under the URLLC request), each aggregation
-    PoP linked to one or two of ``n_edges`` edge PoPs within the CU-DU
-    budget.  The builtin catalog's CPRI gNB flavor is given one IL subset
-    per count of suburban DUs a CU can serve, so every greedy layout has
-    its gNB subset."""
+def suburban_catalog() -> Catalog:
+    """The builtin catalog, its CPRI gNB flavor given one IL subset per
+    count of suburban DUs a CU can serve, so that every CU layout of
+    copies of the reference suburban region (one DU each under the URLLC
+    request) has its gNB subset."""
     catalog = builtin_catalog()
     cu_vnfd, du_vnfd, nsd = catalog.cu_vnfds[0], catalog.du_vnfds[0], catalog.gnb_nsds[0]
     cpri = du_vnfd.flavor_for_tech(FronthaulTech.CPRI)
@@ -361,8 +360,20 @@ def scaled_greedy_plan(rng: random.Random, n_regions: int = 30, n_edges: int = 4
         key = GnbSubsetKey((("SUBURBAN", FronthaulTech.CPRI),) * k)
         subsets.append(IlSubset(key, (InstantiationLevel(f"gnb-sub-x{k}", VmSpec(1, 1.0, 1.0), role),)))
     flavors = (replace(nsd.flavors[0], il_subsets=tuple(subsets)), *nsd.flavors[1:])
-    catalog = replace(catalog, gnb_nsds=(replace(nsd, flavors=flavors),))
+    return replace(catalog, gnb_nsds=(replace(nsd, flavors=flavors),))
 
+
+def _suburban_region(region_id: str, agg_id: str, sites: tuple[str, ...]) -> Region:
+    """A copy of the reference suburban region, with its own ids."""
+    return Region(region_id, "SUBURBAN", 8.0, FronthaulTech.CPRI, sites, agg_id)
+
+
+def scaled_greedy_plan(rng: random.Random, n_regions: int = 30, n_edges: int = 4):
+    """A plan on the greedy CU path: ``n_regions`` copies of the reference
+    suburban region, each aggregation PoP linked to one or two of
+    ``n_edges`` edge PoPs within the CU-DU budget, planned with the URLLC
+    request against ``suburban_catalog``."""
+    catalog = suburban_catalog()
     edge_ids = [f"pop-edge-{e}" for e in range(1, n_edges + 1)]
     pops = [Pop(pop_id, PopTier.EDGE, 512, 1024.0) for pop_id in edge_ids]
     regions, links, rus = [], [], []
@@ -370,7 +381,7 @@ def scaled_greedy_plan(rng: random.Random, n_regions: int = 30, n_edges: int = 4
         region_id, agg_id = f"sub-{r:02d}", f"pop-agg-{r:02d}"
         sites = tuple(f"cs-{r:02d}-{i}" for i in range(1, 7))
         pops.append(Pop(agg_id, PopTier.AGGREGATION, 192, 384.0))
-        regions.append(Region(region_id, "SUBURBAN", 8.0, FronthaulTech.CPRI, sites, agg_id))
+        regions.append(_suburban_region(region_id, agg_id, sites))
         for pop_id in rng.sample(edge_ids, rng.randint(1, 2)):
             links.append(TransportLink(agg_id, pop_id, round(rng.uniform(0.2, 9.0), 2)))
         rus += [RuPnfd(f"ru-{r:02d}-{i}", RuLocation(region_id, site, float(i), float(r)), FronthaulTech.CPRI)
@@ -378,3 +389,50 @@ def scaled_greedy_plan(rng: random.Random, n_regions: int = 30, n_edges: int = 4
     area = load_area(DeploymentArea(tuple(regions), tuple(pops), tuple(links), tuple(rus)))
     request = replace(reference_requests()[Sst.URLLC], target_regions=tuple(r.region_id for r in regions))
     return plan_slice(request, Sst.URLLC, area, catalog)
+
+
+def _jittered_grid(n: int, size_km: float, rng: random.Random) -> list[tuple[float, float]]:
+    cols = math.ceil(math.sqrt(n))
+    rows = math.ceil(n / cols)
+    return [
+        (size_km * (i % cols + rng.uniform(0.2, 0.8)) / cols, size_km * (i // cols + rng.uniform(0.2, 0.8)) / rows)
+        for i in range(n)
+    ]
+
+
+def grid_area(rng: random.Random, n_regions: int, n_edges: int) -> DeploymentArea:
+    """A trimmed copy of ``perfbench/gen.py``'s ``make_area``: edge PoPs and
+    regions on jittered grids over a square 10 km x sqrt(``n_regions``) wide,
+    each edge PoP linked to its two nearest edge PoPs (0.3 ms + 0.05 ms/km)
+    and each aggregation PoP to its three nearest edge PoPs (0.5 ms +
+    0.15 ms/km + up to 3 ms of jitter; the nearest link capped at 9 ms).
+    Every region is a copy of the reference suburban region, so
+    ``suburban_catalog`` plans any request on it."""
+    size_km = 10.0 * math.sqrt(n_regions)
+    edges = [(f"edge-{e:03d}", x, y) for e, (x, y) in enumerate(_jittered_grid(n_edges, size_km, rng))]
+    pops = [Pop(pop_id, PopTier.EDGE, 512, 1024.0) for pop_id, _, _ in edges]
+    links: list[TransportLink] = []
+    linked: set[frozenset[str]] = set()
+
+    def link(a: str, b: str, latency: float) -> None:
+        if frozenset((a, b)) not in linked:
+            linked.add(frozenset((a, b)))
+            links.append(TransportLink(a, b, round(latency, 3)))
+
+    for pop_id, x, y in edges:
+        near = sorted((math.hypot(x - x2, y - y2), other) for other, x2, y2 in edges if other != pop_id)
+        for dist, other in near[:2]:
+            link(pop_id, other, 0.3 + 0.05 * dist)
+    regions, rus = [], []
+    for r, (x, y) in enumerate(_jittered_grid(n_regions, size_km, rng)):
+        region_id, agg_id = f"r-{r:04d}", f"agg-{r:04d}"
+        sites = tuple(f"cs-{r:04d}-{s}" for s in range(1, 7))
+        pops.append(Pop(agg_id, PopTier.AGGREGATION, 192, 384.0))
+        near = sorted((math.hypot(x - ex, y - ey), pop_id) for pop_id, ex, ey in edges)
+        for i, (dist, pop_id) in enumerate(near[:3]):
+            latency = 0.5 + 0.15 * dist + rng.uniform(0.0, 3.0)
+            link(agg_id, pop_id, min(latency, 9.0) if i == 0 else latency)
+        regions.append(_suburban_region(region_id, agg_id, sites))
+        rus += [RuPnfd(f"ru-{r:04d}-{s}", RuLocation(region_id, site, round(x + 0.1 * s, 3), round(y, 3)),
+                       FronthaulTech.CPRI) for s, site in enumerate(sites, start=1)]
+    return load_area(DeploymentArea(tuple(regions), tuple(pops), tuple(links), tuple(rus)))

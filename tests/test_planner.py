@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cu_oracle import greedy_oracle, make_cu_vnfd, make_instance, make_scaled_instance, oracle_min_cus
+import docgen
+from cu_oracle import bellman_ford, greedy_oracle, make_cu_vnfd, make_instance, make_scaled_instance, oracle_min_cus
 from ranslicer import planner
-from ranslicer.builtin import builtin_catalog
+from ranslicer.builtin import builtin_catalog, reference_requests
 from ranslicer.errors import PlannerError, TopologyError
 from ranslicer.model import (
     CITY_CENTER,
@@ -735,6 +736,35 @@ class TestPlanSlice:
         assert len(problems) == 1 and problems[0].startswith("region suburban: 2 DU(s) carry ")
         orphan = dataclasses.replace(plan, offered_load_mbps=plan.offered_load_mbps + (("mars", 1.0),))
         assert verify_plan(orphan, area, catalog) == ["region mars: no DU carries its 1 Mbps offered load"]
+
+
+class TestScaledPlans:
+    """End to end on ``docgen.grid_area`` areas of 100-400 regions and
+    10-40 edge PoPs, against the Bellman-Ford latency oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_regions=st.integers(100, 400), n_edges=st.integers(10, 40),
+           budget=st.floats(2.0, 12.0))
+    def test_plan_or_infeasible_latency_agrees_with_the_oracle(self, seed, n_regions, n_edges, budget):
+        rng = random.Random(seed)
+        area = docgen.grid_area(rng, n_regions, n_edges)
+        targets = sorted(rng.sample([r.region_id for r in area.regions], rng.randint(13, 48)))
+        request = dataclasses.replace(reference_requests()[Sst.URLLC], target_regions=tuple(targets))
+        nearest = bellman_ford(area, [p.pop_id for p in area.edge_pops()])
+        stranded = [f"du-{region_id}-01" for region_id in targets
+                    if nearest.get(area.region(region_id).aggregation_pop, math.inf) > budget]
+        config = PlannerConfig(cu_du_latency_budget_ms=budget)
+        try:
+            plan = plan_slice(request, Sst.URLLC, area, docgen.suburban_catalog(), config)
+        except PlannerError as err:
+            assert err.code == "INFEASIBLE_LATENCY"
+            assert str(err).endswith(f" ms of DU(s): {', '.join(stranded)}") and stranded
+            return
+        assert stranded == []
+        assert sorted(du.region_id for gnb in plan.gnbs for du in gnb.dus) == targets
+        for gnb in plan.gnbs:
+            latency = bellman_ford(area, [gnb.cu.host_pop])
+            assert all(latency[du.host_pop] <= budget for du in gnb.dus)
 
 
 # ---------------------------------------------------------------------------

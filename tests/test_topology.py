@@ -2,20 +2,25 @@
 the area checks, and the per-area lookup indexes behind them."""
 
 import dataclasses
+import functools
 import itertools
+import math
 import random
+import sys
+import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import docgen
 import ranslicer.topology as topology
-from cu_oracle import floyd_warshall, make_instance
+from cu_oracle import floyd_warshall, make_instance, make_scaled_instance
 from ranslicer.builtin import builtin_catalog, reference_requests
-from ranslicer.errors import TopologyError
+from ranslicer.errors import RanSliceError, TopologyError
 from ranslicer.io import DocumentEnvelope, serialize_document
 from ranslicer.model import FronthaulTech, Sst
-from ranslicer.planner import plan_slice
+from ranslicer.planner import PlannerConfig, plan_slice, verify_plan
 from ranslicer.topology import (
     DeploymentArea,
     Pop,
@@ -190,11 +195,21 @@ class TestAreaIndex:
         sources = []
         search = topology._shortest_paths
 
-        def counting(links, source):
+        def counting(area, source, bound):
             sources.append(source)
-            return search(links, source)
+            return search(area, source, bound)
 
+        builds = []
+        adjacency = DeploymentArea.__dict__["_adjacency"].func
+
+        def counting_adjacency(area):
+            builds.append(area)
+            return adjacency(area)
+
+        counted = functools.cached_property(counting_adjacency)
+        counted.__set_name__(DeploymentArea, "_adjacency")
         monkeypatch.setattr(topology, "_shortest_paths", counting)
+        monkeypatch.setattr(DeploymentArea, "_adjacency", counted)
         area, catalog = reference_area(), builtin_catalog()
         request = reference_requests()[Sst.MMTC]
         first = plan_slice(request, Sst.MMTC, area, catalog)
@@ -202,6 +217,10 @@ class TestAreaIndex:
         assert plan_slice(request, Sst.MMTC, area, catalog) == first
         assert len(sources) == searched
         assert sorted(sources) == sorted(set(sources)) == ["pop-edge-1", "pop-edge-2"]
+        assert len(builds) == 1 and builds[0] is area
+        other = reference_area()
+        plan_slice(request, Sst.MMTC, other, catalog)
+        assert len(builds) == 2 and builds[1] is other
 
     @given(seed=st.integers(0, 2**32 - 1))
     def test_latency_matches_floyd_warshall(self, seed):
@@ -257,6 +276,141 @@ class TestAreaIndex:
         for a, b in itertools.product([p.pop_id for p in queried.pops], repeat=2):
             pop_latency(queried, a, b)
         assert queried.region("suburban") and queried.pop("pop-edge-2")
+        assert select_rus(queried, ["industrial"]) and queried.latency_row("pop-edge-1", 1.0)
         assert queried == fresh
         assert hash(queried) == hash(fresh)
         assert serialize_document(DocumentEnvelope("TOPOLOGY", queried)) == text
+
+
+def _exact_budget_area() -> DeploymentArea:
+    """Edge PoP ``e`` reaches ``a1`` over one link and ``a2`` over two hops
+    (4.0 + 6.0), both in exactly 10.0 ms, ``a3`` in 10.5 ms and ``island``
+    not at all; ``ghost`` is a link end but not a PoP (as ``check_area``
+    would report), so no row holds it."""
+    pops = (
+        Pop("e", PopTier.EDGE, 8, 16.0),
+        Pop("m", PopTier.EDGE, 8, 16.0),
+        *(Pop(p, PopTier.AGGREGATION, 8, 16.0) for p in ("a1", "a2", "a3", "island")),
+    )
+    links = (
+        TransportLink("e", "a1", 10.0),
+        TransportLink("e", "m", 4.0),
+        TransportLink("m", "a2", 6.0),
+        TransportLink("m", "a3", 6.5),
+        TransportLink("e", "ghost", 1.0),
+    )
+    return DeploymentArea((), pops, links, ())
+
+
+def _cut(row: dict[str, float], bound: float) -> dict[str, float]:
+    return {pop_id: latency for pop_id, latency in row.items() if latency <= bound}
+
+
+def _plan_outcome(area, catalog, request, budget):
+    """A plan's bytes, or its error's code, stage and message."""
+    try:
+        plan = plan_slice(request, Sst.URLLC, area, catalog, PlannerConfig(cu_du_latency_budget_ms=budget))
+    except RanSliceError as err:
+        return err.code, err.stage, str(err)
+    return serialize_document(DocumentEnvelope("SLICE_PLAN", plan))
+
+
+class TestBoundedRows:
+    def test_a_path_at_exactly_the_bound_is_kept(self):
+        area = _exact_budget_area()
+        full = {"e": 0.0, "m": 4.0, "a1": 10.0, "a2": 10.0, "a3": 10.5}
+        assert topology._shortest_paths(area, "e", math.inf) == full
+        assert topology._shortest_paths(area, "e", 10.0) == _cut(full, 10.0)
+        assert topology._shortest_paths(area, "e", 9.999) == _cut(full, 4.0)
+
+    def test_full_queries_after_a_bounded_one(self):
+        area = _exact_budget_area()
+        assert area.latency_row("e", 10.0) == {"e": 0.0, "m": 4.0, "a1": 10.0, "a2": 10.0}
+        assert pop_latency(area, "e", "a3") == 10.5
+        with pytest.raises(TopologyError) as err:
+            pop_latency(area, "e", "island")
+        assert err.value.code == "UNREACHABLE"
+        assert area.latency_row("e", 10.0)["a3"] == 10.5  # the full row now serves bounded queries
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cut=st.floats(0.0, 20.0))
+    def test_bounded_rows_are_cut_full_rows(self, seed, cut):
+        rng = random.Random(seed)
+        _, area, _, _ = make_scaled_instance(rng)
+        pop_ids = [p.pop_id for p in area.pops]
+        for source in rng.sample(pop_ids, 8):
+            full = topology._shortest_paths(area, source, math.inf)
+            # A drawn bound, the default budget and bounds at exactly a row entry.
+            for bound in (cut, 10.0, *rng.sample(sorted(full.values()), min(3, len(full)))):
+                assert topology._shortest_paths(area, source, bound) == _cut(full, bound)
+                fresh = dataclasses.replace(area)
+                assert fresh.latency_row(source, bound) == _cut(full, bound)
+                for pop_id in pop_ids:
+                    if pop_id in full:
+                        assert pop_latency(fresh, source, pop_id) == full[pop_id]
+                    else:
+                        with pytest.raises(TopologyError) as err:
+                            pop_latency(fresh, source, pop_id)
+                        assert err.value.code == "UNREACHABLE"
+
+    @pytest.mark.parametrize("tight", [2.0, 4.5, 7.0])
+    def test_plans_across_budgets_on_one_area_match_fresh_areas(self, tight):
+        rng = random.Random(41)
+        area, catalog = docgen.grid_area(rng, 120, 12), docgen.suburban_catalog()
+        request = dataclasses.replace(
+            reference_requests()[Sst.URLLC], target_regions=tuple(r.region_id for r in area.regions[:40])
+        )
+        budgets = (tight, 10.0)
+        expected = {b: _plan_outcome(dataclasses.replace(area), catalog, request, b) for b in budgets}
+        assert expected[tight] != expected[10.0]
+        for order in (budgets, budgets[::-1]):
+            shared = dataclasses.replace(area)
+            for budget in order:
+                assert _plan_outcome(shared, catalog, request, budget) == expected[budget]
+        # The over-budget messages of a plan checked against the tight budget.
+        plan = plan_slice(request, Sst.URLLC, shared, catalog)
+        tight_config = PlannerConfig(cu_du_latency_budget_ms=tight)
+        problems = verify_plan(plan, dataclasses.replace(area), catalog, tight_config)
+        assert problems and all("ms budget" in p for p in problems)
+        assert verify_plan(plan, shared, catalog, tight_config) == problems
+
+    def test_verifier_reports_full_latencies_past_a_cut_row(self, catalog):
+        area, tight = reference_area(), PlannerConfig(cu_du_latency_budget_ms=0.6)
+        plan = plan_slice(reference_requests()[Sst.MMTC], Sst.MMTC, area, catalog)  # rows cut at 10 ms
+        over = [f"{du}: {ms} ms to CU at pop-edge-1 exceeds 0.6 ms budget"
+                for du, ms in (("du-industrial-01", 0.8), ("du-suburban-01", 1.2), ("du-suburban-02", 1.2))]
+        assert verify_plan(plan, area, catalog, tight) == over
+        assert verify_plan(plan, reference_area(), catalog, tight) == over
+        island = dataclasses.replace(area, links=tuple(l for l in area.links if l.a != "pop-agg-suburban"))
+        assert verify_plan(plan, island, catalog, tight) == [over[0]] + [p.replace("1.2 ms", "inf ms") for p in over[1:]]
+
+    def test_racing_bounded_and_full_queries_get_exact_rows(self):
+        _, area, _, _ = make_scaled_instance(random.Random(7))
+        source = area.edge_pops()[0].pop_id
+        full = topology._shortest_paths(area, source, math.inf)
+        bounds = (2.0, 5.0, math.inf, 8.0, math.inf, 5.0)  # more threads than a small host has cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                fresh = dataclasses.replace(area)
+                barrier = threading.Barrier(len(bounds))
+                rows = {}
+
+                def query(i, bound):
+                    barrier.wait(timeout=10)
+                    if bound == math.inf:
+                        rows[i] = {p: pop_latency(fresh, source, p) for p in full}
+                    else:
+                        rows[i] = fresh.latency_row(source, bound)
+
+                threads = [threading.Thread(target=query, args=item) for item in enumerate(bounds)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert all(_cut(rows[i], bound) == _cut(full, bound) for i, bound in enumerate(bounds))
+                assert {p: pop_latency(fresh, source, p) for p in full} == full
+        finally:
+            sys.setswitchinterval(interval)
