@@ -32,7 +32,8 @@ class PlannerError(RanSliceError):
 
 
 class DocumentError(RanSliceError):
-    """Document parsing or emission failed (PARSE_ERROR, UNKNOWN_KIND, UNSUPPORTED_VERSION, DANGLING_PLAN_REFERENCE)."""
+    """Document parsing or emission failed (PARSE_ERROR, UNKNOWN_KIND, UNSUPPORTED_VERSION, DANGLING_PLAN_REFERENCE,
+    UNSAFE_BUNDLE_NAME: a bundle file name that is not a plain file name)."""
 
     def __init__(
         self,

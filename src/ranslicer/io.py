@@ -36,18 +36,19 @@ that rule:
 * a TOPOLOGY body must pass ``load_area``, and a SLICE_REQUEST's ``sd``
   must be a valid S-NSSAI differentiator.
 
-Each codec is built on first use and cached, so type hints are resolved
-once per class, not per value.  An object's decoder is generated from
-source on its first decode, as ``dataclasses`` generates ``__init__``: it
-checks ``str``, ``int`` and ``float`` fields in place, calls the other
-fields' decoders, and passes the values to the class's own constructor.
+Each codec is built whole on first use and cached, and never changes:
+type hints are resolved, and an object's decoder is generated from source
+and compiled, once per class, as ``dataclasses`` generates ``__init__``.
+The decoder checks ``str``, ``int`` and ``float`` fields in place, calls
+the other fields' decoders, and passes the values to the class's own
+constructor; ``ranslicer plan`` compiles 33, about 4 ms per process.
 Error paths are built only when a decode fails: a decoder takes just the
 JSON value, and each enclosing object or array catches a PARSE_ERROR on
 its way out and prepends ``.key`` or ``[i]``.
 
 The onboarding bundle is just its files: ``emit_onboarding_bundle``
-returns a dict of file name -> canonical text, and ``write_bundle`` writes
-each file atomically and removes the files of an older bundle.
+returns a dict of file name -> canonical text, and ``write_bundle``
+checks the names, writes each atomically and removes an older bundle's.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def _valid_sd(request: SliceRequest) -> SliceRequest:
 
 class _Codec:
     """``encode``: model value -> JSON value, or None to write the value as it is.
-    ``decode``: JSON value -> model value; an object codec's is generated on its first decode."""
+    ``decode``: JSON value -> model value.  Both are set when the codec is built."""
 
     __slots__ = ("encode", "decode")
 
@@ -237,9 +238,9 @@ def _object_codec(make, entries, tag: str | None = None) -> _Codec:
 
     Entries are ``(key, get, codec, spread)``: ``get`` reads the value to
     encode, and a ``spread`` entry decodes to a tuple of several arguments.
-    The first decode generates the decoder from source, as ``dataclasses``
-    generates ``__init__``: it checks the ``_INLINE`` leaves in place,
-    calls the other entries' decoders, and keeps the key it reads in ``k``.
+    The decoder is generated and compiled here, as ``dataclasses`` generates
+    ``__init__``: it checks the ``_INLINE`` leaves in place, calls the other
+    entries' decoders (``d0``, ``d1``, ...) and keeps the key it reads in ``k``.
     """
     keys = frozenset([key for key, *_ in entries] + (["kind"] if tag else []))
     writers = [(key, get, codec.encode) for key, get, codec, _ in entries]
@@ -251,26 +252,18 @@ def _object_codec(make, entries, tag: str | None = None) -> _Codec:
             out[key] = field if write is None else write(field)
         return out
 
-    def first_decode(value):
-        ns = {"make": make, "keys": keys, "_shape": _shape, "_fault": _fault, "faults": (DocumentError, ValueError)}
-        args = []
-        for i, (key, _, sub, spread) in enumerate(entries):
-            ns[f"d{i}"], ns[f"c{i}"], get = sub.decode, sub, f"value[k := {key!r}]"
-            if sub.decode in _INLINE:
-                args.append(f"v if {_INLINE[sub.decode].format(get)} else d{i}(v)")
-            else:  # looked up at each call: an object codec's decoder is replaced on its first decode
-                args.append(f"{'*' * spread}c{i}.decode({get})")
-        source = ("def decode(value):\n"
-                  " if value.__class__ is not dict or value.keys() != keys: _shape(value, keys)\n"
-                  " try:\n"
-                  "  return make(\n   " + ",\n   ".join(args) + ")\n"
-                  " except faults as err: _fault(err, k)")
-        exec(compile(source, f"<decoder of {make.__qualname__}>", "exec"), ns)  # the name shows in tracebacks
-        codec.decode = ns["decode"]
-        return codec.decode(value)
-
-    codec = _Codec(encode, first_decode)
-    return codec
+    ns = {"make": make, "keys": keys, "_shape": _shape, "_fault": _fault, "faults": (DocumentError, ValueError)}
+    args = []
+    for i, (key, _, sub, spread) in enumerate(entries):
+        ns[f"d{i}"], get, inline = sub.decode, f"value[k := {key!r}]", _INLINE.get(sub.decode)
+        args.append(f"v if {inline.format(get)} else d{i}(v)" if inline else f"{'*' * spread}d{i}({get})")
+    source = ("def decode(value):\n"
+              " if value.__class__ is not dict or value.keys() != keys: _shape(value, keys)\n"
+              " try:\n"
+              "  return make(\n   " + ",\n   ".join(args) + ")\n"
+              " except faults as err: _fault(err, k)")
+    exec(compile(source, f"<decoder of {make.__qualname__}>", "exec"), ns)  # the name shows in tracebacks
+    return _Codec(encode, ns["decode"])
 
 
 def _dataclass_codec(cls, tag: str | None = None) -> _Codec:
@@ -295,6 +288,7 @@ def _dataclass_codec(cls, tag: str | None = None) -> _Codec:
 def _array(item: _Codec, make, write) -> _Codec:
     """A tuple or frozenset as a JSON array: ``make`` builds the model value
     from the decoded items, ``write`` the array from the encoded ones."""
+    decode_item, encode_item = item.decode, item.encode
 
     def decode(value):
         if not isinstance(value, list):
@@ -302,20 +296,20 @@ def _array(item: _Codec, make, write) -> _Codec:
         items: list = []
         try:
             for x in value:
-                items.append(item.decode(x))
+                items.append(decode_item(x))
         except DocumentError as err:
             err.path = f"[{len(items)}]{err.path}"
             raise
         return make(items)
 
-    if item.encode is None:
-        return _Codec(write, decode)
-    return _Codec(lambda value: write(map(item.encode, value)), decode)
+    return _Codec(write if encode_item is None else lambda value: write(map(encode_item, value)), decode)
 
 
 def _optional(inner: _Codec) -> _Codec:
+    decode_inner = inner.decode
+
     def decode(value):
-        return None if value is None else inner.decode(value)
+        return None if value is None else decode_inner(value)
 
     if inner.encode is None:
         return _Codec(None, decode)
@@ -332,7 +326,8 @@ def _checked(check):
 
     def build(cls) -> _Codec:
         codec = _dataclass_codec(cls)
-        return _Codec(codec.encode, lambda value: check(codec.decode(value)))
+        decode = codec.decode
+        return _Codec(codec.encode, lambda value: check(decode(value)))
 
     return build
 
@@ -361,8 +356,7 @@ def _written_once(cls) -> _Codec:
             text = value.__dict__["_canonical_text"] = _Text(canonical_json(encode(value))[:-1])
         return text
 
-    codec.encode = encode_text
-    return codec
+    return _Codec(encode_text, codec.decode)
 
 
 def _pairs(label: str):
@@ -372,6 +366,7 @@ def _pairs(label: str):
     def build(hint) -> _Codec:
         first, second = map(_codec, typing.get_args(typing.get_args(hint)[0]))
         write_first, write_second = first.encode or _itself, second.encode or _itself
+        read_first, read_second = first.decode, second.decode
 
         def encode(pairs) -> list:
             return [[write_first(a), write_second(b)] for a, b in pairs]
@@ -379,7 +374,7 @@ def _pairs(label: str):
         def pair(item) -> tuple:
             if not isinstance(item, list) or len(item) != 2:
                 raise _fail(f"expected a {label} pair")
-            return first.decode(item[0]), second.decode(item[1])
+            return read_first(item[0]), read_second(item[1])
 
         return _Codec(encode, _array(_Codec(None, pair), tuple, list).decode)
 
@@ -391,17 +386,18 @@ def _tagged(noun: str, kind_noun: str, members: dict[str, type]):
     the member."""
 
     def build(union) -> _Codec:
-        by_tag = {tag: _dataclass_codec(cls, tag) for tag, cls in members.items()}
-        by_type = {cls: by_tag[tag].encode for tag, cls in members.items()}
+        codecs = {tag: _dataclass_codec(cls, tag) for tag, cls in members.items()}
+        by_tag = {tag: codec.decode for tag, codec in codecs.items()}
+        by_type = {members[tag]: codec.encode for tag, codec in codecs.items()}
 
         def decode(value):
             if not isinstance(value, dict) or "kind" not in value:
                 raise _fail(f"expected {noun} with a 'kind' tag")
             kind = value["kind"]
-            member = by_tag.get(kind) if isinstance(kind, str) else None
-            if member is None:
+            decode_member = by_tag.get(kind) if isinstance(kind, str) else None
+            if decode_member is None:
                 raise _fail(f"unknown {kind_noun} kind {kind!r}")
-            return member.decode(value)
+            return decode_member(value)
 
         return _Codec(lambda value: by_type[type(value)](value), decode)
 
@@ -497,12 +493,15 @@ def parse_document(text: str) -> DocumentEnvelope:
 
 def serialize_document(envelope: DocumentEnvelope) -> str:
     """Canonical text for an envelope: sorted keys, stable formatting."""
-    if envelope.kind not in _BODY_TYPES:
+    body_type = _BODY_TYPES.get(envelope.kind)
+    if body_type is None:
         raise DocumentError("UNKNOWN_KIND", f"unknown document kind {envelope.kind!r}")
+    if not isinstance(envelope.body, body_type):
+        raise TypeError(f"a {envelope.kind} body must be a {body_type.__name__}, not {type(envelope.body).__name__}")
     return canonical_json({
         "schema_version": SCHEMA_VERSION,
         "kind": envelope.kind,
-        "body": _codec(_BODY_TYPES[envelope.kind]).encode(envelope.body),
+        "body": _codec(body_type).encode(envelope.body),
     })
 
 
@@ -729,15 +728,16 @@ _BUNDLE_NAME = re.compile(r"manifest\.json|pnfd-list\.json|(nsd|vnfd)-.+\.json")
 
 
 def write_bundle(bundle: dict[str, str], out_dir: str | Path) -> list[Path]:
-    """Write each file atomically, then remove the other bundle files in
-    ``out_dir``, so an older bundle leaves nothing behind."""
+    """Check every name, write each file atomically, then remove the other
+    bundle files in ``out_dir``, so an older bundle leaves nothing behind."""
+    for name in bundle:
+        if name in ("", ".", "..") or {"/", "\0", os.sep, os.altsep} & set(name):
+            raise DocumentError("UNSAFE_BUNDLE_NAME", f"bundle file name {name!r} is not a plain file name")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in sorted(bundle):
-        target = out / name
-        write_atomic(target, bundle[name])
-        written.append(target)
+    written = [out / name for name in sorted(bundle)]
+    for target in written:
+        write_atomic(target, bundle[target.name])
     for stale in out.iterdir():
         if stale.name not in bundle and _BUNDLE_NAME.fullmatch(stale.name) and stale.is_file():
             stale.unlink()

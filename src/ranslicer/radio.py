@@ -3,9 +3,13 @@
 Maps a slice requirement vector onto the NR configuration parameters a
 slice template carries: numerology, operation bands with carrier
 bandwidth, TDD slot format, 5QI, MCS set and packet-scheduler policy.
-All thresholds live in ``ProfilerPolicy`` so an operator can recalibrate
-without touching code; the defaults reproduce the three reference
-templates shipped in the builtin catalog.
+The thresholds of every step but one live in ``ProfilerPolicy``, so an
+operator can recalibrate without touching code; the defaults reproduce
+the three reference templates shipped in the builtin catalog.  The
+exception is ``select_scheduler``, whose four rules are fixed in code:
+semi-persistent scheduling for traffic under 1 Mbps in each direction,
+with a DL/UL ratio of at most 2:1 and zero mobility, and
+delay-guaranteeing scheduling for a latency of 5 ms or less.
 
 ``area_load_mbps``, the one demand model, sizes both the carriers and
 the planner's regional peak load from ``ProfilerPolicy.activity_factor``.

@@ -15,7 +15,7 @@ from ranslicer import cli
 from ranslicer.cli import cli_main
 from ranslicer.io import SliceRequest, envelope_for, parse_document, serialize_document
 from ranslicer.model import Sst
-from ranslicer.planner import PlannerConfig
+from ranslicer.planner import PlannerConfig, plan_slice
 
 DATA = Path(__file__).parent / "data"
 FIXTURES = Path(__file__).parents[1] / "fixtures"
@@ -110,6 +110,36 @@ def test_emit_removes_an_older_bundles_files_only(tmp_path, capsys):
     assert sorted(p.name for p in out_dir.iterdir()) == sorted([*bundle, "notes.txt", "vnfd-old.yaml", "nsd-dir.json"])
     assert all((out_dir / name).read_text() == text for name, text in bundle.items())
     assert (out_dir / "notes.txt").read_text() == "old\n"
+
+
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root``: a file's bytes, or None for a directory."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("nsd_id", ["x/../../escaped", "a\u0000b"])
+def test_emit_refuses_an_unsafe_bundle_name_and_leaves_the_out_dir_alone(catalog, area, requests, tmp_path, capsys,
+                                                                         nsd_id):
+    nsd = dataclasses.replace(catalog.gnb_nsds[0], descriptor_id=nsd_id)
+    unsafe = dataclasses.replace(catalog, gnb_nsds=(nsd, *catalog.gnb_nsds[1:]), nssts=tuple(
+        dataclasses.replace(nsst, nsd_ref=nsd_id) for nsst in catalog.nssts))
+    plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, unsafe)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "catalog.json").write_text(serialize_document(envelope_for(unsafe)))
+    (inputs / "plan.json").write_text(serialize_document(envelope_for(plan)))
+    out_dir = tmp_path / "a" / "bundle"
+    out_dir.mkdir(parents=True)
+    for name in ("manifest.json", "vnfd-vnfd-old-v0.json"):
+        (out_dir / name).write_text("old\n")
+    (out_dir / "nsd-x").mkdir()
+    before = _tree(tmp_path)
+    code = cli_main(["emit", str(inputs / "plan.json"), str(inputs / "catalog.json"), "--out-dir", str(out_dir)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert (out.out, out.err) == ("", f"error: UNSAFE_BUNDLE_NAME: bundle file name "
+                                      f"{f'nsd-{nsd_id}.json'!r} is not a plain file name\n")
+    assert _tree(tmp_path) == before
 
 
 def test_plan_out_in_a_missing_directory_names_the_target(doc_files, tmp_path, capsys):

@@ -353,6 +353,17 @@ class TestStrictParsing:
             serialize_document(DocumentEnvelope("NOPE", PlannerConfig()))
         assert str(err.value) == "UNKNOWN_KIND: unknown document kind 'NOPE'"
 
+    def test_serializing_a_body_of_another_kind_is_a_type_error(self, catalog, area, policy, requests):
+        plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, catalog)
+        bodies = (catalog, area, SliceRequest(Sst.EMBB, None, requests[Sst.EMBB]), plan, policy, PlannerConfig())
+        kinds = [envelope_for(body).kind for body in bodies]
+        assert sorted(kinds) == sorted(docgen.GENERATORS)
+        for kind in kinds:
+            for body in bodies:
+                if envelope_for(body).kind != kind:
+                    with pytest.raises(TypeError, match=f"^a {kind} body must be a .+, not {type(body).__name__}$"):
+                        serialize_document(DocumentEnvelope(kind, body))
+
     def test_kind_body_mismatch_is_a_shape_diagnostic(self, area):
         topology_body = json.loads(serialize_document(envelope_for(area)))["body"]
         mismatched = json.dumps(
@@ -546,6 +557,26 @@ class TestOnboardingBundle:
             parsed = json.loads(text)
             assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == text
         assert not [p for p in (tmp_path / "bundle").iterdir() if p.name.startswith(".")]
+
+
+@pytest.mark.parametrize("name", ["x/../../escaped.json", "../escaped.json", "nsd-a\x00b.json", ".", "..", "",
+                                  f"nsd-x{os.sep}y.json", "/abs.json"])
+def test_write_bundle_checks_every_name_before_it_touches_the_out_dir(tmp_path, name):
+    out_dir = tmp_path / "out" / "bundle"
+    out_dir.mkdir(parents=True)
+    (out_dir / "manifest.json").write_text("old\n")
+    (out_dir / "nsd-old.json").write_text("old\n")
+    (out_dir / "nsd-x").mkdir()
+    with pytest.raises(DocumentError) as err:
+        write_bundle({"manifest.json": "new\n", "pnfd-list.json": "[]\n", name: "{}\n"}, out_dir)
+    assert (err.value.code, err.value.args[0]) == (
+        "UNSAFE_BUNDLE_NAME", f"bundle file name {name!r} is not a plain file name")
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        "out", "out/bundle", "out/bundle/manifest.json", "out/bundle/nsd-old.json", "out/bundle/nsd-x"]
+    assert (out_dir / "manifest.json").read_text() == "old\n"
+    with pytest.raises(DocumentError):
+        write_bundle({name: "{}\n"}, tmp_path / "missing")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_write_atomic_replaces_content(tmp_path):
