@@ -524,16 +524,19 @@ def verify_plan(
     Re-derives each CU's edge-PoP host, latency, CU capacity, coverage
     conservation, flavor consistency, each gNB's IL-subset key and each
     region's DU capacity from the area and catalog instead of trusting the
-    solver.  Every IL subset the plan cites must be the catalog's: a DU's
-    one of the DU VNFD's subsets for its own key's class and fronthaul tech
-    (with an area, its region's), a CU's one of the CU VNFD's, a gNB's one
-    of its NSD flavor's, and some level of the gNB's must reference the
-    CU's and each DU's.  The VNFDs are
-    the catalog's first by descriptor id, as plan_slice picks them; the NSD
-    is the one the plan's NSST references.  Coverage is checked against the
-    area's RUs, which plan_slice selects (the catalog's for an id the area
-    lacks).  Without an area, only the facts that need none are checked,
-    with coverage against the catalog's RUs.
+    solver.  Each cited CU and DU IL subset must be the one the catalog's
+    rule selects, derived here from the catalog: the first subset, in
+    (min, max) range order, covering the size.  A CU's is the CU VNFD's
+    first flavor's for its gNB's DU count; a DU's is the DU VNFD's first
+    flavor carrying the tech for its cell-site count, under its region's
+    class and fronthaul tech (without an area, or in an unknown region,
+    its own key's).  A gNB's IL subset must be one of its NSD flavor's,
+    and some level of it must reference the CU's and each DU's.  The
+    VNFDs are the catalog's first by descriptor id, as plan_slice picks
+    them; the NSD is the one the plan's NSST references.  Coverage is
+    checked against the area's RUs, which plan_slice selects (the
+    catalog's for an id the area lacks).  Without an area, only the facts
+    that need none are checked, with coverage against the catalog's RUs.
     """
     config = config or PlannerConfig()
     problems: list[str] = []
@@ -541,21 +544,23 @@ def verify_plan(
     nsd = catalog.gnb_nsd(plan.nsst.nsd_ref)
     if nsd is None:
         problems.append(f"gNB NSD {plan.nsst.nsd_ref!r} not in catalog")
-    allowed: dict[tuple, list[IlSubset]] = {}  # where a plan may cite a subset -> the catalog's subsets
-    for flavor in cu_vnfd.flavors if cu_vnfd else ():
-        allowed.setdefault(("CU",), []).extend(flavor.il_subsets)
-    for flavor in du_vnfd.flavors if du_vnfd else ():
-        for subset in flavor.il_subsets:
-            key = subset.key
-            if isinstance(key, DuSubsetKey) and key.fronthaul_tech in flavor.fronthaul_techs:
-                allowed.setdefault(("DU", key.region_class, key.fronthaul_tech), []).append(subset)
+    cu_rule = sorted((s for s in (cu_vnfd.flavors[0].il_subsets if cu_vnfd and cu_vnfd.flavors else ())
+                      if isinstance(s.key, CuSubsetKey)), key=lambda s: (s.key.min_dus, s.key.max_dus))
+    du_rule: dict[tuple[str, FronthaulTech], list[IlSubset]] = {}  # (region class, tech) -> subsets
+    first_flavor = {tech: f for f in reversed(du_vnfd.flavors if du_vnfd else ()) for tech in f.fronthaul_techs}
+    for tech, flavor in first_flavor.items():
+        keyed = [s for s in flavor.il_subsets if isinstance(s.key, DuSubsetKey) and s.key.fronthaul_tech is tech]
+        for subset in sorted(keyed, key=lambda s: (s.key.min_cell_sites, s.key.max_cell_sites)):
+            du_rule.setdefault((subset.key.region_class, tech), []).append(subset)
+    gnb_subsets: dict[int, list[IlSubset]] = {}
     for flavor in nsd.flavors if nsd else ():
-        allowed.setdefault(("GNB", flavor.flavor_id), []).extend(flavor.il_subsets)
-    identities = {where: {id(s) for s in subsets} for where, subsets in allowed.items()}
+        gnb_subsets.setdefault(flavor.flavor_id, []).extend(flavor.il_subsets)
+    gnb_identities = {flavor_id: {id(s) for s in subsets} for flavor_id, subsets in gnb_subsets.items()}
 
-    def cited(subset: IlSubset, where: tuple) -> bool:
+    def selected(subset: IlSubset, subsets: list[IlSubset], size: int) -> bool:
         """Identity first: a fresh plan holds the catalog's own subset objects."""
-        return id(subset) in identities.get(where, ()) or subset in allowed.get(where, ())
+        first = next((s for s in subsets if s.key.covers(size)), None)
+        return first is subset or first == subset
 
     site_owner: dict[str, str] = {}
     region_dus: dict[str, list[DuPlan]] = {}
@@ -565,15 +570,6 @@ def verify_plan(
             if cu_pop is None or cu_pop.tier is not PopTier.EDGE:
                 problems.append(f"{gnb.gnb_id}: CU host {gnb.cu.host_pop} is not an edge PoP")
             cu_row = area.latency_row(cu_pop.pop_id, config.cu_du_latency_budget_ms) if cu_pop else {}
-        if not isinstance(gnb.cu.il_subset.key, CuSubsetKey):
-            problems.append(f"{gnb.gnb_id}: CU IL subset has the wrong key kind")
-        else:
-            key = gnb.cu.il_subset.key
-            if not key.covers(len(gnb.dus)):
-                problems.append(
-                    f"{gnb.gnb_id}: {len(gnb.dus)} DUs outside CU subset range "
-                    f"[{key.min_dus}, {key.max_dus}]"
-                )
         cu_caps = [
             lvl.role_capacity.max_dus
             for lvl in gnb.cu.il_subset.levels
@@ -581,11 +577,11 @@ def verify_plan(
         ]
         if cu_caps and len(gnb.dus) > max(cu_caps):
             problems.append(f"{gnb.gnb_id}: DU count {len(gnb.dus)} exceeds CU capacity {max(cu_caps)}")
-        if not cited(gnb.cu.il_subset, ("CU",)):
-            problems.append(f"{gnb.gnb_id}: CU IL subset is not one of the CU VNFD's subsets")
-        if not cited(gnb.nsd_il_subset, ("GNB", gnb.nsd_flavor_id)):
-            problems.append(f"{gnb.gnb_id}: gNB IL subset is not in gNB NSD {plan.nsst.nsd_ref} "
-                            f"flavor {gnb.nsd_flavor_id}")
+        if not selected(gnb.cu.il_subset, cu_rule, len(gnb.dus)):
+            problems.append(f"{gnb.gnb_id}: CU IL subset is not the CU VNFD's subset for {len(gnb.dus)} DUs")
+        subset, flavor_id = gnb.nsd_il_subset, gnb.nsd_flavor_id
+        if id(subset) not in gnb_identities.get(flavor_id, ()) and subset not in gnb_subsets.get(flavor_id, ()):
+            problems.append(f"{gnb.gnb_id}: gNB IL subset is not in gNB NSD {plan.nsst.nsd_ref} flavor {flavor_id}")
         roles = [lvl.role_capacity for lvl in gnb.nsd_il_subset.levels
                  if isinstance(lvl.role_capacity, GnbIlCapacity)]
         cu_il_ids = {lvl.il_id for lvl in gnb.cu.il_subset.levels}
@@ -596,22 +592,22 @@ def verify_plan(
         layout: dict[tuple[str, object], tuple[str, FronthaulTech]] = {}
         for du in gnb.dus:
             region_dus.setdefault(du.region_id, []).append(du)
-            key = du.il_subset.key
-            if not isinstance(key, DuSubsetKey) or not key.covers(len(du.served_cell_sites)):
-                problems.append(f"{du.du_id}: cell-site group outside its IL subset range")
             for site in du.served_cell_sites:
                 if site in site_owner:
                     problems.append(f"cell site {site} served by both {site_owner[site]} and {du.du_id}")
                 site_owner[site] = du.du_id
             if du_il_refs.isdisjoint(lvl.il_id for lvl in du.il_subset.levels):
                 problems.append(f"{gnb.gnb_id}: no level of the gNB IL subset references the IL subset of {du.du_id}")
-            du_where = ("DU", key.region_class, key.fronthaul_tech) if isinstance(key, DuSubsetKey) else None
-            if du_where and not cited(du.il_subset, du_where):
-                problems.append(f"{du.du_id}: IL subset is not one of the DU VNFD's subsets for "
-                                f"({key.region_class}, {key.fronthaul_tech.value})")
+            key = du.il_subset.key
+            region = area.region(du.region_id) if area is not None else None
+            where = ((region.region_class, region.fronthaul_tech) if region is not None
+                     else (key.region_class, key.fronthaul_tech) if isinstance(key, DuSubsetKey) else None)
+            sites = len(du.served_cell_sites)
+            if not selected(du.il_subset, du_rule.get(where, []), sites):
+                named = f" in ({where[0]}, {where[1].value})" if where else ""
+                problems.append(f"{du.du_id}: IL subset is not the DU VNFD's subset for {sites} cell sites{named}")
             if area is None:
                 continue
-            region = area.region(du.region_id)
             if region is None:
                 problems.append(f"{du.du_id}: unknown region {du.region_id}")
                 continue
@@ -635,10 +631,6 @@ def verify_plan(
                 )
             if du.host_pop != region.aggregation_pop:
                 problems.append(f"{du.du_id}: not hosted on its region's aggregation PoP")
-            if du_where and du_where != ("DU", region.region_class, region.fronthaul_tech):
-                problems.append(f"{du.du_id}: IL subset is keyed for ({key.region_class}, "
-                                f"{key.fronthaul_tech.value}), not its region's ({region.region_class}, "
-                                f"{region.fronthaul_tech.value})")
         want_key = GnbSubsetKey(tuple(layout.values()))
         if area is not None and gnb.nsd_il_subset.key != want_key:
             key_text = " + ".join(f"({cls}, {tech.value})" for cls, tech in want_key.served_regions)

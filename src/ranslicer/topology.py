@@ -6,9 +6,10 @@ are immutable once loaded; all queries are read-only.
 
 Lookups are indexed on first use and memoised per area object: the
 region-id, PoP-id and RU-id indexes (the first entry wins on duplicate ids,
-which ``check_area`` reports), the RUs of each region, one adjacency map of
-the links and, for each source PoP asked about, one row of shortest-path
-latencies together with the bound it is exact to.  The memo is not a
+which ``check_area`` reports), the RUs of each region, the edge PoPs in
+id order, one adjacency map of the links and, for each source PoP asked
+about, one row of shortest-path latencies together with the bound it is
+exact to.  The memo is not a
 dataclass field, so it is invisible to equality, hashing,
 ``dataclasses.replace`` and serialization.  Filling it is idempotent and
 every row is exact up to its bound, so two threads that race on one source
@@ -92,6 +93,10 @@ class DeploymentArea:
         return rus
 
     @cached_property
+    def _edge_pops(self) -> tuple[Pop, ...]:
+        return tuple(sorted((p for p in self.pops if p.tier is PopTier.EDGE), key=lambda p: p.pop_id))
+
+    @cached_property
     def _adjacency(self) -> dict[str, list[tuple[str, float]]]:
         adjacency: dict[str, list[tuple[str, float]]] = {}
         for link in self.links:
@@ -114,7 +119,7 @@ class DeploymentArea:
         return self._rus_by_id.get(ru_id)
 
     def edge_pops(self) -> tuple[Pop, ...]:
-        return tuple(sorted((p for p in self.pops if p.tier is PopTier.EDGE), key=lambda p: p.pop_id))
+        return self._edge_pops
 
     def latency_row(self, source: str, bound: float) -> dict[str, float]:
         """Shortest-path latency from ``source`` to every PoP within ``bound``

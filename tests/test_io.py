@@ -480,8 +480,8 @@ class TestOnboardingBundle:
         assert err.value.code == "DANGLING_PLAN_REFERENCE"
         assert str(err.value) == (
             "DANGLING_PLAN_REFERENCE: gnb-01: no level of the gNB IL subset references the IL subset of "
-            "du-city-center-01; du-city-center-01: IL subset is not one of the DU VNFD's subsets for "
-            "(CITY_CENTER, ECPRI)"
+            "du-city-center-01; du-city-center-01: IL subset is not the DU VNFD's subset for 4 cell sites "
+            "in (CITY_CENTER, ECPRI)"
         )
 
     def test_du_subset_the_catalog_lacks_is_dangling(self, catalog, area, requests):
@@ -491,7 +491,7 @@ class TestOnboardingBundle:
             return dataclasses.replace(gnb, dus=(dataclasses.replace(du, il_subset=subset),) + gnb.dus[1:])
 
         plan = self._embb_plan_with(catalog, area, requests, rekeyed)
-        missing = "du-city-center-01: IL subset is not one of the DU VNFD's subsets for (CITY_CENTER, ECPRI)"
+        missing = "du-city-center-01: IL subset is not the DU VNFD's subset for 4 cell sites in (CITY_CENTER, ECPRI)"
         assert verify_plan(plan, None, catalog) == [missing]
         assert verify_plan(plan, area, catalog) == [
             missing, "gnb-01: gNB IL subset is not keyed by its DU layout (CITY_CENTER, ECPRI) + (CITY_CENTER, ECPRI)"]

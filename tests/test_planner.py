@@ -692,11 +692,11 @@ class TestPlanSlice:
             (dataclasses.replace(
                 gnb, dus=(dataclasses.replace(du, il_subset=self._renamed(du.il_subset)), *gnb.dus[1:])), [
                 f"{unreferenced} IL subset of {du.du_id}",
-                f"{du.du_id}: IL subset is not one of the DU VNFD's subsets for "
-                f"({region.region_class}, {region.fronthaul_tech.value})",
+                f"{du.du_id}: IL subset is not the DU VNFD's subset for {len(du.served_cell_sites)} cell sites "
+                f"in ({region.region_class}, {region.fronthaul_tech.value})",
             ]),
             (dataclasses.replace(gnb, cu=dataclasses.replace(gnb.cu, il_subset=self._renamed(gnb.cu.il_subset))), [
-                f"{gnb.gnb_id}: CU IL subset is not one of the CU VNFD's subsets",
+                f"{gnb.gnb_id}: CU IL subset is not the CU VNFD's subset for {len(gnb.dus)} DUs",
                 f"{unreferenced} CU IL subset",
             ]),
             (dataclasses.replace(gnb, nsd_il_subset=self._renamed(gnb.nsd_il_subset)), [
@@ -861,18 +861,18 @@ def _cu_levels_capped(plan, max_dus):
     )
 
 
-NOT_THE_CU_VNFDS = "gnb-01: CU IL subset is not one of the CU VNFD's subsets"
+NOT_THE_CU_VNFDS = "gnb-01: CU IL subset is not the CU VNFD's subset for 2 DUs"
 
 VERIFIER_REPORTS = {
     "cu-wrong-key-kind": (
         Sst.EMBB,
         lambda p: _with_cu_subset(p, key=p.gnbs[0].dus[0].il_subset.key),
-        ["gnb-01: CU IL subset has the wrong key kind", NOT_THE_CU_VNFDS],
+        [NOT_THE_CU_VNFDS],
     ),
     "cu-range": (
         Sst.EMBB,
         lambda p: _with_cu_subset(p, key=CuSubsetKey(3, 5)),
-        ["gnb-01: 2 DUs outside CU subset range [3, 5]", NOT_THE_CU_VNFDS],
+        [NOT_THE_CU_VNFDS],
     ),
     "cu-capacity": (
         Sst.EMBB,
@@ -923,7 +923,7 @@ VERIFIER_REPORTS = {
             if s.key == DuSubsetKey(INDUSTRIAL, FronthaulTech.ECPRI, 3, 4))),
         [
             "gnb-01: no level of the gNB IL subset references the IL subset of du-city-center-02",
-            "du-city-center-02: IL subset is keyed for (INDUSTRIAL, ECPRI), not its region's (CITY_CENTER, ECPRI)",
+            "du-city-center-02: IL subset is not the DU VNFD's subset for 4 cell sites in (CITY_CENTER, ECPRI)",
             "gnb-01: gNB IL subset is not keyed by its DU layout (CITY_CENTER, ECPRI) + (CITY_CENTER, ECPRI)",
         ],
     ),
@@ -931,7 +931,7 @@ VERIFIER_REPORTS = {
         Sst.EMBB,
         lambda p: _with_du(_with_du(p, 1, served_cell_sites=_cc_sites(6, 7, 8)),
                            0, served_cell_sites=_cc_sites(1, 2, 3, 4, 5)),
-        ["du-city-center-01: cell-site group outside its IL subset range"],
+        ["du-city-center-01: IL subset is not the DU VNFD's subset for 5 cell sites in (CITY_CENTER, ECPRI)"],
     ),
     "doubly-served-site": (
         Sst.EMBB,
@@ -997,3 +997,95 @@ def test_verifier_without_an_area_checks_the_area_free_facts(name, catalog, area
     sst, mutate, expected = VERIFIER_REPORTS[name]
     plan = plan_slice(requests[sst], sst, area, catalog)
     assert verify_plan(mutate(plan), None, catalog) == WITHOUT_AREA.get(name, expected)
+
+
+# ---------------------------------------------------------------------------
+# verifier: a cited CU or DU IL subset is the one the catalog's rule selects
+
+def _with_overlapping_twin(catalog, vnfds, key, twin_key):
+    """The catalog with a twin of the ``vnfds`` (``"cu_vnfds"`` or
+    ``"du_vnfds"``) subset keyed ``key``: its levels, ids suffixed "-t",
+    under the overlapping ``twin_key``.  In each gNB IL subset, the first
+    level that references the subset references the twin instead; later
+    levels keep referencing the original."""
+    vnfd = getattr(catalog, vnfds)[0]
+    flavor = next(f for f in vnfd.flavors if any(s.key == key for s in f.il_subsets))
+    subset = next(s for s in flavor.il_subsets if s.key == key)
+    twin_ids = {level.il_id: f"{level.il_id}-t" for level in subset.levels}
+    twin = IlSubset(twin_key, tuple(dataclasses.replace(lvl, il_id=twin_ids[lvl.il_id]) for lvl in subset.levels))
+    flavors = tuple(dataclasses.replace(f, il_subsets=f.il_subsets + (twin,)) if f is flavor else f
+                    for f in vnfd.flavors)
+
+    def refs(level):
+        return (level.role_capacity.cu_il_ref, *level.role_capacity.du_il_refs)
+
+    def retargeted(ref):
+        return dataclasses.replace(ref, il_id=twin_ids.get(ref.il_id, ref.il_id))
+
+    def levels(gnb_subset):
+        first = next((lvl for lvl in gnb_subset.levels if {r.il_id for r in refs(lvl)} & twin_ids.keys()), None)
+        return tuple(lvl if lvl is not first else dataclasses.replace(lvl, role_capacity=dataclasses.replace(
+            lvl.role_capacity, cu_il_ref=retargeted(lvl.role_capacity.cu_il_ref),
+            du_il_refs=tuple(map(retargeted, lvl.role_capacity.du_il_refs)))) for lvl in gnb_subset.levels)
+
+    nsd = catalog.gnb_nsds[0]
+    nsd = dataclasses.replace(nsd, flavors=tuple(
+        dataclasses.replace(f, il_subsets=tuple(dataclasses.replace(s, levels=levels(s)) for s in f.il_subsets))
+        for f in nsd.flavors))
+    return dataclasses.replace(catalog, gnb_nsds=(nsd,), **{vnfds: (dataclasses.replace(vnfd, flavors=flavors),)})
+
+
+ECPRI_INDUSTRIAL = (INDUSTRIAL, FronthaulTech.ECPRI)
+
+# rule -> (request's target regions, the VNFDs, the builtin subset's key, its twin's key sorting first)
+OVERLAPPING_SUBSETS = {
+    "du": (("industrial",), "du_vnfds", DuSubsetKey(*ECPRI_INDUSTRIAL, 3, 4), DuSubsetKey(*ECPRI_INDUSTRIAL, 2, 4)),
+    "cu": (("city-center", "industrial", "suburban"), "cu_vnfds", CuSubsetKey(3, 5), CuSubsetKey(2, 5)),
+}
+
+
+def _overlapping_plan(rule, catalog, area, requests):
+    """The URLLC plan on the twin catalog, its twin catalog, and the builtin
+    subset its one DU or CU may not cite: it covers, but sorts later."""
+    regions, vnfds, key, twin_key = OVERLAPPING_SUBSETS[rule]
+    twinned = _with_overlapping_twin(catalog, vnfds, key, twin_key)
+    request = dataclasses.replace(requests[Sst.URLLC], target_regions=regions)
+    later = next(s for f in getattr(twinned, vnfds)[0].flavors for s in f.il_subsets if s.key == key)
+    return plan_slice(request, Sst.URLLC, area, twinned), twinned, later
+
+
+def _cited(plan, rule):
+    gnb = plan.gnbs[0]
+    return gnb.dus[0].il_subset if rule == "du" else gnb.cu.il_subset
+
+
+@pytest.mark.parametrize("rule", sorted(OVERLAPPING_SUBSETS))
+def test_plan_cites_the_first_of_overlapping_subsets(rule, catalog, area, requests):
+    from ranslicer.validate import validate_catalog
+
+    plan, twinned, _ = _overlapping_plan(rule, catalog, area, requests)
+    assert validate_catalog(twinned, area) == []
+    twin_key = OVERLAPPING_SUBSETS[rule][3]
+    assert _cited(plan, rule).key == twin_key
+    assert any(_cited(plan, rule) is s for f in getattr(twinned, OVERLAPPING_SUBSETS[rule][1])[0].flavors
+               for s in f.il_subsets)
+    assert verify_plan(plan, area, twinned) == []
+    assert verify_plan(plan, None, twinned) == []
+
+
+@pytest.mark.parametrize("rule", sorted(OVERLAPPING_SUBSETS))
+def test_verifier_flags_a_later_covering_subset(rule, catalog, area, requests):
+    plan, twinned, later = _overlapping_plan(rule, catalog, area, requests)
+    gnb = plan.gnbs[0]
+    if rule == "du":
+        mutant = _with_du(plan, 0, il_subset=later)
+        expected = ["du-industrial-01: IL subset is not the DU VNFD's subset for 4 cell sites in (INDUSTRIAL, ECPRI)"]
+    else:
+        mutant = _with_cu(plan, il_subset=later)
+        expected = ["gnb-01: CU IL subset is not the CU VNFD's subset for 3 DUs"]
+    assert later.key.covers(len(gnb.dus[0].served_cell_sites) if rule == "du" else len(gnb.dus))
+    referenced = {ref.il_id for lvl in gnb.nsd_il_subset.levels
+                  for ref in (lvl.role_capacity.cu_il_ref, *lvl.role_capacity.du_il_refs)}
+    assert {lvl.il_id for lvl in later.levels} & referenced  # only the rule tells the two subsets apart
+    assert verify_plan(mutant, area, twinned) == expected
+    assert verify_plan(mutant, None, twinned) == expected

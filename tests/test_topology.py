@@ -260,6 +260,16 @@ class TestAreaIndex:
             "cell site cs-dup-01 (city-center) hosts no RU",
         ]
 
+    def test_edge_pops_are_indexed_once_in_id_order(self):
+        area = reference_area()
+        edges = area.edge_pops()
+        assert [p.pop_id for p in edges] == ["pop-edge-1", "pop-edge-2"]
+        assert area.edge_pops() is edges
+        reordered = dataclasses.replace(area, pops=tuple(reversed(area.pops)))
+        assert reordered.edge_pops() == edges
+        fewer = dataclasses.replace(area, pops=tuple(p for p in area.pops if p.pop_id != "pop-edge-1"))
+        assert [p.pop_id for p in fewer.edge_pops()] == ["pop-edge-2"]
+
     def test_replaced_links_are_not_served_from_the_old_memo(self):
         area = reference_area()
         assert pop_latency(area, "pop-edge-1", "pop-agg-city-center") == 0.5
@@ -277,6 +287,7 @@ class TestAreaIndex:
             pop_latency(queried, a, b)
         assert queried.region("suburban") and queried.pop("pop-edge-2")
         assert select_rus(queried, ["industrial"]) and queried.latency_row("pop-edge-1", 1.0)
+        assert queried.edge_pops()
         assert queried == fresh
         assert hash(queried) == hash(fresh)
         assert serialize_document(DocumentEnvelope("TOPOLOGY", queried)) == text
