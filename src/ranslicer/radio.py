@@ -98,6 +98,8 @@ class ProfilerPolicy:
             raise ValueError("5QI table must be non-empty")
         if self.mcs_threshold_mbps <= 0 or self.min_latency_ms <= 0:
             raise ValueError("thresholds must be positive")
+        if self.mobility_uplift_kmh < 0 or self.narrowband_rate_threshold_mbps < 0:
+            raise ValueError("mobility and narrowband thresholds must be non-negative")
         if not 0 < self.activity_factor <= 1:
             raise ValueError("activity factor must lie in (0, 1]")
         if self.reference_cell_area_km2 <= 0 or self.spectral_efficiency_bps_per_hz <= 0:

@@ -816,6 +816,14 @@ _DIAGNOSTIC_CASES = {
         "PROFILER_POLICY", ("mcs_threshold_mbps",), 0,
         ("PARSE_ERROR", "body", "thresholds must be positive"),
     ),
+    "policy-mobility-uplift": (
+        "PROFILER_POLICY", ("mobility_uplift_kmh",), -1,
+        ("PARSE_ERROR", "body", "mobility and narrowband thresholds must be non-negative"),
+    ),
+    "policy-narrowband-threshold": (
+        "PROFILER_POLICY", ("narrowband_rate_threshold_mbps",), -0.5,
+        ("PARSE_ERROR", "body", "mobility and narrowband thresholds must be non-negative"),
+    ),
     "policy-activity-factor": (
         "PROFILER_POLICY", ("activity_factor",), 0,
         ("PARSE_ERROR", "body", "activity factor must lie in (0, 1]"),

@@ -1,6 +1,8 @@
 """Profiler mapping: reference-row reproduction plus monotonicity
 properties."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,14 @@ from ranslicer.radio import (
 )
 
 POLICY = default_policy()
+
+
+@pytest.mark.parametrize("field", ["mobility_uplift_kmh", "narrowband_rate_threshold_mbps"])
+def test_policy_threshold_may_be_zero_but_not_negative(field):
+    for zero in (0, -0.0):
+        assert getattr(dataclasses.replace(POLICY, **{field: zero}), field) == 0
+    with pytest.raises(ValueError, match="^mobility and narrowband thresholds must be non-negative$"):
+        dataclasses.replace(POLICY, **{field: -1})
 
 
 class TestNumerology:
