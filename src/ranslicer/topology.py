@@ -9,12 +9,12 @@ region-id, PoP-id and RU-id indexes (the first entry wins on duplicate ids,
 which ``check_area`` reports), the RUs of each region, the edge PoPs in
 id order, one adjacency map of the links and, for each source PoP asked
 about, one row of shortest-path latencies together with the bound it is
-exact to.  The memo is not a
-dataclass field, so it is invisible to equality, hashing,
-``dataclasses.replace`` and serialization.  Filling it is idempotent and
-every row is exact up to its bound, so two threads that race on one source
-each get a correct row (the race can cost one more search later, never a
-wrong latency) and concurrent planning on one area stays safe.
+exact to.  The memo is not a dataclass field, so it is invisible to
+equality, hashing, ``dataclasses.replace`` and serialization.  Filling it
+is idempotent and every row is exact up to its bound, so two threads that
+race on one source each get a correct row (the race can cost one more
+search later, never a wrong latency) and concurrent planning on one area
+stays safe.
 """
 
 from __future__ import annotations

@@ -1002,6 +1002,10 @@ def test_verifier_without_an_area_checks_the_area_free_facts(name, catalog, area
 # ---------------------------------------------------------------------------
 # verifier: a cited CU or DU IL subset is the one the catalog's rule selects
 
+def _level_refs(level):
+    return (level.role_capacity.cu_il_ref, *level.role_capacity.du_il_refs)
+
+
 def _with_overlapping_twin(catalog, vnfds, key, twin_key):
     """The catalog with a twin of the ``vnfds`` (``"cu_vnfds"`` or
     ``"du_vnfds"``) subset keyed ``key``: its levels, ids suffixed "-t",
@@ -1016,14 +1020,12 @@ def _with_overlapping_twin(catalog, vnfds, key, twin_key):
     flavors = tuple(dataclasses.replace(f, il_subsets=f.il_subsets + (twin,)) if f is flavor else f
                     for f in vnfd.flavors)
 
-    def refs(level):
-        return (level.role_capacity.cu_il_ref, *level.role_capacity.du_il_refs)
-
     def retargeted(ref):
         return dataclasses.replace(ref, il_id=twin_ids.get(ref.il_id, ref.il_id))
 
     def levels(gnb_subset):
-        first = next((lvl for lvl in gnb_subset.levels if {r.il_id for r in refs(lvl)} & twin_ids.keys()), None)
+        first = next((lvl for lvl in gnb_subset.levels if {r.il_id for r in _level_refs(lvl)} & twin_ids.keys()),
+                     None)
         return tuple(lvl if lvl is not first else dataclasses.replace(lvl, role_capacity=dataclasses.replace(
             lvl.role_capacity, cu_il_ref=retargeted(lvl.role_capacity.cu_il_ref),
             du_il_refs=tuple(map(retargeted, lvl.role_capacity.du_il_refs)))) for lvl in gnb_subset.levels)
@@ -1045,37 +1047,30 @@ OVERLAPPING_SUBSETS = {
 
 
 def _overlapping_plan(rule, catalog, area, requests):
-    """The URLLC plan on the twin catalog, its twin catalog, and the builtin
-    subset its one DU or CU may not cite: it covers, but sorts later."""
+    """The URLLC plan on the twin catalog, that catalog, its twin subset,
+    and the builtin subset, which covers too but sorts later."""
     regions, vnfds, key, twin_key = OVERLAPPING_SUBSETS[rule]
     twinned = _with_overlapping_twin(catalog, vnfds, key, twin_key)
     request = dataclasses.replace(requests[Sst.URLLC], target_regions=regions)
-    later = next(s for f in getattr(twinned, vnfds)[0].flavors for s in f.il_subsets if s.key == key)
-    return plan_slice(request, Sst.URLLC, area, twinned), twinned, later
-
-
-def _cited(plan, rule):
-    gnb = plan.gnbs[0]
-    return gnb.dus[0].il_subset if rule == "du" else gnb.cu.il_subset
+    subsets = {s.key: s for f in getattr(twinned, vnfds)[0].flavors for s in f.il_subsets}
+    return plan_slice(request, Sst.URLLC, area, twinned), twinned, subsets[twin_key], subsets[key]
 
 
 @pytest.mark.parametrize("rule", sorted(OVERLAPPING_SUBSETS))
 def test_plan_cites_the_first_of_overlapping_subsets(rule, catalog, area, requests):
     from ranslicer.validate import validate_catalog
 
-    plan, twinned, _ = _overlapping_plan(rule, catalog, area, requests)
+    plan, twinned, twin, _ = _overlapping_plan(rule, catalog, area, requests)
     assert validate_catalog(twinned, area) == []
-    twin_key = OVERLAPPING_SUBSETS[rule][3]
-    assert _cited(plan, rule).key == twin_key
-    assert any(_cited(plan, rule) is s for f in getattr(twinned, OVERLAPPING_SUBSETS[rule][1])[0].flavors
-               for s in f.il_subsets)
+    gnb = plan.gnbs[0]
+    assert (gnb.dus[0].il_subset if rule == "du" else gnb.cu.il_subset) is twin
     assert verify_plan(plan, area, twinned) == []
     assert verify_plan(plan, None, twinned) == []
 
 
 @pytest.mark.parametrize("rule", sorted(OVERLAPPING_SUBSETS))
 def test_verifier_flags_a_later_covering_subset(rule, catalog, area, requests):
-    plan, twinned, later = _overlapping_plan(rule, catalog, area, requests)
+    plan, twinned, _, later = _overlapping_plan(rule, catalog, area, requests)
     gnb = plan.gnbs[0]
     if rule == "du":
         mutant = _with_du(plan, 0, il_subset=later)
@@ -1084,8 +1079,7 @@ def test_verifier_flags_a_later_covering_subset(rule, catalog, area, requests):
         mutant = _with_cu(plan, il_subset=later)
         expected = ["gnb-01: CU IL subset is not the CU VNFD's subset for 3 DUs"]
     assert later.key.covers(len(gnb.dus[0].served_cell_sites) if rule == "du" else len(gnb.dus))
-    referenced = {ref.il_id for lvl in gnb.nsd_il_subset.levels
-                  for ref in (lvl.role_capacity.cu_il_ref, *lvl.role_capacity.du_il_refs)}
+    referenced = {ref.il_id for lvl in gnb.nsd_il_subset.levels for ref in _level_refs(lvl)}
     assert {lvl.il_id for lvl in later.levels} & referenced  # only the rule tells the two subsets apart
     assert verify_plan(mutant, area, twinned) == expected
     assert verify_plan(mutant, None, twinned) == expected
