@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence, Union
 
 
 class Sst(IntEnum):
@@ -244,6 +244,23 @@ class GnbIlCapacity:
     du_il_refs: tuple[VnfIlRef, ...]
     aggregate_capacity_mbps: float
 
+    def runs(self, cu: tuple[str | None, IlSubset], du_vnfd_id: str | None, du_subsets: Sequence[IlSubset]) -> bool:
+        """Whether this level runs ``cu`` (VNFD id, IL subset) and one DU per
+        entry of ``du_subsets``: as many DUs and DU refs, a CU ref to an IL of the
+        CU's subset, and DU refs to ``du_vnfd_id`` matched first-fit, one per DU."""
+        if (self.du_count != len(du_subsets) or len(self.du_il_refs) != len(du_subsets)
+                or self.cu_il_ref.vnfd_id != cu[0] or all(lvl.il_id != self.cu_il_ref.il_id for lvl in cu[1].levels)):
+            return False
+        free: list[set[str] | None] = [{level.il_id for level in s.levels} for s in du_subsets]
+        for ref in self.du_il_refs:
+            for i, ids in enumerate(free):
+                if ids is not None and ref.il_id in ids and ref.vnfd_id == du_vnfd_id:
+                    free[i] = None
+                    break
+            else:
+                return False
+        return True
+
 
 RoleCapacity = Union[DuIlCapacity, CuIlCapacity, GnbIlCapacity]
 
@@ -313,12 +330,24 @@ class Flavor:
     VNFD's single flavor is keyed by the CU-DU split marker instead.
     ``split_option`` is ``SPLIT_FOR_TECH`` of the tech for DU flavors,
     ``CU_SPLIT_OPTION`` for the CU flavor, None for gNB NSD flavors.
+    ``subsets_keyed`` reads a by-key subset index built on first use.
     """
 
     flavor_id: int
     fronthaul_techs: frozenset[FronthaulTech]
     split_option: int | None
     il_subsets: tuple[IlSubset, ...]
+
+    @cached_property
+    def _subsets_by_key(self) -> dict[SubsetKey, tuple[IlSubset, ...]]:
+        by_key: dict[SubsetKey, tuple[IlSubset, ...]] = {}
+        for subset in self.il_subsets:
+            by_key[subset.key] = by_key.get(subset.key, ()) + (subset,)
+        return by_key
+
+    def subsets_keyed(self, key: SubsetKey) -> tuple[IlSubset, ...]:
+        """The flavor's IL subsets with ``key``, in flavor order."""
+        return self._subsets_by_key.get(key, ())
 
 
 @dataclass(frozen=True)

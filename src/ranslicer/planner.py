@@ -373,41 +373,20 @@ def derive_gnb_il_subset(
 
     The subset key must equal the multiset of (region class, fronthaul
     tech) pairs of the DU IL subset keys, one per distinct (region, DU IL
-    subset key), so a region whose DUs use two subsets counts twice.  At
-    least one of its levels must reference the chosen CU IL subset and
-    those DU IL subsets of ``du_vnfd_id`` with the planned multiplicities.
+    subset key), so a region whose DUs use two subsets counts twice.  Of
+    the flavor's subsets with that key, the first with a level that runs
+    the chosen CU IL subset and the DUs under ``du_vnfd_id``
+    (``GnbIlCapacity.runs``) is taken.
     """
     flavor = gnb_nsd.flavor(flavor_id)
     if flavor is None:
         raise PlannerError("NO_MATCHING_SUBSET", f"gNB NSD {gnb_nsd.descriptor_id} has no flavor {flavor_id}")
-    cu_vnfd_id, cu_subset = cu_selection
-    by_subset: dict[tuple[str, DuSubsetKey], list[DuPlan]] = {}
-    for du in dus:
-        by_subset.setdefault((du.region_id, du.il_subset.key), []).append(du)
-    groups = sorted(by_subset.items(), key=lambda item: (item[0][0], item[0][1].min_cell_sites))
-    want_key = GnbSubsetKey(tuple((key.region_class, key.fronthaul_tech) for (_, key), _ in groups))
-    cu_il_ids = {level.il_id for level in cu_subset.levels}
-
-    def level_matches(level: InstantiationLevel) -> bool:
-        role = level.role_capacity
-        if not isinstance(role, GnbIlCapacity):
-            return False
-        if role.du_count != len(dus):
-            return False
-        if role.cu_il_ref.vnfd_id != cu_vnfd_id or role.cu_il_ref.il_id not in cu_il_ids:
-            return False
-        pools = [[len(group), {lvl.il_id for lvl in group[0].il_subset.levels}] for _, group in groups]
-        for ref in role.du_il_refs:
-            owner = next((p for p in pools if p[0] > 0 and ref.il_id in p[1]), None)
-            if ref.vnfd_id != du_vnfd_id or owner is None:
-                return False
-            owner[0] -= 1
-        return all(p[0] == 0 for p in pools)
-
-    for subset in flavor.il_subsets:
-        if not isinstance(subset.key, GnbSubsetKey) or subset.key != want_key:
-            continue
-        if any(level_matches(level) for level in subset.levels):
+    layout = {(du.region_id, du.il_subset.key) for du in dus}  # GnbSubsetKey puts the pairs in order
+    want_key = GnbSubsetKey(tuple((key.region_class, key.fronthaul_tech) for _, key in layout))
+    du_subsets = [du.il_subset for du in dus]
+    for subset in flavor.subsets_keyed(want_key):
+        if any(isinstance(level.role_capacity, GnbIlCapacity)
+               and level.role_capacity.runs(cu_selection, du_vnfd_id, du_subsets) for level in subset.levels):
             return subset
     key_text = " + ".join(f"({cls}, {tech.value})" for cls, tech in want_key.served_regions)
     raise PlannerError(
@@ -522,21 +501,23 @@ def verify_plan(
     """Independent feasibility check of an emitted plan.
 
     Re-derives each CU's edge-PoP host, latency, CU capacity, coverage
-    conservation, flavor consistency, each gNB's IL-subset key and each
-    region's DU capacity from the area and catalog instead of trusting the
-    solver.  Each cited CU and DU IL subset must be the one the catalog's
-    rule selects, derived here from the catalog: the first subset, in
-    (min, max) range order, covering the size.  A CU's is the CU VNFD's
-    first flavor's for its gNB's DU count; a DU's is the DU VNFD's first
-    flavor carrying the tech for its cell-site count, under its region's
-    class and fronthaul tech (without an area, or in an unknown region,
-    its own key's).  A gNB's IL subset must be one of its NSD flavor's,
-    and some level of it must reference the CU's and each DU's.  The
-    VNFDs are the catalog's first by descriptor id, as plan_slice picks
-    them; the NSD is the one the plan's NSST references.  Coverage is
-    checked against the area's RUs, which plan_slice selects (the
-    catalog's for an id the area lacks).  Without an area, only the facts
-    that need none are checked, with coverage against the catalog's RUs.
+    conservation, flavor consistency and each region's DU capacity from
+    the area and catalog instead of trusting the solver.  Each cited IL
+    subset must be the one the catalog's rule selects, derived here from
+    the catalog and compared by identity, then equality.  A CU's is the
+    first of the CU VNFD's first flavor's subsets, in (min, max) range
+    order, that covers its gNB's DU count; a DU's, the first of the DU
+    VNFD's first flavor carrying the tech, under its (region class,
+    fronthaul tech), that covers its cell-site count; a gNB's, the first
+    of its NSD flavor's subsets keyed by the pairs of its DUs' distinct
+    (region, DU key) that has a level running its CU and DUs
+    (``GnbIlCapacity.runs``).  A DU's pair is its region's, or, without
+    an area or in an unknown region, its own key's.  The VNFDs are the
+    catalog's first by descriptor id, as plan_slice picks them; the NSD
+    is the one the plan's NSST references.  Coverage is checked against
+    the area's RUs, which plan_slice selects (the catalog's for an id the
+    area lacks).  Without an area, only the facts that need none are
+    checked, with coverage against the catalog's RUs.
     """
     config = config or PlannerConfig()
     problems: list[str] = []
@@ -552,14 +533,11 @@ def verify_plan(
         keyed = [s for s in flavor.il_subsets if isinstance(s.key, DuSubsetKey) and s.key.fronthaul_tech is tech]
         for subset in sorted(keyed, key=lambda s: (s.key.min_cell_sites, s.key.max_cell_sites)):
             du_rule.setdefault((subset.key.region_class, tech), []).append(subset)
-    gnb_subsets: dict[int, list[IlSubset]] = {}
-    for flavor in nsd.flavors if nsd else ():
-        gnb_subsets.setdefault(flavor.flavor_id, []).extend(flavor.il_subsets)
-    gnb_identities = {flavor_id: {id(s) for s in subsets} for flavor_id, subsets in gnb_subsets.items()}
+    cu_id, du_id = (vnfd.descriptor_id if vnfd else None for vnfd in (cu_vnfd, du_vnfd))
 
-    def selected(subset: IlSubset, subsets: list[IlSubset], size: int) -> bool:
+    def selected(subset: IlSubset, candidates, fits) -> bool:
         """Identity first: a fresh plan holds the catalog's own subset objects."""
-        first = next((s for s in subsets if s.key.covers(size)), None)
+        first = next((s for s in candidates if fits(s)), None)
         return first is subset or first == subset
 
     site_owner: dict[str, str] = {}
@@ -570,40 +548,28 @@ def verify_plan(
             if cu_pop is None or cu_pop.tier is not PopTier.EDGE:
                 problems.append(f"{gnb.gnb_id}: CU host {gnb.cu.host_pop} is not an edge PoP")
             cu_row = area.latency_row(cu_pop.pop_id, config.cu_du_latency_budget_ms) if cu_pop else {}
-        cu_caps = [
-            lvl.role_capacity.max_dus
-            for lvl in gnb.cu.il_subset.levels
-            if isinstance(lvl.role_capacity, CuIlCapacity)
-        ]
+        cu_caps = [lvl.role_capacity.max_dus for lvl in gnb.cu.il_subset.levels
+                   if isinstance(lvl.role_capacity, CuIlCapacity)]
         if cu_caps and len(gnb.dus) > max(cu_caps):
             problems.append(f"{gnb.gnb_id}: DU count {len(gnb.dus)} exceeds CU capacity {max(cu_caps)}")
-        if not selected(gnb.cu.il_subset, cu_rule, len(gnb.dus)):
+        if not selected(gnb.cu.il_subset, cu_rule, lambda s: s.key.covers(len(gnb.dus))):
             problems.append(f"{gnb.gnb_id}: CU IL subset is not the CU VNFD's subset for {len(gnb.dus)} DUs")
-        subset, flavor_id = gnb.nsd_il_subset, gnb.nsd_flavor_id
-        if id(subset) not in gnb_identities.get(flavor_id, ()) and subset not in gnb_subsets.get(flavor_id, ()):
-            problems.append(f"{gnb.gnb_id}: gNB IL subset is not in gNB NSD {plan.nsst.nsd_ref} flavor {flavor_id}")
-        roles = [lvl.role_capacity for lvl in gnb.nsd_il_subset.levels
-                 if isinstance(lvl.role_capacity, GnbIlCapacity)]
-        cu_il_ids = {lvl.il_id for lvl in gnb.cu.il_subset.levels}
-        if not any(role.cu_il_ref.il_id in cu_il_ids for role in roles):
-            problems.append(f"{gnb.gnb_id}: no level of the gNB IL subset references the CU IL subset")
-        du_il_refs = {ref.il_id for role in roles for ref in role.du_il_refs}
         expected_techs = GNB_FLAVOR_TECHS.get(gnb.nsd_flavor_id, frozenset())
-        layout: dict[tuple[str, object], tuple[str, FronthaulTech]] = {}
+        layout: list[tuple[str, object, tuple[str, FronthaulTech] | None]] = []  # distinct (region, DU key, pair)
         for du in gnb.dus:
             region_dus.setdefault(du.region_id, []).append(du)
             for site in du.served_cell_sites:
                 if site in site_owner:
                     problems.append(f"cell site {site} served by both {site_owner[site]} and {du.du_id}")
                 site_owner[site] = du.du_id
-            if du_il_refs.isdisjoint(lvl.il_id for lvl in du.il_subset.levels):
-                problems.append(f"{gnb.gnb_id}: no level of the gNB IL subset references the IL subset of {du.du_id}")
             key = du.il_subset.key
             region = area.region(du.region_id) if area is not None else None
             where = ((region.region_class, region.fronthaul_tech) if region is not None
                      else (key.region_class, key.fronthaul_tech) if isinstance(key, DuSubsetKey) else None)
+            if (du.region_id, key, where) not in layout:  # a list: equal keys are found without hashing them
+                layout.append((du.region_id, key, where))
             sites = len(du.served_cell_sites)
-            if not selected(du.il_subset, du_rule.get(where, []), sites):
+            if not selected(du.il_subset, du_rule.get(where, []), lambda s: s.key.covers(sites)):
                 named = f" in ({where[0]}, {where[1].value})" if where else ""
                 problems.append(f"{du.du_id}: IL subset is not the DU VNFD's subset for {sites} cell sites{named}")
             if area is None:
@@ -611,7 +577,6 @@ def verify_plan(
             if region is None:
                 problems.append(f"{du.du_id}: unknown region {du.region_id}")
                 continue
-            layout[(du.region_id, du.il_subset.key)] = (region.region_class, region.fronthaul_tech)
             latency = cu_row.get(du.host_pop, math.inf)
             if latency > config.cu_du_latency_budget_ms:
                 try:  # the full latency, or UNKNOWN_POP and UNREACHABLE, for the message
@@ -631,10 +596,15 @@ def verify_plan(
                 )
             if du.host_pop != region.aggregation_pop:
                 problems.append(f"{du.du_id}: not hosted on its region's aggregation PoP")
-        want_key = GnbSubsetKey(tuple(layout.values()))
-        if area is not None and gnb.nsd_il_subset.key != want_key:
+        want_key = GnbSubsetKey(tuple(pair for _, _, pair in layout if pair))
+        nsd_flavor = nsd.flavor(gnb.nsd_flavor_id) if nsd else None
+        cu, du_subsets = (cu_id, gnb.cu.il_subset), [du.il_subset for du in gnb.dus]
+        if not selected(gnb.nsd_il_subset, nsd_flavor.subsets_keyed(want_key) if nsd_flavor else (), lambda s: any(
+                isinstance(lvl.role_capacity, GnbIlCapacity) and lvl.role_capacity.runs(cu, du_id, du_subsets)
+                for lvl in s.levels)):
             key_text = " + ".join(f"({cls}, {tech.value})" for cls, tech in want_key.served_regions)
-            problems.append(f"{gnb.gnb_id}: gNB IL subset is not keyed by its DU layout {key_text}")
+            problems.append(f"{gnb.gnb_id}: gNB IL subset is not gNB NSD {plan.nsst.nsd_ref} flavor "
+                            f"{gnb.nsd_flavor_id}'s subset for {len(gnb.dus)} DUs in {key_text}")
     for region_id, load in plan.offered_load_mbps:
         dus = region_dus.get(region_id)
         if not dus:

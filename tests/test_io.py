@@ -444,7 +444,7 @@ class TestOnboardingBundle:
         assert err.value.code == "DANGLING_PLAN_REFERENCE"
         assert str(err.value) == (
             "DANGLING_PLAN_REFERENCE: gNB NSD 'nsd-gnb-v1' not in catalog; "
-            "gnb-01: gNB IL subset is not in gNB NSD nsd-gnb-v1 flavor 2"
+            "gnb-01: gNB IL subset is not gNB NSD nsd-gnb-v1 flavor 2's subset for 2 DUs in (CITY_CENTER, ECPRI)"
         )
 
     def test_flavor_without_the_subset_is_dangling(self, catalog, area, requests):
@@ -453,7 +453,8 @@ class TestOnboardingBundle:
         with pytest.raises(DocumentError) as err:
             emit_onboarding_bundle(moved, catalog)
         assert err.value.code == "DANGLING_PLAN_REFERENCE"
-        assert str(err.value) == "DANGLING_PLAN_REFERENCE: gnb-01: gNB IL subset is not in gNB NSD nsd-gnb-v1 flavor 3"
+        assert str(err.value) == ("DANGLING_PLAN_REFERENCE: gnb-01: gNB IL subset is not gNB NSD nsd-gnb-v1 "
+                                  "flavor 3's subset for 2 DUs in (CITY_CENTER, ECPRI)")
 
     @staticmethod
     def _embb_plan_with(catalog, area, requests, rename):
@@ -479,9 +480,9 @@ class TestOnboardingBundle:
             emit_onboarding_bundle(plan, catalog)
         assert err.value.code == "DANGLING_PLAN_REFERENCE"
         assert str(err.value) == (
-            "DANGLING_PLAN_REFERENCE: gnb-01: no level of the gNB IL subset references the IL subset of "
-            "du-city-center-01; du-city-center-01: IL subset is not the DU VNFD's subset for 4 cell sites "
-            "in (CITY_CENTER, ECPRI)"
+            "DANGLING_PLAN_REFERENCE: du-city-center-01: IL subset is not the DU VNFD's subset for 4 cell sites "
+            "in (CITY_CENTER, ECPRI); gnb-01: gNB IL subset is not gNB NSD nsd-gnb-v1 flavor 2's subset for "
+            "2 DUs in (CITY_CENTER, ECPRI)"
         )
 
     def test_du_subset_the_catalog_lacks_is_dangling(self, catalog, area, requests):
@@ -492,12 +493,13 @@ class TestOnboardingBundle:
 
         plan = self._embb_plan_with(catalog, area, requests, rekeyed)
         missing = "du-city-center-01: IL subset is not the DU VNFD's subset for 4 cell sites in (CITY_CENTER, ECPRI)"
-        assert verify_plan(plan, None, catalog) == [missing]
-        assert verify_plan(plan, area, catalog) == [
-            missing, "gnb-01: gNB IL subset is not keyed by its DU layout (CITY_CENTER, ECPRI) + (CITY_CENTER, ECPRI)"]
+        no_gnb_subset = ("gnb-01: gNB IL subset is not gNB NSD nsd-gnb-v1 flavor 2's subset for 2 DUs in "
+                         "(CITY_CENTER, ECPRI) + (CITY_CENTER, ECPRI)")
+        assert verify_plan(plan, None, catalog) == [missing, no_gnb_subset]
+        assert verify_plan(plan, area, catalog) == [missing, no_gnb_subset]
         with pytest.raises(DocumentError) as err:
             emit_onboarding_bundle(plan, catalog)
-        assert str(err.value) == f"DANGLING_PLAN_REFERENCE: {missing}"
+        assert str(err.value) == f"DANGLING_PLAN_REFERENCE: {missing}; {no_gnb_subset}"
 
     def test_cu_subset_no_gnb_level_references_is_dangling(self, catalog, area, requests):
         def rename(gnb, renamed):
@@ -508,7 +510,8 @@ class TestOnboardingBundle:
             emit_onboarding_bundle(plan, catalog)
         assert err.value.code == "DANGLING_PLAN_REFERENCE"
         assert str(err.value).endswith(
-            f"{plan.gnbs[0].gnb_id}: no level of the gNB IL subset references the CU IL subset"
+            f"{plan.gnbs[0].gnb_id}: gNB IL subset is not gNB NSD nsd-gnb-v1 flavor 2's subset for 2 DUs in "
+            "(CITY_CENTER, ECPRI)"
         )
 
     @staticmethod

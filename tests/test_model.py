@@ -1,14 +1,29 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranslicer.model import (
+    SUBURBAN,
     BandRange,
     CarrierBand,
+    CuIlCapacity,
+    CuSubsetKey,
+    DuIlCapacity,
+    DuSubsetKey,
     FiveQi,
+    FronthaulTech,
+    GnbIlCapacity,
+    IlSubset,
+    InstantiationLevel,
     Priority,
     RadioConfig,
     SliceRequirements,
     SNssai,
     Sst,
+    VmSpec,
+    VnfIlRef,
 )
 
 
@@ -105,3 +120,89 @@ def test_requirements_need_some_throughput_and_a_region():
     with pytest.raises(ValueError):
         _requirements(reliability_pct=100.0)
     assert _requirements(throughput_dl_mbps=0.0).throughput_ul_mbps == 50.0
+
+
+# ---------------------------------------------------------------------------
+# GnbIlCapacity.runs against a brute-force matching oracle
+
+_VM = VmSpec(2, 2.0, 4.0)
+_CU_SUBSET = IlSubset(CuSubsetKey(1, 5), tuple(
+    InstantiationLevel(f"cu-l{j}", _VM, CuIlCapacity(5, 1_000.0 * j)) for j in (1, 2)))
+
+
+@st.composite
+def _gnb_layouts(draw):
+    """A gNB level and the DU subsets of 1-5 DUs over 1-3 DU subsets (with
+    0-3 levels and disjoint IL ids) that it may or may not run.  A subset
+    several DUs cite stands for one shared by DUs of different regions.
+    The level starts as one that runs them, each DU ref taking an IL of
+    the DU at its place in a drawn permutation; drawn faults then change
+    du_count, the ref count, a ref's IL or VNFD id, or the CU ref."""
+    subsets = [
+        IlSubset(DuSubsetKey(SUBURBAN, FronthaulTech.CPRI, 1, 4), tuple(
+            InstantiationLevel(f"du-{i}-l{j}", _VM, DuIlCapacity(4, 1_000.0 * (j + 1)))
+            for j in range(draw(st.integers(0, 3)))))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    du_subsets = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=5))
+    faults = draw(st.sets(st.sampled_from(["du-count", "ref-count", "ref-il", "ref-vnfd", "cu-vnfd", "cu-il"])))
+    any_il = st.sampled_from([lvl.il_id for s in subsets for lvl in s.levels] + ["du-missing", "cu-l1"])
+    n_refs = len(du_subsets) + (draw(st.sampled_from([-1, 1])) if "ref-count" in faults else 0)
+    order = draw(st.permutations(range(len(du_subsets))))
+    refs = []
+    for k in range(n_refs):
+        own = [lvl.il_id for lvl in du_subsets[order[k]].levels] if k < len(order) else []
+        il_id = draw(st.sampled_from(own) if own and ("ref-il" not in faults or draw(st.booleans())) else any_il)
+        vnfd_id = "vnfd-cu" if "ref-vnfd" in faults and draw(st.booleans()) else "vnfd-du"
+        refs.append(VnfIlRef(vnfd_id, 1, il_id))
+    du_count = draw(st.sampled_from([n_refs, len(du_subsets) + 1, 0])) if "du-count" in faults else len(du_subsets)
+    cu_ref = VnfIlRef("vnfd-du" if "cu-vnfd" in faults else "vnfd-cu", 1,
+                      draw(st.sampled_from(["cu-missing", "du-0-l0"] if "cu-il" in faults else ["cu-l1", "cu-l2"])))
+    return GnbIlCapacity(du_count, cu_ref, tuple(refs), 1_000.0), du_subsets
+
+
+def _runs_oracle(role, cu, du_vnfd_id, du_subsets):
+    """Straight from the definition: every assignment of refs to distinct DUs is tried."""
+    cu_vnfd_id, cu_subset = cu
+    if role.du_count != len(du_subsets) or len(role.du_il_refs) != len(du_subsets):
+        return False
+    if role.cu_il_ref.vnfd_id != cu_vnfd_id or role.cu_il_ref.il_id not in {lvl.il_id for lvl in cu_subset.levels}:
+        return False
+    if any(ref.vnfd_id != du_vnfd_id for ref in role.du_il_refs):
+        return False
+    return any(
+        all(ref.il_id in {lvl.il_id for lvl in du_subsets[d].levels} for ref, d in zip(role.du_il_refs, dus))
+        for dus in itertools.permutations(range(len(du_subsets)))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gnb_layouts(), st.sampled_from(["vnfd-cu", "vnfd-cu-other"]))
+def test_gnb_level_runs_matches_the_brute_force_oracle(layout, cu_vnfd_id):
+    role, du_subsets = layout
+    cu = (cu_vnfd_id, _CU_SUBSET)
+    assert role.runs(cu, "vnfd-du", du_subsets) == _runs_oracle(role, cu, "vnfd-du", du_subsets)
+
+
+def test_flavor_subsets_keyed_are_in_flavor_order_and_invisible():
+    from ranslicer.model import Flavor
+
+    key, other = CuSubsetKey(1, 2), CuSubsetKey(3, 5)
+    first, second, third = (IlSubset(k, (InstantiationLevel(f"cu-{i}", _VM, CuIlCapacity(2, 1.0)),))
+                            for i, k in enumerate((key, other, key)))
+    flavor = Flavor(1, frozenset(), 2, (first, second, third))
+    fresh = Flavor(1, frozenset(), 2, (first, second, third))
+    assert flavor.subsets_keyed(key) == (first, third) and flavor.subsets_keyed(other) == (second,)
+    assert flavor.subsets_keyed(CuSubsetKey(1, 5)) == ()
+    assert flavor == fresh and hash(flavor) == hash(fresh)
+
+
+def test_subset_index_leaves_catalog_bytes_alone():
+    from ranslicer.builtin import builtin_catalog
+    from ranslicer.io import envelope_for, serialize_document
+
+    catalog = builtin_catalog()
+    before = serialize_document(envelope_for(catalog))
+    for flavor in catalog.gnb_nsds[0].flavors:
+        assert all(s in flavor.subsets_keyed(s.key) for s in flavor.il_subsets)
+    assert serialize_document(envelope_for(catalog)) == before

@@ -668,11 +668,7 @@ class TestPlanSlice:
         gnb = plan.gnbs[0]
         swapped = dataclasses.replace(plan, gnbs=(dataclasses.replace(gnb, nsd_il_subset=industrial),))
         problems = verify_plan(swapped, area, catalog)
-        assert problems == [
-            *(f"{gnb.gnb_id}: no level of the gNB IL subset references the IL subset of {du.du_id}"
-              for du in gnb.dus),
-            f"{gnb.gnb_id}: gNB IL subset is not keyed by its DU layout (CITY_CENTER, ECPRI)",
-        ]
+        assert problems == [f"{gnb.gnb_id}: {NOT_THE_GNB_NSDS} 2's subset for 2 DUs in (CITY_CENTER, ECPRI)"]
 
     @staticmethod
     def _renamed(subset: IlSubset) -> IlSubset:
@@ -687,21 +683,20 @@ class TestPlanSlice:
         gnb = plan.gnbs[0]
         du = gnb.dus[0]
         region = area.region(du.region_id)
-        unreferenced = f"{gnb.gnb_id}: no level of the gNB IL subset references the"
+        no_gnb_subset = (f"{gnb.gnb_id}: gNB IL subset is not gNB NSD {plan.nsst.nsd_ref} flavor "
+                         f"{gnb.nsd_flavor_id}'s subset for 2 DUs in (CITY_CENTER, ECPRI)")
         mutants = [
             (dataclasses.replace(
                 gnb, dus=(dataclasses.replace(du, il_subset=self._renamed(du.il_subset)), *gnb.dus[1:])), [
-                f"{unreferenced} IL subset of {du.du_id}",
                 f"{du.du_id}: IL subset is not the DU VNFD's subset for {len(du.served_cell_sites)} cell sites "
                 f"in ({region.region_class}, {region.fronthaul_tech.value})",
+                no_gnb_subset,
             ]),
             (dataclasses.replace(gnb, cu=dataclasses.replace(gnb.cu, il_subset=self._renamed(gnb.cu.il_subset))), [
                 f"{gnb.gnb_id}: CU IL subset is not the CU VNFD's subset for {len(gnb.dus)} DUs",
-                f"{unreferenced} CU IL subset",
+                no_gnb_subset,
             ]),
-            (dataclasses.replace(gnb, nsd_il_subset=self._renamed(gnb.nsd_il_subset)), [
-                f"{gnb.gnb_id}: gNB IL subset is not in gNB NSD {plan.nsst.nsd_ref} flavor {gnb.nsd_flavor_id}",
-            ]),
+            (dataclasses.replace(gnb, nsd_il_subset=self._renamed(gnb.nsd_il_subset)), [no_gnb_subset]),
         ]
         for mutated, expected in mutants:
             tampered = dataclasses.replace(plan, gnbs=(mutated, *plan.gnbs[1:]))
@@ -862,6 +857,7 @@ def _cu_levels_capped(plan, max_dus):
 
 
 NOT_THE_CU_VNFDS = "gnb-01: CU IL subset is not the CU VNFD's subset for 2 DUs"
+NOT_THE_GNB_NSDS = "gNB IL subset is not gNB NSD nsd-gnb-v1 flavor"
 
 VERIFIER_REPORTS = {
     "cu-wrong-key-kind": (
@@ -884,7 +880,6 @@ VERIFIER_REPORTS = {
         lambda p: _with_du(p, 0, region_id="mars"),
         [
             "du-city-center-01: unknown region mars",
-            "gnb-01: gNB IL subset is not keyed by its DU layout (INDUSTRIAL, ECPRI) + (SUBURBAN, CPRI)",
             "region city-center: no DU carries its 5000 Mbps offered load",
         ],
     ),
@@ -906,9 +901,9 @@ VERIFIER_REPORTS = {
         Sst.EMBB,
         lambda p: _with_gnb(p, nsd_flavor_id=1),
         [
-            "gnb-01: gNB IL subset is not in gNB NSD nsd-gnb-v1 flavor 1",
             "du-city-center-01: region tech ECPRI not in gNB flavor 1",
             "du-city-center-02: region tech ECPRI not in gNB flavor 1",
+            f"gnb-01: {NOT_THE_GNB_NSDS} 1's subset for 2 DUs in (CITY_CENTER, ECPRI)",
         ],
     ),
     "du-off-its-aggregation-pop": (
@@ -922,9 +917,8 @@ VERIFIER_REPORTS = {
             s for s in builtin_catalog().du_vnfds[0].flavors[0].il_subsets
             if s.key == DuSubsetKey(INDUSTRIAL, FronthaulTech.ECPRI, 3, 4))),
         [
-            "gnb-01: no level of the gNB IL subset references the IL subset of du-city-center-02",
             "du-city-center-02: IL subset is not the DU VNFD's subset for 4 cell sites in (CITY_CENTER, ECPRI)",
-            "gnb-01: gNB IL subset is not keyed by its DU layout (CITY_CENTER, ECPRI) + (CITY_CENTER, ECPRI)",
+            f"gnb-01: {NOT_THE_GNB_NSDS} 2's subset for 2 DUs in (CITY_CENTER, ECPRI) + (CITY_CENTER, ECPRI)",
         ],
     ),
     "group-outside-subset-range": (
@@ -984,10 +978,10 @@ WITHOUT_AREA = {
     "unknown-region": ["region city-center: no DU carries its 5000 Mbps offered load"],
     "unreachable-cu-host": [],
     "du-flavor-vs-region-tech": [],
-    "region-tech-not-in-gnb-flavor": ["gnb-01: gNB IL subset is not in gNB NSD nsd-gnb-v1 flavor 1"],
+    "region-tech-not-in-gnb-flavor": [f"gnb-01: {NOT_THE_GNB_NSDS} 1's subset for 2 DUs in (CITY_CENTER, ECPRI)"],
     "du-off-its-aggregation-pop": [],
     "du-subset-of-another-region-class": [
-        "gnb-01: no level of the gNB IL subset references the IL subset of du-city-center-02",
+        f"gnb-01: {NOT_THE_GNB_NSDS} 2's subset for 2 DUs in (CITY_CENTER, ECPRI) + (INDUSTRIAL, ECPRI)",
     ],
 }
 
@@ -1077,9 +1071,99 @@ def test_verifier_flags_a_later_covering_subset(rule, catalog, area, requests):
         expected = ["du-industrial-01: IL subset is not the DU VNFD's subset for 4 cell sites in (INDUSTRIAL, ECPRI)"]
     else:
         mutant = _with_cu(plan, il_subset=later)
-        expected = ["gnb-01: CU IL subset is not the CU VNFD's subset for 3 DUs"]
+        expected = ["gnb-01: CU IL subset is not the CU VNFD's subset for 3 DUs",
+                    f"gnb-01: {NOT_THE_GNB_NSDS} 3's subset for 3 DUs in (CITY_CENTER, ECPRI) + (INDUSTRIAL, ECPRI) "
+                    "+ (SUBURBAN, CPRI)"]
     assert later.key.covers(len(gnb.dus[0].served_cell_sites) if rule == "du" else len(gnb.dus))
     referenced = {ref.il_id for lvl in gnb.nsd_il_subset.levels for ref in _level_refs(lvl)}
     assert {lvl.il_id for lvl in later.levels} & referenced  # only the rule tells the two subsets apart
     assert verify_plan(mutant, area, twinned) == expected
     assert verify_plan(mutant, None, twinned) == expected
+
+
+# ---------------------------------------------------------------------------
+# verifier: a cited gNB IL subset is the first keyed one with a level that runs the gNB
+
+def test_verifier_flags_a_gnb_subset_without_a_level_for_its_dus(catalog, area, requests):
+    """The eMBB plan with one DU: city center's gNB subset has a level for
+    one DU and one for two, but the one-DU level references a DU IL of the
+    5-8 site subset, not the cited 1-4 one, so no level runs the gNB."""
+    from ranslicer.errors import DocumentError
+    from ranslicer.io import emit_onboarding_bundle
+
+    plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, catalog)
+    gnb = plan.gnbs[0]
+    dropped = set(gnb.dus[1].served_cell_sites)
+    one_du = dataclasses.replace(
+        plan, gnbs=(dataclasses.replace(gnb, dus=gnb.dus[:1]),),
+        selected_rus=tuple(ru_id for ru_id in plan.selected_rus if area.ru(ru_id).location.cell_site not in dropped),
+        offered_load_mbps=(("city-center", 50_000.0),))
+    expected = [f"gnb-01: {NOT_THE_GNB_NSDS} 2's subset for 1 DUs in (CITY_CENTER, ECPRI)"]
+    assert verify_plan(one_du, area, catalog) == expected
+    assert verify_plan(one_du, None, catalog) == expected
+    with pytest.raises(DocumentError) as err:
+        emit_onboarding_bundle(one_du, catalog)
+    assert err.value.code == "DANGLING_PLAN_REFERENCE"
+
+
+def _with_shared_il_id(catalog, tech, owner, sharer, level):
+    """The catalog with level ``level`` of DU subset ``sharer`` renamed to
+    the IL id of the same level of ``owner``, both in ``tech``'s flavor."""
+    du = catalog.du_vnfds[0]
+    flavor = du.flavor_for_tech(tech)
+    subsets = list(flavor.il_subsets)
+    levels = list(subsets[sharer].levels)
+    levels[level] = dataclasses.replace(levels[level], il_id=subsets[owner].levels[level].il_id)
+    subsets[sharer] = dataclasses.replace(subsets[sharer], levels=tuple(levels))
+    flavors = tuple(dataclasses.replace(f, il_subsets=tuple(subsets)) if f is flavor else f for f in du.flavors)
+    return dataclasses.replace(catalog, du_vnfds=(dataclasses.replace(du, flavors=flavors),))
+
+
+def test_subsets_sharing_an_il_id_plan_clean_or_fail_cleanly(catalog, area, requests):
+    """The planner and the verifier apply one gNB rule, so a catalog in
+    which two DU subsets share an IL id yields, for every reference request
+    over every set of regions, a plan that verifies or a RanSliceError,
+    never plan_slice's RuntimeError."""
+    from ranslicer.errors import RanSliceError
+
+    region_ids = sorted(r.region_id for r in area.regions)
+    requests_over_regions = [
+        (sst, dataclasses.replace(requests[sst], target_regions=regions))
+        for sst in (Sst.EMBB, Sst.MMTC, Sst.URLLC)
+        for n in range(1, len(region_ids) + 1) for regions in itertools.combinations(region_ids, n)
+    ]
+    for tech, n in ((FronthaulTech.ECPRI, 4), (FronthaulTech.CPRI, 2)):
+        for (owner, sharer), level in itertools.product(itertools.permutations(range(n), 2), range(3)):
+            shared = _with_shared_il_id(catalog, tech, owner, sharer, level)
+            for sst, request in requests_over_regions:
+                try:
+                    plan = plan_slice(request, sst, area, shared)
+                except RanSliceError:
+                    continue
+                assert verify_plan(plan, area, shared) == verify_plan(plan, None, shared) == [], (tech, owner, sharer)
+
+
+@pytest.mark.parametrize("first_runs", [False, True])
+def test_planner_and_verifier_take_the_first_same_keyed_gnb_subset_that_runs(first_runs, catalog, area, requests):
+    """A twin of city center's gNB subset, IL ids suffixed "-t", sits just
+    before it under the same key; its levels run the eMBB gNB or, with
+    du_count raised by one, do not."""
+    nsd = catalog.gnb_nsds[0]
+    flavor = nsd.flavor(2)
+    key = GnbSubsetKey(((CITY_CENTER, FronthaulTech.ECPRI),))
+    original = flavor.subsets_keyed(key)[0]
+    twin = IlSubset(key, tuple(
+        dataclasses.replace(lvl, il_id=f"{lvl.il_id}-t", role_capacity=dataclasses.replace(
+            lvl.role_capacity, du_count=lvl.role_capacity.du_count + (0 if first_runs else 1)))
+        for lvl in original.levels))
+    at = flavor.il_subsets.index(original)
+    flavors = tuple(dataclasses.replace(f, il_subsets=f.il_subsets[:at] + (twin,) + f.il_subsets[at:])
+                    if f is flavor else f for f in nsd.flavors)
+    twinned = dataclasses.replace(catalog, gnb_nsds=(dataclasses.replace(nsd, flavors=flavors),))
+    plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, twinned)
+    chosen, other = (twin, original) if first_runs else (original, twin)
+    assert plan.gnbs[0].nsd_il_subset is chosen
+    assert verify_plan(plan, area, twinned) == verify_plan(plan, None, twinned) == []
+    mutant = _with_gnb(plan, nsd_il_subset=other)
+    expected = [f"gnb-01: {NOT_THE_GNB_NSDS} 2's subset for 2 DUs in (CITY_CENTER, ECPRI)"]
+    assert verify_plan(mutant, area, twinned) == verify_plan(mutant, None, twinned) == expected
