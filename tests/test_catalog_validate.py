@@ -12,6 +12,7 @@ from ranslicer.model import (
     CuIlCapacity,
     CuSubsetKey,
     CuVnfd,
+    DuSubsetKey,
     DuVnfd,
     FronthaulTech,
     GnbNsd,
@@ -138,7 +139,17 @@ def _cu(c):
     return c.cu_vnfds[0]
 
 
+def _with_twin(descriptor, fi, si, key, suffix="-t"):
+    """The descriptor with a copy of subset ``si`` of flavor ``fi``, IL ids
+    suffixed ``suffix``, under ``key``, appended to that flavor."""
+    subset = descriptor.flavors[fi].il_subsets[si]
+    twin = IlSubset(key, tuple(dataclasses.replace(lvl, il_id=f"{lvl.il_id}{suffix}") for lvl in subset.levels))
+    return _flavor(descriptor, fi, il_subsets=descriptor.flavors[fi].il_subsets + (twin,))
+
+
 _DU_REF = VnfIlRef("vnfd-du-v1", 2, "du-c-sub-s6-l1")
+_INDUSTRIAL_ECPRI = ("INDUSTRIAL", FronthaulTech.ECPRI)
+_NEVER_SELECTED = "an earlier subset in range order covers [{}, {}]; it is never selected"
 
 EXACT_REPORTS = {
     "gnb-two-flavors": (
@@ -497,6 +508,38 @@ EXACT_REPORTS = {
             ("ru-cc-01", "location.cell_site", "ru-site-mismatch", "cell site 'x' not in region city-center"),
         ],
     ),
+    "du-subset-covered-by-an-earlier-one": (
+        lambda c: _put(c, _with_twin(_du(c), 0, 1, DuSubsetKey(*_INDUSTRIAL_ECPRI, 1, 4))),
+        [
+            ("vnfd-du-v1", "flavors[0].il_subsets[1]", "unreachable-subset", _NEVER_SELECTED.format(3, 4)),
+        ],
+    ),
+    "du-subset-keyed-as-an-earlier-one": (
+        lambda c: _put(c, _with_twin(_du(c), 1, 0, _du(c).flavors[1].il_subsets[0].key)),
+        [
+            ("vnfd-du-v1", "flavors[1].il_subsets[2]", "unreachable-subset", _NEVER_SELECTED.format(1, 3)),
+        ],
+    ),
+    "du-subsets-inside-an-earlier-wider-one": (  # (2, 3) reaches less far than (1, 4), which covers (3, 4) too
+        lambda c: _put(c, _with_twin(_with_twin(_du(c), 0, 2, DuSubsetKey("CITY_CENTER", FronthaulTech.ECPRI, 2, 3)),
+                                     0, 2, DuSubsetKey("CITY_CENTER", FronthaulTech.ECPRI, 3, 4), "-u")),
+        [
+            ("vnfd-du-v1", "flavors[0].il_subsets[4]", "unreachable-subset", _NEVER_SELECTED.format(2, 3)),
+            ("vnfd-du-v1", "flavors[0].il_subsets[5]", "unreachable-subset", _NEVER_SELECTED.format(3, 4)),
+        ],
+    ),
+    "du-inverted-range-is-only-a-bad-key": (  # not also unreachable, although (3, 4) reaches its max
+        lambda c: _put(c, _with_twin(_du(c), 0, 1, DuSubsetKey(*_INDUSTRIAL_ECPRI, 5, 4))),
+        [
+            ("vnfd-du-v1", "flavors[0].il_subsets[4]", "bad-subset-key", "cell-site range [5, 4] is invalid"),
+        ],
+    ),
+    "cu-subset-covered-by-an-earlier-one": (
+        lambda c: _put(c, _with_twin(_cu(c), 0, 1, CuSubsetKey(2, 5))),
+        [
+            ("vnfd-cu-v1", "flavors[0].il_subsets[1]", "unreachable-subset", _NEVER_SELECTED.format(3, 5)),
+        ],
+    ),
     "ru-flipped-tech": (
         lambda c: dataclasses.replace(c, ru_pnfds=(dataclasses.replace(
             c.ru_pnfds[0], connection_tech=FronthaulTech.CPRI),) + c.ru_pnfds[1:]),
@@ -512,3 +555,24 @@ def test_single_fault_exact_report(name, catalog, area):
     mutate, expected = EXACT_REPORTS[name]
     report = [(v.document_id, v.path, v.rule, v.message) for v in validate_catalog(mutate(catalog), area)]
     assert report == expected
+
+
+@pytest.mark.parametrize("twin_range", [(1, 3), (2, 3), (3, 3)])
+def test_subset_an_earlier_one_covers_only_in_part_is_reachable(twin_range, catalog, area):
+    """A DU subset beside the industrial eCPRI (1, 2) and (3, 4) ones whose
+    range leaves each of them, and itself, a size no earlier one covers."""
+    twinned = _put(catalog, _with_twin(_du(catalog), 0, 1, DuSubsetKey(*_INDUSTRIAL_ECPRI, *twin_range)))
+    assert validate_catalog(twinned, area) == []
+
+
+def test_dimension_dus_never_takes_an_unreachable_subset(catalog, area):
+    from ranslicer.planner import dimension_dus
+
+    twinned = _put(catalog, _with_twin(_du(catalog), 0, 1, DuSubsetKey(*_INDUSTRIAL_ECPRI, 1, 4)))
+    [unreachable] = [v for v in validate_catalog(twinned, area) if v.rule == "unreachable-subset"]
+    shadowed = _du(twinned).flavors[0].il_subsets[1]
+    assert unreachable.path == "flavors[0].il_subsets[1]"
+    region = area.region("industrial")
+    for n_sites in range(1, 5):
+        small = dataclasses.replace(region, cell_sites=region.cell_sites[:n_sites])
+        assert all(du.il_subset is not shadowed for du in dimension_dus(small, 0.0, _du(twinned)))

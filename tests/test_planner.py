@@ -1054,8 +1054,11 @@ def _overlapping_plan(rule, catalog, area, requests):
 def test_plan_cites_the_first_of_overlapping_subsets(rule, catalog, area, requests):
     from ranslicer.validate import validate_catalog
 
-    plan, twinned, twin, _ = _overlapping_plan(rule, catalog, area, requests)
-    assert validate_catalog(twinned, area) == []
+    plan, twinned, twin, shadowed = _overlapping_plan(rule, catalog, area, requests)
+    vnfd = getattr(twinned, OVERLAPPING_SUBSETS[rule][1])[0]
+    [(fi, si)] = [(fi, si) for fi, f in enumerate(vnfd.flavors) for si, s in enumerate(f.il_subsets) if s is shadowed]
+    assert [(v.document_id, v.path, v.rule) for v in validate_catalog(twinned, area)] == [
+        (vnfd.descriptor_id, f"flavors[{fi}].il_subsets[{si}]", "unreachable-subset")]
     gnb = plan.gnbs[0]
     assert (gnb.dus[0].il_subset if rule == "du" else gnb.cu.il_subset) is twin
     assert verify_plan(plan, area, twinned) == []
