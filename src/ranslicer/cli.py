@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .builtin import builtin_catalog, reference_requests
 from .errors import RanSliceError
@@ -50,7 +50,7 @@ from .model import (
 )
 from .planner import PlannerConfig, SlicePlan, plan_slice
 from .radio import ProfilerPolicy
-from .topology import DeploymentArea, reference_area, select_rus
+from .topology import DeploymentArea, reference_area
 from .validate import validate_catalog
 
 
@@ -127,78 +127,46 @@ def _cmd_emit(args) -> int:
 # ---------------------------------------------------------------------------
 # reference-example command
 
-@dataclass(frozen=True)
-class _Expected:
-    label: str
-    mu: int
-    band_ranges: tuple[BandRange, ...]
-    bandwidths_mhz: tuple[float, ...] | None  # None: ranges only are pinned
-    slot_format_id: int
-    fiveqi: tuple[int, int, float, float]  # id, priority, delay ms, error rate
-    mcs: McsSet
-    scheduler: SchedulerPolicy
-    flavor_id: int
-    regions: tuple[str, ...]
-    ru_count: int
-    gnb_count: int
-    subset_pairs: tuple[tuple[str, FronthaulTech], ...]
+def _rus(prefix: str, count: int) -> tuple[str, ...]:
+    return tuple(f"ru-{prefix}-{i:02d}" for i in range(1, count + 1))
 
 
+_SLICES = {"eMBB": Sst.EMBB, "mMTC": Sst.MMTC, "uRLLC": Sst.URLLC}
+
+_SUB6, _MMWAVE = BandRange.SUB6_450_6000, BandRange.MMWAVE_24250_52600
+_FIVEQI_FIELDS = attrgetter("id", "priority_level", "packet_delay_budget_ms", "packet_error_rate")
+
+# One row per check, in the order they run: its name, how to read it off a
+# plan, and its reference value for each slice in _SLICES order (None: not
+# pinned; uRLLC's carrier bandwidths are left to the band range).
 _EXPECTED = (
-    _Expected(
-        label="eMBB",
-        mu=2,
-        band_ranges=(BandRange.SUB6_450_6000, BandRange.MMWAVE_24250_52600),
-        bandwidths_mhz=(100.0, 400.0),
-        slot_format_id=28,
-        fiveqi=(80, 66, 10.0, 1e-6),
-        mcs=McsSet.EXTENDED_256QAM,
-        scheduler=SchedulerPolicy.DYNAMIC_GUARANTEED_THROUGHPUT,
-        flavor_id=2,
-        regions=("city-center",),
-        ru_count=8,
-        gnb_count=1,
-        subset_pairs=((CITY_CENTER, FronthaulTech.ECPRI),),
-    ),
-    _Expected(
-        label="mMTC",
-        mu=0,
-        band_ranges=(BandRange.SUB6_450_6000,),
-        bandwidths_mhz=(5.0,),
-        slot_format_id=45,
-        fiveqi=(4, 50, 300.0, 1e-6),
-        mcs=McsSet.LTE_COMPATIBLE,
-        scheduler=SchedulerPolicy.SEMI_PERSISTENT,
-        flavor_id=3,
-        regions=("city-center", "industrial", "suburban"),
-        ru_count=18,
-        gnb_count=1,
-        subset_pairs=(
-            (CITY_CENTER, FronthaulTech.ECPRI),
-            (INDUSTRIAL, FronthaulTech.ECPRI),
-            (SUBURBAN, FronthaulTech.CPRI),
-        ),
-    ),
-    _Expected(
-        label="uRLLC",
-        mu=3,
-        band_ranges=(BandRange.MMWAVE_24250_52600,),
-        bandwidths_mhz=None,
-        slot_format_id=10,
-        fiveqi=(81, 11, 5.0, 1e-5),
-        mcs=McsSet.LTE_COMPATIBLE,
-        scheduler=SchedulerPolicy.DYNAMIC_GUARANTEED_DELAY,
-        flavor_id=1,
-        regions=("suburban",),
-        ru_count=6,
-        gnb_count=1,
-        subset_pairs=((SUBURBAN, FronthaulTech.CPRI),),
-    ),
+    ("numerology", lambda p: p.nsst.radio_config.numerology_mu, (2, 0, 3)),
+    ("band ranges", lambda p: tuple(b.band_range for b in p.nsst.radio_config.bands),
+     ((_SUB6, _MMWAVE), (_SUB6,), (_MMWAVE,))),
+    ("carrier bandwidths", lambda p: tuple(b.carrier_bandwidth_mhz for b in p.nsst.radio_config.bands),
+     ((100.0, 400.0), (5.0,), None)),
+    ("slot format", lambda p: p.nsst.radio_config.slot_format_id, (28, 45, 10)),
+    ("5QI", lambda p: _FIVEQI_FIELDS(p.nsst.radio_config.five_qi),
+     ((80, 66, 10.0, 1e-6), (4, 50, 300.0, 1e-6), (81, 11, 5.0, 1e-5))),
+    ("MCS set", lambda p: p.nsst.radio_config.mcs_set,
+     (McsSet.EXTENDED_256QAM, McsSet.LTE_COMPATIBLE, McsSet.LTE_COMPATIBLE)),
+    ("scheduler", lambda p: p.nsst.radio_config.scheduler_policy,
+     (SchedulerPolicy.DYNAMIC_GUARANTEED_THROUGHPUT, SchedulerPolicy.SEMI_PERSISTENT,
+      SchedulerPolicy.DYNAMIC_GUARANTEED_DELAY)),
+    ("gNB NSD flavor", lambda p: {g.nsd_flavor_id for g in p.gnbs}, ({2}, {3}, {1})),
+    ("selected RUs", lambda p: p.selected_rus,
+     (_rus("cc", 8), _rus("cc", 8) + _rus("ind", 4) + _rus("sub", 6), _rus("sub", 6))),
+    ("RU count", lambda p: len(p.selected_rus), (8, 18, 6)),
+    ("gNB count", lambda p: len(p.gnbs), (1, 1, 1)),
+    ("gNB IL subset key", lambda p: {g.nsd_il_subset.key for g in p.gnbs}, (
+        {GnbSubsetKey(((CITY_CENTER, FronthaulTech.ECPRI),))},
+        {GnbSubsetKey(((CITY_CENTER, FronthaulTech.ECPRI), (INDUSTRIAL, FronthaulTech.ECPRI),
+                       (SUBURBAN, FronthaulTech.CPRI)))},
+        {GnbSubsetKey(((SUBURBAN, FronthaulTech.CPRI),))},
+    )),
 )
 
-_SST_FOR_LABEL = {"eMBB": Sst.EMBB, "mMTC": Sst.MMTC, "uRLLC": Sst.URLLC}
-
-_BAND_SHORT = {BandRange.SUB6_450_6000: "SUB6", BandRange.MMWAVE_24250_52600: "MMWAVE"}
+_BAND_SHORT = {_SUB6: "SUB6", _MMWAVE: "MMWAVE"}
 
 
 def _fmt_bands(config: RadioConfig) -> str:
@@ -219,38 +187,6 @@ def _fmt_subset_key(pairs) -> str:
     return " + ".join(f"{cls}/{tech.value}" for cls, tech in pairs)
 
 
-def _check_slice(expected: _Expected, plan: SlicePlan, area: DeploymentArea) -> tuple[int, list[str]]:
-    config = plan.nsst.radio_config
-    failures: list[str] = []
-    checks = 0
-
-    def check(name: str, got, want):
-        nonlocal checks
-        checks += 1
-        if got != want:
-            failures.append(f"{expected.label}: {name}: expected {want!r}, got {got!r}")
-
-    check("numerology", config.numerology_mu, expected.mu)
-    check("band ranges", tuple(b.band_range for b in config.bands), expected.band_ranges)
-    if expected.bandwidths_mhz is not None:
-        check("carrier bandwidths", tuple(b.carrier_bandwidth_mhz for b in config.bands),
-              expected.bandwidths_mhz)
-    check("slot format", config.slot_format_id, expected.slot_format_id)
-    q = config.five_qi
-    check("5QI", (q.id, q.priority_level, q.packet_delay_budget_ms, q.packet_error_rate),
-          expected.fiveqi)
-    check("MCS set", config.mcs_set, expected.mcs)
-    check("scheduler", config.scheduler_policy, expected.scheduler)
-    check("gNB NSD flavor", {g.nsd_flavor_id for g in plan.gnbs}, {expected.flavor_id})
-    expected_rus = tuple(ru.ru_id for ru in select_rus(area, expected.regions))
-    check("selected RUs", plan.selected_rus, expected_rus)
-    check("RU count", len(plan.selected_rus), expected.ru_count)
-    check("gNB count", len(plan.gnbs), expected.gnb_count)
-    want_key = GnbSubsetKey(expected.subset_pairs)
-    check("gNB IL subset key", {g.nsd_il_subset.key for g in plan.gnbs}, {want_key})
-    return checks, failures
-
-
 def _render_table(rows: list[tuple[str, list[str]]], headers: list[str]) -> str:
     widths = [len(h) for h in headers]
     for label, cells in rows:
@@ -268,47 +204,37 @@ def _render_table(rows: list[tuple[str, list[str]]], headers: list[str]) -> str:
 
 
 def _cmd_paper_example(args) -> int:
-    catalog = builtin_catalog()
-    area = reference_area()
-    requests = reference_requests()
-    plans: dict[str, SlicePlan] = {}
-    total_checks = 0
-    failures: list[str] = []
-    for expected in _EXPECTED:
-        sst = _SST_FOR_LABEL[expected.label]
-        plan = plan_slice(requests[sst], sst, area, catalog)
-        plans[expected.label] = plan
-        checks, bad = _check_slice(expected, plan, area)
-        total_checks += checks
-        failures.extend(bad)
+    catalog, area, requests = builtin_catalog(), reference_area(), reference_requests()
+    plans = [plan_slice(requests[sst], sst, area, catalog) for sst in _SLICES.values()]
+    checks = [(f"{label}: {name}", read(plan), wants[i])
+              for i, (label, plan) in enumerate(zip(_SLICES, plans))
+              for name, read, wants in _EXPECTED if wants[i] is not None]
+    failures = [f"{check}: expected {want!r}, got {got!r}" for check, got, want in checks if got != want]
 
-    def column(fn) -> list[str]:
-        return [fn(plans[e.label]) for e in _EXPECTED]
+    def row(name: str, fn) -> tuple[str, list[str]]:
+        return name, [fn(plan) for plan in plans]
 
     rows = [
-        ("numerology", column(lambda p: f"mu={p.nsst.radio_config.numerology_mu}")),
-        ("operation bands", column(lambda p: _fmt_bands(p.nsst.radio_config))),
-        ("slot format", column(lambda p: f"#{p.nsst.radio_config.slot_format_id}")),
-        ("5QI", column(lambda p: _fmt_fiveqi(p.nsst.radio_config))),
-        ("MCS set", column(lambda p: p.nsst.radio_config.mcs_set.value)),
-        ("scheduler", column(lambda p: p.nsst.radio_config.scheduler_policy.value)),
-        ("selected RUs", column(lambda p: f"{len(p.selected_rus)} RUs ("
-                                          + "+".join(r for r, _ in p.offered_load_mbps) + ")")),
-        ("gNB count", column(lambda p: str(len(p.gnbs)))),
-        ("gNB NSD flavor", column(lambda p: f"#{p.gnbs[0].nsd_flavor_id}")),
-        ("gNB IL subset", column(lambda p: _fmt_subset_key(p.gnbs[0].nsd_il_subset.key.served_regions))),
+        row("numerology", lambda p: f"mu={p.nsst.radio_config.numerology_mu}"),
+        row("operation bands", lambda p: _fmt_bands(p.nsst.radio_config)),
+        row("slot format", lambda p: f"#{p.nsst.radio_config.slot_format_id}"),
+        row("5QI", lambda p: _fmt_fiveqi(p.nsst.radio_config)),
+        row("MCS set", lambda p: p.nsst.radio_config.mcs_set.value),
+        row("scheduler", lambda p: p.nsst.radio_config.scheduler_policy.value),
+        row("selected RUs", lambda p: f"{len(p.selected_rus)} RUs ("
+                                      + "+".join(r for r, _ in p.offered_load_mbps) + ")"),
+        row("gNB count", lambda p: str(len(p.gnbs))),
+        row("gNB NSD flavor", lambda p: f"#{p.gnbs[0].nsd_flavor_id}"),
+        row("gNB IL subset", lambda p: _fmt_subset_key(p.gnbs[0].nsd_il_subset.key.served_regions)),
     ]
     print("reference slice requests vs derived templates and plans")
     print()
-    print(_render_table(rows, ["parameter", "eMBB", "mMTC", "uRLLC"]))
+    print(_render_table(rows, ["parameter", *_SLICES]))
     print()
-    passed = total_checks - len(failures)
-    print(f"checks: {passed}/{total_checks} matched")
-    if failures:
-        for failure in failures:
-            print(f"mismatch: {failure}", file=sys.stderr)
-        return 1
-    return 0
+    print(f"checks: {len(checks) - len(failures)}/{len(checks)} matched")
+    for failure in failures:
+        print(f"mismatch: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

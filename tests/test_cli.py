@@ -236,13 +236,37 @@ def test_config_flag_rejects_other_document_kinds(doc_files, capsys):
                        "PLANNER_CONFIG, found CATALOG\n")
 
 
+def _with_reference(row, column, value):
+    """``cli._EXPECTED`` with the reference value of check ``row`` for slice ``column`` replaced."""
+    name, read, wants = cli._EXPECTED[row]
+    wants = (*wants[:column], value, *wants[column + 1:])
+    return (*cli._EXPECTED[:row], (name, read, wants), *cli._EXPECTED[row + 1:])
+
+
 def test_paper_example_reports_a_mismatch(monkeypatch, capsys):
-    embb, *rest = cli._EXPECTED
-    monkeypatch.setattr(cli, "_EXPECTED", (dataclasses.replace(embb, mu=3), *rest))
+    [row] = [i for i, (name, _, _) in enumerate(cli._EXPECTED) if name == "numerology"]
+    monkeypatch.setattr(cli, "_EXPECTED", _with_reference(row, 0, 3))
     assert cli_main(["paper-example"]) == 1
     out = capsys.readouterr()
     assert "checks: 34/35 matched\n" in out.out
     assert out.err == "mismatch: eMBB: numerology: expected 3, got 2\n"
+
+
+PINNED_CELLS = [(column, row) for column in range(len(cli._SLICES)) for row, (_, _, wants) in enumerate(cli._EXPECTED)
+                if wants[column] is not None]
+
+
+@pytest.mark.parametrize("column, row", PINNED_CELLS, ids=[
+    f"{list(cli._SLICES)[column]}-{cli._EXPECTED[row][0]}" for column, row in PINNED_CELLS])
+def test_paper_example_reports_each_perturbed_reference_value(monkeypatch, capsys, column, row):
+    name, _, wants = cli._EXPECTED[row]
+    perturbed = ("perturbed", wants[column])  # equal to no plan value
+    monkeypatch.setattr(cli, "_EXPECTED", _with_reference(row, column, perturbed))
+    assert cli_main(["paper-example"]) == 1
+    out = capsys.readouterr()
+    assert "checks: 34/35 matched\n" in out.out
+    assert out.err == (f"mismatch: {list(cli._SLICES)[column]}: {name}: "
+                       f"expected {perturbed!r}, got {wants[column]!r}\n")
 
 
 def _without_gnb_flavor_2(body):
