@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import PlannerError, RanSliceError, TopologyError
+from .errors import PlannerError, RanSliceError
 from .model import (
     GNB_FLAVOR_TECHS,
     SPLIT_FOR_TECH,
@@ -45,7 +45,7 @@ from .model import (
     level_capacity_mbps,
 )
 from .radio import ProfilerPolicy, area_load_mbps, build_ran_nsst, default_policy
-from .topology import DeploymentArea, PopTier, Region, pop_latency, select_rus
+from .topology import DeploymentArea, PopTier, Region, pop_latency, select_rus  # noqa: F401 (perfbench's tracer)
 
 
 class DuFlavor(Enum):
@@ -501,23 +501,27 @@ def verify_plan(
     """Independent feasibility check of an emitted plan.
 
     Re-derives each CU's edge-PoP host, latency, CU capacity, coverage
-    conservation, flavor consistency and each region's DU capacity from
-    the area and catalog instead of trusting the solver.  Each cited IL
-    subset must be the one the catalog's rule selects, derived here from
-    the catalog and compared by identity, then equality.  A CU's is the
-    first of the CU VNFD's first flavor's subsets, in (min, max) range
-    order, that covers its gNB's DU count; a DU's, the first of the DU
-    VNFD's first flavor carrying the tech, under its (region class,
-    fronthaul tech), that covers its cell-site count; a gNB's, the first
-    of its NSD flavor's subsets keyed by the pairs of its DUs' distinct
-    (region, DU key) that has a level running its CU and DUs
-    (``GnbIlCapacity.runs``).  A DU's pair is its region's, or, without
-    an area or in an unknown region, its own key's.  The VNFDs are the
-    catalog's first by descriptor id, as plan_slice picks them; the NSD
-    is the one the plan's NSST references.  Coverage is checked against
-    the area's RUs, which plan_slice selects (the catalog's for an id the
-    area lacks).  Without an area, only the facts that need none are
-    checked, with coverage against the catalog's RUs.
+    conservation and each region's DU capacity from the area and catalog
+    instead of trusting the solver.  Each cited IL subset must be the one
+    the catalog's rule selects, derived here from the catalog and compared
+    by identity, then equality.  A CU's is the first of the CU VNFD's
+    first flavor's subsets, in (min, max) range order, that covers its
+    gNB's DU count; a DU's, the first of the DU VNFD's first flavor
+    carrying the tech, under its (region class, fronthaul tech), that
+    covers its cell-site count; a gNB's, the first of its NSD flavor's
+    subsets keyed by the pairs of its DUs' distinct (region, DU key) that
+    has a level running its CU and DUs (``GnbIlCapacity.runs``).  A DU's
+    pair is its region's, or, without an area or in an unknown region,
+    its own key's.  The pairs fix the flavors too: a DU's must be its
+    tech's split, and every gNB's the ``GNB_FLAVOR_TECHS`` flavor of the
+    techs of all the plan's DUs, as plan_slice picks one per slice.  The
+    VNFDs are the catalog's first by descriptor id, as plan_slice picks
+    them; the NSD is the one the plan's NSST references.  Coverage is
+    checked against the area's RUs, which plan_slice selects (the
+    catalog's for an id the area lacks), and a DU may serve only cell
+    sites whose RU is in its region.  Without an area, coverage is
+    checked against the catalog's RUs, and the CU hosts, latencies, DU
+    hosts and region ids go unchecked.
     """
     config = config or PlannerConfig()
     problems: list[str] = []
@@ -540,7 +544,8 @@ def verify_plan(
         first = next((s for s in candidates if fits(s)), None)
         return first is subset or first == subset
 
-    site_owner: dict[str, str] = {}
+    site_owner: dict[str, DuPlan] = {}
+    techs: set[FronthaulTech] = set()
     region_dus: dict[str, list[DuPlan]] = {}
     for gnb in plan.gnbs:
         if area is not None:
@@ -554,14 +559,13 @@ def verify_plan(
             problems.append(f"{gnb.gnb_id}: DU count {len(gnb.dus)} exceeds CU capacity {max(cu_caps)}")
         if not selected(gnb.cu.il_subset, cu_rule, lambda s: s.key.covers(len(gnb.dus))):
             problems.append(f"{gnb.gnb_id}: CU IL subset is not the CU VNFD's subset for {len(gnb.dus)} DUs")
-        expected_techs = GNB_FLAVOR_TECHS.get(gnb.nsd_flavor_id, frozenset())
         layout: list[tuple[str, object, tuple[str, FronthaulTech] | None]] = []  # distinct (region, DU key, pair)
         for du in gnb.dus:
             region_dus.setdefault(du.region_id, []).append(du)
             for site in du.served_cell_sites:
                 if site in site_owner:
-                    problems.append(f"cell site {site} served by both {site_owner[site]} and {du.du_id}")
-                site_owner[site] = du.du_id
+                    problems.append(f"cell site {site} served by both {site_owner[site].du_id} and {du.du_id}")
+                site_owner[site] = du
             key = du.il_subset.key
             region = area.region(du.region_id) if area is not None else None
             where = ((region.region_class, region.fronthaul_tech) if region is not None
@@ -572,31 +576,21 @@ def verify_plan(
             if not selected(du.il_subset, du_rule.get(where, []), lambda s: s.key.covers(sites)):
                 named = f" in ({where[0]}, {where[1].value})" if where else ""
                 problems.append(f"{du.du_id}: IL subset is not the DU VNFD's subset for {sites} cell sites{named}")
+            if where and DU_FLAVOR_FOR_TECH[where[1]] is not du.vnfd_flavor:
+                problems.append(f"{du.du_id}: flavor {du.vnfd_flavor.value} mismatches region fronthaul")
             if area is None:
                 continue
             if region is None:
                 problems.append(f"{du.du_id}: unknown region {du.region_id}")
                 continue
-            latency = cu_row.get(du.host_pop, math.inf)
-            if latency > config.cu_du_latency_budget_ms:
-                try:  # the full latency, or UNKNOWN_POP and UNREACHABLE, for the message
-                    latency = pop_latency(area, gnb.cu.host_pop, du.host_pop)
-                except TopologyError:
-                    latency = math.inf
-                problems.append(
-                    f"{du.du_id}: {latency:g} ms to CU at {gnb.cu.host_pop} exceeds "
-                    f"{config.cu_du_latency_budget_ms:g} ms budget"
-                )
-            if DU_FLAVOR_FOR_TECH[region.fronthaul_tech] is not du.vnfd_flavor:
-                problems.append(f"{du.du_id}: flavor {du.vnfd_flavor.value} mismatches region fronthaul")
-            if region.fronthaul_tech not in expected_techs:
-                problems.append(
-                    f"{du.du_id}: region tech {region.fronthaul_tech.value} not in gNB flavor "
-                    f"{gnb.nsd_flavor_id}"
-                )
+            if cu_row.get(du.host_pop, math.inf) > config.cu_du_latency_budget_ms:
+                latency = area.latency_row(cu_pop.pop_id, math.inf).get(du.host_pop, math.inf) if cu_pop else math.inf
+                problems.append(f"{du.du_id}: {latency:g} ms to CU at {gnb.cu.host_pop} exceeds "
+                                f"{config.cu_du_latency_budget_ms:g} ms budget")
             if du.host_pop != region.aggregation_pop:
                 problems.append(f"{du.du_id}: not hosted on its region's aggregation PoP")
         want_key = GnbSubsetKey(tuple(pair for _, _, pair in layout if pair))
+        techs.update(tech for _, tech in want_key.served_regions)
         nsd_flavor = nsd.flavor(gnb.nsd_flavor_id) if nsd else None
         cu, du_subsets = (cu_id, gnb.cu.il_subset), [du.il_subset for du in gnb.dus]
         if not selected(gnb.nsd_il_subset, nsd_flavor.subsets_keyed(want_key) if nsd_flavor else (), lambda s: any(
@@ -605,6 +599,9 @@ def verify_plan(
             key_text = " + ".join(f"({cls}, {tech.value})" for cls, tech in want_key.served_regions)
             problems.append(f"{gnb.gnb_id}: gNB IL subset is not gNB NSD {plan.nsst.nsd_ref} flavor "
                             f"{gnb.nsd_flavor_id}'s subset for {len(gnb.dus)} DUs in {key_text}")
+    problems.extend(f"{gnb.gnb_id}: gNB NSD flavor {gnb.nsd_flavor_id} is not the flavor for fronthaul "
+                    + (" + ".join(sorted(tech.value for tech in techs)) or "none")
+                    for gnb in plan.gnbs if GNB_FLAVOR_TECHS.get(gnb.nsd_flavor_id) != techs)
     for region_id, load in plan.offered_load_mbps:
         dus = region_dus.get(region_id)
         if not dus:
@@ -619,18 +616,21 @@ def verify_plan(
                 f"below its {load:g} Mbps offered load"
             )
     ru_sites: set[str] = set()
+    off_region: dict[tuple[str, str, str], None] = {}  # (DU, its region, a served site's other region)
     for ru_id in plan.selected_rus:
         ru = (area.ru(ru_id) if area is not None else None) or catalog.ru(ru_id)
         if ru is None:
             problems.append(f"selected RU {ru_id} not found")
             continue
         ru_sites.add(ru.location.cell_site)
+        du = site_owner.get(ru.location.cell_site)
+        if du is not None and du.region_id != ru.location.region_id:
+            off_region[du.du_id, du.region_id, ru.location.region_id] = None
+    problems.extend(f"{name}: serves a cell site of region {other}, outside its region {own}"
+                    for name, own, other in off_region)
     served = set(site_owner)
-    if ru_sites != served:
-        missing = sorted(ru_sites - served)
-        extra = sorted(served - ru_sites)
-        if missing:
-            problems.append(f"cell sites of selected RUs not served: {', '.join(missing)}")
-        if extra:
-            problems.append(f"served cell sites without a selected RU: {', '.join(extra)}")
+    if missing := sorted(ru_sites - served):
+        problems.append(f"cell sites of selected RUs not served: {', '.join(missing)}")
+    if extra := sorted(served - ru_sites):
+        problems.append(f"served cell sites without a selected RU: {', '.join(extra)}")
     return problems

@@ -454,7 +454,8 @@ class TestOnboardingBundle:
             emit_onboarding_bundle(moved, catalog)
         assert err.value.code == "DANGLING_PLAN_REFERENCE"
         assert str(err.value) == ("DANGLING_PLAN_REFERENCE: gnb-01: gNB IL subset is not gNB NSD nsd-gnb-v1 "
-                                  "flavor 3's subset for 2 DUs in (CITY_CENTER, ECPRI)")
+                                  "flavor 3's subset for 2 DUs in (CITY_CENTER, ECPRI); gnb-01: gNB NSD flavor 3 "
+                                  "is not the flavor for fronthaul ECPRI")
 
     @staticmethod
     def _embb_plan_with(catalog, area, requests, rename):

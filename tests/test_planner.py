@@ -849,6 +849,14 @@ def _cc_sites(*numbers):
     return tuple(f"cs-cc-{n:02d}" for n in numbers)
 
 
+def _with_sites_swapped(plan, du_a, site_a, du_b, site_b):
+    """The plan with ``site_a`` of DU ``du_a`` and ``site_b`` of DU ``du_b`` traded."""
+    trade = {(du_a, site_a): site_b, (du_b, site_b): site_a}
+    return _with_gnb(plan, dus=tuple(
+        dataclasses.replace(du, served_cell_sites=tuple(trade.get((du.du_id, s), s) for s in du.served_cell_sites))
+        for du in plan.gnbs[0].dus))
+
+
 def _cu_levels_capped(plan, max_dus):
     return tuple(
         dataclasses.replace(level, role_capacity=dataclasses.replace(level.role_capacity, max_dus=max_dus))
@@ -858,6 +866,7 @@ def _cu_levels_capped(plan, max_dus):
 
 NOT_THE_CU_VNFDS = "gnb-01: CU IL subset is not the CU VNFD's subset for 2 DUs"
 NOT_THE_GNB_NSDS = "gNB IL subset is not gNB NSD nsd-gnb-v1 flavor"
+CC_SITES_FROM_MARS = "du-city-center-01: serves a cell site of region city-center, outside its region mars"
 
 VERIFIER_REPORTS = {
     "cu-wrong-key-kind": (
@@ -881,6 +890,7 @@ VERIFIER_REPORTS = {
         [
             "du-city-center-01: unknown region mars",
             "region city-center: no DU carries its 5000 Mbps offered load",
+            CC_SITES_FROM_MARS,
         ],
     ),
     "unreachable-cu-host": (
@@ -901,9 +911,8 @@ VERIFIER_REPORTS = {
         Sst.EMBB,
         lambda p: _with_gnb(p, nsd_flavor_id=1),
         [
-            "du-city-center-01: region tech ECPRI not in gNB flavor 1",
-            "du-city-center-02: region tech ECPRI not in gNB flavor 1",
             f"gnb-01: {NOT_THE_GNB_NSDS} 1's subset for 2 DUs in (CITY_CENTER, ECPRI)",
+            "gnb-01: gNB NSD flavor 1 is not the flavor for fronthaul ECPRI",
         ],
     ),
     "du-off-its-aggregation-pop": (
@@ -933,6 +942,14 @@ VERIFIER_REPORTS = {
         [
             "cell site cs-cc-04 served by both du-city-center-01 and du-city-center-02",
             "cell sites of selected RUs not served: cs-cc-05",
+        ],
+    ),
+    "du-serves-another-regions-site": (
+        Sst.MMTC,
+        lambda p: _with_sites_swapped(p, "du-city-center-01", "cs-cc-01", "du-industrial-01", "cs-ind-01"),
+        [
+            "du-industrial-01: serves a cell site of region city-center, outside its region industrial",
+            "du-city-center-01: serves a cell site of region industrial, outside its region city-center",
         ],
     ),
     "ru-not-found": (
@@ -975,10 +992,8 @@ def test_verifier_takes_the_areas_ru_over_the_catalogs(catalog, area, requests):
 
 # Without an area the checks that need one drop out; every other case reports as with one.
 WITHOUT_AREA = {
-    "unknown-region": ["region city-center: no DU carries its 5000 Mbps offered load"],
+    "unknown-region": ["region city-center: no DU carries its 5000 Mbps offered load", CC_SITES_FROM_MARS],
     "unreachable-cu-host": [],
-    "du-flavor-vs-region-tech": [],
-    "region-tech-not-in-gnb-flavor": [f"gnb-01: {NOT_THE_GNB_NSDS} 1's subset for 2 DUs in (CITY_CENTER, ECPRI)"],
     "du-off-its-aggregation-pop": [],
     "du-subset-of-another-region-class": [
         f"gnb-01: {NOT_THE_GNB_NSDS} 2's subset for 2 DUs in (CITY_CENTER, ECPRI) + (INDUSTRIAL, ECPRI)",
@@ -991,6 +1006,64 @@ def test_verifier_without_an_area_checks_the_area_free_facts(name, catalog, area
     sst, mutate, expected = VERIFIER_REPORTS[name]
     plan = plan_slice(requests[sst], sst, area, catalog)
     assert verify_plan(mutate(plan), None, catalog) == WITHOUT_AREA.get(name, expected)
+
+
+def _gnb_flavor_3_with_copies(catalog, *keys):
+    """The catalog with the subsets of gNB flavors 1 and 2 keyed ``keys``
+    appended to flavor 3 under fresh IL ids, and those copies."""
+    nsd = catalog.gnb_nsds[0]
+    copies = tuple(
+        dataclasses.replace(s, levels=tuple(
+            dataclasses.replace(lvl, il_id=lvl.il_id.replace(f"gnb-f{flavor_id}-", "gnb-f3-")) for lvl in s.levels))
+        for key in keys for flavor_id in (1, 2) for s in nsd.flavor(flavor_id).subsets_keyed(key))
+    flavors = tuple(dataclasses.replace(f, il_subsets=f.il_subsets + copies) if f.flavor_id == 3 else f
+                    for f in nsd.flavors)
+    return dataclasses.replace(catalog, gnb_nsds=(dataclasses.replace(nsd, flavors=flavors),)), copies
+
+
+def _embb_plan_citing_gnb_flavor_3(catalog, area, requests):
+    """The eMBB plan on a catalog whose flavor 3 holds a copy of flavor 2's
+    (CITY_CENTER, ECPRI) subset, moved to flavor 3 and that copy."""
+    widened, [copy] = _gnb_flavor_3_with_copies(catalog, GnbSubsetKey(((CITY_CENTER, FronthaulTech.ECPRI),)))
+    plan = plan_slice(requests[Sst.EMBB], Sst.EMBB, area, widened)
+    assert [gnb.nsd_flavor_id for gnb in plan.gnbs] == [2]
+    return _with_gnb(plan, nsd_flavor_id=3, nsd_il_subset=copy), widened
+
+
+@pytest.mark.parametrize("with_area", [True, False], ids=["area", "no-area"])
+def test_verifier_checks_the_gnb_flavor_against_the_flavor_rule(with_area, catalog, area, requests):
+    """Flavor 3 cites a subset for the plan's DUs, but its DUs run eCPRI only, so the rule picks flavor 2."""
+    from ranslicer.validate import validate_catalog
+
+    plan, widened = _embb_plan_citing_gnb_flavor_3(catalog, area, requests)
+    assert validate_catalog(widened, area) == []
+    assert verify_plan(plan, area if with_area else None, widened) == [
+        "gnb-01: gNB NSD flavor 3 is not the flavor for fronthaul ECPRI"]
+
+
+def test_verifier_takes_the_gnb_flavor_from_all_the_plans_dus(catalog, area, requests):
+    """plan_slice picks one flavor per slice, so a gNB whose own DUs run one
+    tech keeps the flavor of both when the slice's other gNB runs the other."""
+    widened, _ = _gnb_flavor_3_with_copies(
+        catalog, GnbSubsetKey(((INDUSTRIAL, FronthaulTech.ECPRI),)), GnbSubsetKey(((SUBURBAN, FronthaulTech.CPRI),)))
+    request = dataclasses.replace(requests[Sst.URLLC], target_regions=("industrial", "suburban"))
+    plan = plan_slice(request, Sst.URLLC, area, widened, PlannerConfig(cu_du_latency_budget_ms=0.9))
+    assert [(gnb.nsd_flavor_id, gnb.nsd_il_subset.key.served_regions) for gnb in plan.gnbs] == [
+        (3, ((INDUSTRIAL, FronthaulTech.ECPRI),)), (3, ((SUBURBAN, FronthaulTech.CPRI),))]
+    assert verify_plan(plan, area, widened) == verify_plan(plan, None, widened) == []
+
+
+def test_emit_refuses_a_plan_with_another_gnb_flavor_or_another_regions_site(catalog, area, requests):
+    from ranslicer.errors import DocumentError
+    from ranslicer.io import emit_onboarding_bundle
+
+    sst, swap, _ = VERIFIER_REPORTS["du-serves-another-regions-site"]
+    cases = [_embb_plan_citing_gnb_flavor_3(catalog, area, requests),
+             (swap(plan_slice(requests[sst], sst, area, catalog)), catalog)]
+    for plan, plan_catalog in cases:
+        with pytest.raises(DocumentError) as err:
+            emit_onboarding_bundle(plan, plan_catalog)
+        assert err.value.code == "DANGLING_PLAN_REFERENCE"
 
 
 # ---------------------------------------------------------------------------
