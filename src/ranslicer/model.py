@@ -32,6 +32,10 @@ class FronthaulTech(Enum):
     CPRI = "CPRI"
     ECPRI = "ECPRI"
 
+    # Members are singletons, so the identity hash agrees with equality and
+    # runs in C; Enum's own hashes the name in Python on every lookup.
+    __hash__ = object.__hash__
+
 
 # The descriptor set's fixed flavor rules: catalogs must honour them and
 # planning keys off them.  gNB NSD flavor id -> the fronthaul techs it spans.
