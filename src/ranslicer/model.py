@@ -334,7 +334,9 @@ class Flavor:
     VNFD's single flavor is keyed by the CU-DU split marker instead.
     ``split_option`` is ``SPLIT_FOR_TECH`` of the tech for DU flavors,
     ``CU_SPLIT_OPTION`` for the CU flavor, None for gNB NSD flavors.
-    ``subsets_keyed`` reads a by-key subset index built on first use.
+    ``subsets_keyed`` and ``subset_ranges`` read subset indexes built on
+    first use.  ``covering_subset`` and ``running_subset`` are the
+    catalog's one home for the IL-subset selection rules.
     """
 
     flavor_id: int
@@ -352,6 +354,37 @@ class Flavor:
     def subsets_keyed(self, key: SubsetKey) -> tuple[IlSubset, ...]:
         """The flavor's IL subsets with ``key``, in flavor order."""
         return self._subsets_by_key.get(key, ())
+
+    @cached_property
+    def subset_ranges(self) -> dict[tuple, list[tuple[int, int, int]]]:
+        """(min, max, position in ``il_subsets``) of each DU- and CU-keyed
+        subset, grouped by (region class, tech) for DU keys and ``()`` for CU
+        keys, in (min, max) range order, ties in flavor order."""
+        groups: dict[tuple, list[tuple[int, int, int]]] = {}
+        for i, subset in enumerate(self.il_subsets):
+            key = subset.key
+            if isinstance(key, DuSubsetKey):
+                groups.setdefault((key.region_class, key.fronthaul_tech), []).append(
+                    (key.min_cell_sites, key.max_cell_sites, i))
+            elif isinstance(key, CuSubsetKey):
+                groups.setdefault((), []).append((key.min_dus, key.max_dus, i))
+        for ranges in groups.values():
+            ranges.sort()
+        return groups
+
+    def covering_subset(self, group: tuple, size: int) -> IlSubset | None:
+        """The DU and CU subset rule: the first subset of ``group``, in
+        ``subset_ranges`` order, whose range covers ``size`` (a DU's cell
+        sites or a CU's DUs); None if none does."""
+        return next((self.il_subsets[i] for lo, hi, i in self.subset_ranges.get(group, ()) if lo <= size <= hi), None)
+
+    def running_subset(self, key: GnbSubsetKey, cu: tuple[str | None, IlSubset], du_vnfd_id: str | None,
+                       du_subsets: Sequence[IlSubset]) -> IlSubset | None:
+        """The gNB subset rule: the first subset keyed ``key`` with a level
+        that runs ``cu`` and the DUs (``GnbIlCapacity.runs``); None if none does."""
+        return next((s for s in self.subsets_keyed(key) if any(
+            isinstance(lvl.role_capacity, GnbIlCapacity) and lvl.role_capacity.runs(cu, du_vnfd_id, du_subsets)
+            for lvl in s.levels)), None)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ the minimum number of CUs subject to the CU-DU transport-latency budget,
 and look up the gNB NSD IL subset matching the resulting layout.  The
 flavor rules are ``model.GNB_FLAVOR_TECHS`` for the gNB flavor and
 ``model.SPLIT_FOR_TECH``, by whose split option each DU flavor is named.
+The subset rules are ``model.Flavor``'s: ``covering_subset`` picks each DU
+and CU IL subset, ``running_subset`` each gNB NSD IL subset.
 
 CU minimization is solved exactly on small instances (slot-multiset
 enumeration over edge PoPs plus bipartite matching) and by a first-fit
@@ -28,12 +30,10 @@ from .model import (
     SPLIT_FOR_TECH,
     Catalog,
     CuIlCapacity,
-    CuSubsetKey,
     CuVnfd,
     DuSubsetKey,
     DuVnfd,
     FronthaulTech,
-    GnbIlCapacity,
     GnbNsd,
     GnbSubsetKey,
     IlSubset,
@@ -128,48 +128,32 @@ def select_gnb_flavor(techs: frozenset[FronthaulTech]) -> int:
     return next(flavor_id for flavor_id, flavor_techs in GNB_FLAVOR_TECHS.items() if techs == flavor_techs)
 
 
-def _du_subsets_for(du_vnfd: DuVnfd, region: Region) -> list[IlSubset]:
+def dimension_dus(region: Region, peak_load_mbps: float, du_vnfd: DuVnfd) -> list[DuPlan]:
+    """Minimal DU count for a region, with balanced cell-site groups.
+
+    For a DU count n the sites, in id order, split into n groups whose
+    sizes differ by at most one, larger groups first; each group takes the
+    IL subset ``Flavor.covering_subset`` picks for its size under the
+    region's (class, tech).  n is feasible when every group has one and
+    the top IL capacity of the largest group's subset (0 for a subset
+    without levels), times n, carries the region's peak load.
+    """
+    if not region.cell_sites:
+        raise ValueError(f"region {region.region_id} has no cell sites")
+    if peak_load_mbps < 0:
+        raise ValueError("peak load must be non-negative")
     flavor = du_vnfd.flavor_for_tech(region.fronthaul_tech)
     if flavor is None:
         raise PlannerError(
             "NO_MATCHING_SUBSET",
             f"DU VNFD {du_vnfd.descriptor_id} has no flavor for {region.fronthaul_tech.value}",
         )
-    subsets = [
-        s
-        for s in flavor.il_subsets
-        if isinstance(s.key, DuSubsetKey)
-        and s.key.region_class == region.region_class
-        and s.key.fronthaul_tech is region.fronthaul_tech
-    ]
-    return sorted(subsets, key=lambda s: (s.key.min_cell_sites, s.key.max_cell_sites))
-
-
-def _covering_subset(subsets: list[IlSubset], size: int) -> IlSubset | None:
-    """The planner's one subset rule: the first subset, in range order, covering ``size``."""
-    return next((s for s in subsets if s.key.covers(size)), None)
-
-
-def dimension_dus(region: Region, peak_load_mbps: float, du_vnfd: DuVnfd) -> list[DuPlan]:
-    """Minimal DU count for a region, with balanced cell-site groups.
-
-    For a DU count n the sites, in id order, split into n groups whose
-    sizes differ by at most one, larger groups first; each group takes the
-    first IL subset, in range order, covering its size.  n is feasible
-    when every group has one and the top IL capacity of the largest
-    group's subset (0 for a subset without levels), times n, carries the
-    region's peak load.
-    """
-    if not region.cell_sites:
-        raise ValueError(f"region {region.region_id} has no cell sites")
-    if peak_load_mbps < 0:
-        raise ValueError("peak load must be non-negative")
-    subsets = _du_subsets_for(du_vnfd, region)
+    group = (region.region_class, region.fronthaul_tech)
     sites = sorted(region.cell_sites)
     for n in range(1, len(sites) + 1):
         small, larger = divmod(len(sites), n)
         sizes = [small + 1] * larger + [small] * (n - larger)
-        chosen = [_covering_subset(subsets, size) for size in sizes]
+        chosen = [flavor.covering_subset(group, size) for size in sizes]
         if None in chosen:
             continue
         levels = chosen[0].levels
@@ -194,9 +178,8 @@ def dimension_dus(region: Region, peak_load_mbps: float, du_vnfd: DuVnfd) -> lis
     )
 
 
-def _cu_subsets(cu_vnfd: CuVnfd) -> tuple[int, list[IlSubset]]:
-    """A CU's capacity in DUs (its largest CU level's max_dus) and its
-    CU-keyed IL subsets in range order."""
+def _cu_capacity(cu_vnfd: CuVnfd) -> int:
+    """A CU's capacity in DUs: the largest CU level's max_dus of the CU VNFD's one flavor."""
     if len(cu_vnfd.flavors) != 1:
         raise PlannerError(
             "NO_MATCHING_SUBSET",
@@ -216,8 +199,7 @@ def _cu_subsets(cu_vnfd: CuVnfd) -> tuple[int, list[IlSubset]]:
             "NO_MATCHING_SUBSET",
             f"CU VNFD {cu_vnfd.descriptor_id} has no CU level that serves a DU (largest max_dus {max(caps)})",
         )
-    keyed = [s for s in subsets if isinstance(s.key, CuSubsetKey)]
-    return max(caps), sorted(keyed, key=lambda s: (s.key.min_dus, s.key.max_dus))
+    return max(caps)
 
 
 def _match_slots(dus: list[DuPlan], compat: dict[str, list[str]], slots: dict[str, int], capacity: int) -> dict[str, str] | None:
@@ -324,8 +306,8 @@ def assign_dus_to_cus(
     the PoP to the DU's aggregation PoP stays within the CU-DU budget.
     Each edge PoP's latency row is read once, cut at the budget, and the
     DUs on one aggregation PoP share one list of compatible edge PoPs.
-    Each CU takes the first CU IL subset, in range order, covering its DU
-    count; the CU capacity is the largest CU level's ``max_dus``.
+    Each CU takes the CU IL subset ``Flavor.covering_subset`` picks for its
+    DU count; the CU capacity is the largest CU level's ``max_dus``.
     """
     if not dus:
         raise ValueError("at least one DU is required")
@@ -345,14 +327,14 @@ def assign_dus_to_cus(
             "INFEASIBLE_LATENCY",
             f"no edge PoP within {budget:g} ms of DU(s): {', '.join(stranded)}",
         )
-    capacity, cu_subsets = _cu_subsets(cu_vnfd)
+    capacity = _cu_capacity(cu_vnfd)
     if len(ordered) <= config.exact_solver_limit:
         groups = _exact_cu_assignment(ordered, compat, edge_pop_ids, capacity)
     else:
         groups = _greedy_cu_assignment(ordered, compat, capacity)
     skeletons = []
     for pop, members in groups:
-        subset = _covering_subset(cu_subsets, len(members))
+        subset = cu_vnfd.flavors[0].covering_subset((), len(members))
         if subset is None:
             raise PlannerError(
                 "NO_MATCHING_SUBSET",
@@ -373,21 +355,18 @@ def derive_gnb_il_subset(
 
     The subset key must equal the multiset of (region class, fronthaul
     tech) pairs of the DU IL subset keys, one per distinct (region, DU IL
-    subset key), so a region whose DUs use two subsets counts twice.  Of
-    the flavor's subsets with that key, the first with a level that runs
-    the chosen CU IL subset and the DUs under ``du_vnfd_id``
-    (``GnbIlCapacity.runs``) is taken.
+    subset key), so a region whose DUs use two subsets counts twice.
+    ``Flavor.running_subset`` picks the subset with that key that runs the
+    chosen CU IL subset and the DUs under ``du_vnfd_id``.
     """
     flavor = gnb_nsd.flavor(flavor_id)
     if flavor is None:
         raise PlannerError("NO_MATCHING_SUBSET", f"gNB NSD {gnb_nsd.descriptor_id} has no flavor {flavor_id}")
     layout = {(du.region_id, du.il_subset.key) for du in dus}  # GnbSubsetKey puts the pairs in order
     want_key = GnbSubsetKey(tuple((key.region_class, key.fronthaul_tech) for _, key in layout))
-    du_subsets = [du.il_subset for du in dus]
-    for subset in flavor.subsets_keyed(want_key):
-        if any(isinstance(level.role_capacity, GnbIlCapacity)
-               and level.role_capacity.runs(cu_selection, du_vnfd_id, du_subsets) for level in subset.levels):
-            return subset
+    subset = flavor.running_subset(want_key, cu_selection, du_vnfd_id, [du.il_subset for du in dus])
+    if subset is not None:
+        return subset
     key_text = " + ".join(f"({cls}, {tech.value})" for cls, tech in want_key.served_regions)
     raise PlannerError(
         "NO_MATCHING_SUBSET",
@@ -503,25 +482,23 @@ def verify_plan(
     Re-derives each CU's edge-PoP host, latency, CU capacity, coverage
     conservation and each region's DU capacity from the area and catalog
     instead of trusting the solver.  Each cited IL subset must be the one
-    the catalog's rule selects, derived here from the catalog and compared
-    by identity, then equality.  A CU's is the first of the CU VNFD's
-    first flavor's subsets, in (min, max) range order, that covers its
-    gNB's DU count; a DU's, the first of the DU VNFD's first flavor
-    carrying the tech, under its (region class, fronthaul tech), that
-    covers its cell-site count; a gNB's, the first of its NSD flavor's
-    subsets keyed by the pairs of its DUs' distinct (region, DU key) that
-    has a level running its CU and DUs (``GnbIlCapacity.runs``).  A DU's
-    pair is its region's, or, without an area or in an unknown region,
-    its own key's.  The pairs fix the flavors too: a DU's must be its
-    tech's split, and every gNB's the ``GNB_FLAVOR_TECHS`` flavor of the
-    techs of all the plan's DUs, as plan_slice picks one per slice.  The
-    VNFDs are the catalog's first by descriptor id, as plan_slice picks
-    them; the NSD is the one the plan's NSST references.  Coverage is
-    checked against the area's RUs, which plan_slice selects (the
-    catalog's for an id the area lacks), and a DU may serve only cell
-    sites whose RU is in its region.  Without an area, coverage is
-    checked against the catalog's RUs, and the CU hosts, latencies, DU
-    hosts and region ids go unchecked.
+    the catalog's rules on ``model.Flavor`` select, compared by identity,
+    then equality: a CU's is ``covering_subset`` of the CU VNFD's first
+    flavor for its gNB's DU count; a DU's, ``covering_subset`` of the DU
+    VNFD's flavor for its tech (``DuVnfd.flavor_for_tech``) under its
+    (region class, fronthaul tech) for its cell-site count; a gNB's,
+    ``running_subset`` of its NSD flavor under the pairs of its DUs'
+    distinct (region, DU key).  A DU's pair is its region's, or, without
+    an area or in an unknown region, its own key's.  The pairs fix the
+    flavors too: a DU's must be its tech's split, and every gNB's the
+    ``GNB_FLAVOR_TECHS`` flavor of the techs of all the plan's DUs, as
+    plan_slice picks one per slice.  The VNFDs are the catalog's first by
+    descriptor id, as plan_slice picks them; the NSD is the one the plan's
+    NSST references.  Coverage is checked against the area's RUs, which
+    plan_slice selects (the catalog's for an id the area lacks), and a DU
+    may serve only cell sites whose RU is in its region.  Without an area,
+    coverage is checked against the catalog's RUs, and the CU hosts,
+    latencies, DU hosts and region ids go unchecked.
     """
     config = config or PlannerConfig()
     problems: list[str] = []
@@ -529,19 +506,11 @@ def verify_plan(
     nsd = catalog.gnb_nsd(plan.nsst.nsd_ref)
     if nsd is None:
         problems.append(f"gNB NSD {plan.nsst.nsd_ref!r} not in catalog")
-    cu_rule = sorted((s for s in (cu_vnfd.flavors[0].il_subsets if cu_vnfd and cu_vnfd.flavors else ())
-                      if isinstance(s.key, CuSubsetKey)), key=lambda s: (s.key.min_dus, s.key.max_dus))
-    du_rule: dict[tuple[str, FronthaulTech], list[IlSubset]] = {}  # (region class, tech) -> subsets
-    first_flavor = {tech: f for f in reversed(du_vnfd.flavors if du_vnfd else ()) for tech in f.fronthaul_techs}
-    for tech, flavor in first_flavor.items():
-        keyed = [s for s in flavor.il_subsets if isinstance(s.key, DuSubsetKey) and s.key.fronthaul_tech is tech]
-        for subset in sorted(keyed, key=lambda s: (s.key.min_cell_sites, s.key.max_cell_sites)):
-            du_rule.setdefault((subset.key.region_class, tech), []).append(subset)
+    cu_flavor = cu_vnfd.flavors[0] if cu_vnfd and cu_vnfd.flavors else None
     cu_id, du_id = (vnfd.descriptor_id if vnfd else None for vnfd in (cu_vnfd, du_vnfd))
 
-    def selected(subset: IlSubset, candidates, fits) -> bool:
+    def selected(subset: IlSubset, first: IlSubset | None) -> bool:
         """Identity first: a fresh plan holds the catalog's own subset objects."""
-        first = next((s for s in candidates if fits(s)), None)
         return first is subset or first == subset
 
     site_owner: dict[str, DuPlan] = {}
@@ -557,7 +526,7 @@ def verify_plan(
                    if isinstance(lvl.role_capacity, CuIlCapacity)]
         if cu_caps and len(gnb.dus) > max(cu_caps):
             problems.append(f"{gnb.gnb_id}: DU count {len(gnb.dus)} exceeds CU capacity {max(cu_caps)}")
-        if not selected(gnb.cu.il_subset, cu_rule, lambda s: s.key.covers(len(gnb.dus))):
+        if not selected(gnb.cu.il_subset, cu_flavor and cu_flavor.covering_subset((), len(gnb.dus))):
             problems.append(f"{gnb.gnb_id}: CU IL subset is not the CU VNFD's subset for {len(gnb.dus)} DUs")
         layout: list[tuple[str, object, tuple[str, FronthaulTech] | None]] = []  # distinct (region, DU key, pair)
         for du in gnb.dus:
@@ -573,7 +542,8 @@ def verify_plan(
             if (du.region_id, key, where) not in layout:  # a list: equal keys are found without hashing them
                 layout.append((du.region_id, key, where))
             sites = len(du.served_cell_sites)
-            if not selected(du.il_subset, du_rule.get(where, []), lambda s: s.key.covers(sites)):
+            du_flavor = du_vnfd.flavor_for_tech(where[1]) if du_vnfd and where else None
+            if not selected(du.il_subset, du_flavor and du_flavor.covering_subset(where, sites)):
                 named = f" in ({where[0]}, {where[1].value})" if where else ""
                 problems.append(f"{du.du_id}: IL subset is not the DU VNFD's subset for {sites} cell sites{named}")
             if where and DU_FLAVOR_FOR_TECH[where[1]] is not du.vnfd_flavor:
@@ -593,9 +563,7 @@ def verify_plan(
         techs.update(tech for _, tech in want_key.served_regions)
         nsd_flavor = nsd.flavor(gnb.nsd_flavor_id) if nsd else None
         cu, du_subsets = (cu_id, gnb.cu.il_subset), [du.il_subset for du in gnb.dus]
-        if not selected(gnb.nsd_il_subset, nsd_flavor.subsets_keyed(want_key) if nsd_flavor else (), lambda s: any(
-                isinstance(lvl.role_capacity, GnbIlCapacity) and lvl.role_capacity.runs(cu, du_id, du_subsets)
-                for lvl in s.levels)):
+        if not selected(gnb.nsd_il_subset, nsd_flavor and nsd_flavor.running_subset(want_key, cu, du_id, du_subsets)):
             key_text = " + ".join(f"({cls}, {tech.value})" for cls, tech in want_key.served_regions)
             problems.append(f"{gnb.gnb_id}: gNB IL subset is not gNB NSD {plan.nsst.nsd_ref} flavor "
                             f"{gnb.nsd_flavor_id}'s subset for {len(gnb.dus)} DUs in {key_text}")

@@ -11,9 +11,9 @@ IL subset -> level), so one walker, ``_check_descriptor``, visits each of
 them once and applies the shared rules.  The ``_KINDS`` table holds what
 differs per descriptor type: flavor count, subset-key type and noun, IL
 role type and its count field, and hooks for the kind's own rules.
-``unreachable-subset`` applies the planner's covering rule to the DU and
-CU subsets: per group, the first subset in (min, max) order that covers
-a size is taken, so one whose range an earlier one covers is never used.
+``unreachable-subset`` walks the DU and CU subsets in the order of
+``Flavor.subset_ranges``, the order in which ``Flavor.covering_subset``
+tries them, and reports one whose range an earlier one covers.
 ``flavor-tech-mapping`` checks flavors against the fixed flavor rules in
 ``ranslicer.model`` (``GNB_FLAVOR_TECHS``, ``SPLIT_FOR_TECH``, ``CU_SPLIT_OPTION``).
 
@@ -139,23 +139,19 @@ def _check_descriptor(descriptor: GnbNsd | DuVnfd | CuVnfd, catalog: Catalog, re
             for li, level in enumerate(subset.levels):
                 if isinstance(level.role_capacity, kind.role_type):
                     kind.level_rule(doc_id, f"{spath}.levels[{li}]", flavor, subset.key, level, catalog, report)
-        if kind.key_range is not None:
-            _check_reachable(doc_id, fpath, flavor, kind, report)
+        _check_reachable(doc_id, fpath, flavor, kind, report)
 
 
 def _check_reachable(doc_id: str, path: str, flavor: Flavor, kind: _Kind, report: list[Violation]) -> None:
-    """Walks each group's valid ranges in (min, max) order, ties in flavor
-    order; as every earlier range starts no later, the earlier ones cover a
-    range exactly when the furthest-reaching one does."""
-    groups: dict[tuple, list[tuple[int, int, int]]] = {}
-    for si, subset in enumerate(flavor.il_subsets):
-        if isinstance(subset.key, kind.key_type):
-            group, lo, hi = kind.key_range(subset.key)
-            if 1 <= lo <= hi:
-                groups.setdefault(group, []).append((lo, hi, si))
-    for ranges in groups.values():
+    """Walks each group of ``Flavor.subset_ranges``, the covering rule's
+    order, over the valid ranges of the kind's keys; as every earlier range
+    starts no later, the earlier ones cover a range exactly when the
+    furthest-reaching one does."""
+    for ranges in flavor.subset_ranges.values():
         reach = 0
-        for lo, hi, si in sorted(ranges):
+        for lo, hi, si in ranges:
+            if not (isinstance(flavor.il_subsets[si].key, kind.key_type) and 1 <= lo <= hi):
+                continue
             if hi <= reach:
                 report.append(Violation(doc_id, f"{path}.il_subsets[{si}]", "unreachable-subset",
                                         f"an earlier subset in range order covers [{lo}, {hi}]; it is never selected"))
@@ -293,8 +289,7 @@ def _no_rule(*_args) -> tuple:
 class _Kind(NamedTuple):
     """One descriptor type's data and rules.  The flavor(s) and key rules yield
     messages, reported as flavor-tech-mapping or bad-subset-key; the level
-    rule runs on each level whose role has ``role_type`` and reports itself.
-    ``key_range`` gives a key's covering-rule group and (min, max) range."""
+    rule runs on each level whose role has ``role_type`` and reports itself."""
 
     flavor_count: int
     key_type: type
@@ -305,17 +300,14 @@ class _Kind(NamedTuple):
     key_rule: Callable = _no_rule
     level_rule: Callable = _no_rule
     flavors_rule: Callable = _no_rule
-    key_range: Callable | None = None
 
 
 _KINDS: dict[type, _Kind] = {
     GnbNsd: _Kind(3, GnbSubsetKey, "served-regions", GnbIlCapacity, "du_count", _gnb_flavor,
                   level_rule=_check_gnb_il),
     DuVnfd: _Kind(2, DuSubsetKey, "DU cell-site", DuIlCapacity, "max_cell_sites", _du_flavor,
-                  _du_key, _du_level, _du_flavor_pair,
-                  lambda k: ((k.region_class, k.fronthaul_tech), k.min_cell_sites, k.max_cell_sites)),
-    CuVnfd: _Kind(1, CuSubsetKey, "served-DU-count", CuIlCapacity, "max_dus", _cu_flavor, _cu_key,
-                  key_range=lambda k: ((), k.min_dus, k.max_dus)),
+                  _du_key, _du_level, _du_flavor_pair),
+    CuVnfd: _Kind(1, CuSubsetKey, "served-DU-count", CuIlCapacity, "max_dus", _cu_flavor, _cu_key),
 }
 
 
