@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -481,12 +482,14 @@ def verify_plan(
 
     Re-derives each CU's edge-PoP host, latency, CU capacity, coverage
     conservation and each region's DU capacity from the area and catalog
-    instead of trusting the solver.  Each cited IL subset must be the one
-    the catalog's rules on ``model.Flavor`` select, compared by identity,
-    then equality: a CU's is ``covering_subset`` of the CU VNFD's first
-    flavor for its gNB's DU count; a DU's, ``covering_subset`` of the DU
-    VNFD's flavor for its tech (``DuVnfd.flavor_for_tech``) under its
-    (region class, fronthaul tech) for its cell-site count; a gNB's,
+    instead of trusting the solver.  The plan's ``nsst_ref`` and S-NSSAI
+    must be its NSST's, no DU id or selected RU may repeat, and a region
+    with DUs needs an offered-load entry.  Each cited IL subset must be
+    the one the catalog's rules on ``model.Flavor`` select, compared by
+    identity, then equality: a CU's is ``covering_subset`` of the CU
+    VNFD's first flavor for its gNB's DU count; a DU's, ``covering_subset``
+    of the DU VNFD's flavor for its tech (``DuVnfd.flavor_for_tech``)
+    under its (region class, fronthaul tech) for its cell-site count; a gNB's,
     ``running_subset`` of its NSD flavor under the pairs of its DUs'
     distinct (region, DU key).  A DU's pair is its region's, or, without
     an area or in an unknown region, its own key's.  The pairs fix the
@@ -506,6 +509,11 @@ def verify_plan(
     nsd = catalog.gnb_nsd(plan.nsst.nsd_ref)
     if nsd is None:
         problems.append(f"gNB NSD {plan.nsst.nsd_ref!r} not in catalog")
+    if plan.nsst_ref != plan.nsst.nsst_id:
+        problems.append(f"nsst_ref {plan.nsst_ref!r} is not its NSST's id {plan.nsst.nsst_id!r}")
+    if plan.s_nssai != plan.nsst.s_nssai:
+        problems.append(f"S-NSSAI {plan.s_nssai.sst.name}/{plan.s_nssai.sd} is not its NSST's "
+                        f"{plan.nsst.s_nssai.sst.name}/{plan.nsst.s_nssai.sd}")
     cu_flavor = cu_vnfd.flavors[0] if cu_vnfd and cu_vnfd.flavors else None
     cu_id, du_id = (vnfd.descriptor_id if vnfd else None for vnfd in (cu_vnfd, du_vnfd))
 
@@ -567,9 +575,14 @@ def verify_plan(
             key_text = " + ".join(f"({cls}, {tech.value})" for cls, tech in want_key.served_regions)
             problems.append(f"{gnb.gnb_id}: gNB IL subset is not gNB NSD {plan.nsst.nsd_ref} flavor "
                             f"{gnb.nsd_flavor_id}'s subset for {len(gnb.dus)} DUs in {key_text}")
+    du_ids = Counter(du.du_id for gnb in plan.gnbs for du in gnb.dus)
+    problems.extend(f"DU id {du_id} names {n} DUs" for du_id, n in du_ids.items() if n > 1)
     problems.extend(f"{gnb.gnb_id}: gNB NSD flavor {gnb.nsd_flavor_id} is not the flavor for fronthaul "
                     + (" + ".join(sorted(tech.value for tech in techs)) or "none")
                     for gnb in plan.gnbs if GNB_FLAVOR_TECHS.get(gnb.nsd_flavor_id) != techs)
+    loaded = {region_id for region_id, _ in plan.offered_load_mbps}
+    problems.extend(f"region {region_id}: {len(dus)} DU(s) but no offered load entry"
+                    for region_id, dus in region_dus.items() if region_id not in loaded)
     for region_id, load in plan.offered_load_mbps:
         dus = region_dus.get(region_id)
         if not dus:
@@ -583,6 +596,7 @@ def verify_plan(
                 f"region {region_id}: {len(dus)} DU(s) carry {capacity:g} Mbps, "
                 f"below its {load:g} Mbps offered load"
             )
+    problems.extend(f"selected RU {ru_id} listed {n} times" for ru_id, n in Counter(plan.selected_rus).items() if n > 1)
     ru_sites: set[str] = set()
     off_region: dict[tuple[str, str, str], None] = {}  # (DU, its region, a served site's other region)
     for ru_id in plan.selected_rus:

@@ -31,6 +31,7 @@ from ranslicer.model import (
     GnbSubsetKey,
     IlSubset,
     InstantiationLevel,
+    SNssai,
     VmSpec,
 )
 from ranslicer.planner import (
@@ -867,6 +868,7 @@ def _cu_levels_capped(plan, max_dus):
 NOT_THE_CU_VNFDS = "gnb-01: CU IL subset is not the CU VNFD's subset for 2 DUs"
 NOT_THE_GNB_NSDS = "gNB IL subset is not gNB NSD nsd-gnb-v1 flavor"
 CC_SITES_FROM_MARS = "du-city-center-01: serves a cell site of region city-center, outside its region mars"
+MARS_WITHOUT_LOAD = "region mars: 1 DU(s) but no offered load entry"
 
 VERIFIER_REPORTS = {
     "cu-wrong-key-kind": (
@@ -889,6 +891,7 @@ VERIFIER_REPORTS = {
         lambda p: _with_du(p, 0, region_id="mars"),
         [
             "du-city-center-01: unknown region mars",
+            MARS_WITHOUT_LOAD,
             "region city-center: no DU carries its 5000 Mbps offered load",
             CC_SITES_FROM_MARS,
         ],
@@ -967,6 +970,31 @@ VERIFIER_REPORTS = {
         lambda p: dataclasses.replace(p, selected_rus=p.selected_rus[:-1]),
         ["served cell sites without a selected RU: cs-cc-08"],
     ),
+    "nsst-ref-not-the-nssts-id": (
+        Sst.EMBB,
+        lambda p: dataclasses.replace(p, nsst_ref="nsst-other"),
+        ["nsst_ref 'nsst-other' is not its NSST's id 'nsst-embb'"],
+    ),
+    "s-nssai-not-the-nssts": (
+        Sst.EMBB,
+        lambda p: dataclasses.replace(p, s_nssai=SNssai(Sst.EMBB, "ABCDEF")),
+        ["S-NSSAI EMBB/ABCDEF is not its NSST's EMBB/None"],
+    ),
+    "du-id-twice": (
+        Sst.EMBB,
+        lambda p: _with_du(p, 1, du_id="du-city-center-01"),
+        ["DU id du-city-center-01 names 2 DUs"],
+    ),
+    "region-without-a-load-entry": (
+        Sst.EMBB,
+        lambda p: dataclasses.replace(p, offered_load_mbps=()),
+        ["region city-center: 2 DU(s) but no offered load entry"],
+    ),
+    "selected-ru-twice": (
+        Sst.EMBB,
+        lambda p: dataclasses.replace(p, selected_rus=p.selected_rus + p.selected_rus[:1]),
+        ["selected RU ru-cc-01 listed 2 times"],
+    ),
 }
 
 
@@ -992,7 +1020,8 @@ def test_verifier_takes_the_areas_ru_over_the_catalogs(catalog, area, requests):
 
 # Without an area the checks that need one drop out; every other case reports as with one.
 WITHOUT_AREA = {
-    "unknown-region": ["region city-center: no DU carries its 5000 Mbps offered load", CC_SITES_FROM_MARS],
+    "unknown-region": [MARS_WITHOUT_LOAD, "region city-center: no DU carries its 5000 Mbps offered load",
+                       CC_SITES_FROM_MARS],
     "unreachable-cu-host": [],
     "du-off-its-aggregation-pop": [],
     "du-subset-of-another-region-class": [
