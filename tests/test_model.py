@@ -206,3 +206,78 @@ def test_subset_index_leaves_catalog_bytes_alone():
     for flavor in catalog.gnb_nsds[0].flavors:
         assert all(s in flavor.subsets_keyed(s.key) for s in flavor.il_subsets)
     assert serialize_document(envelope_for(catalog)) == before
+
+
+# ---------------------------------------------------------------------------
+# Flavor.covering_subset: the DU and CU subset rule
+
+def _ranged_subset(i, key):
+    role = CuIlCapacity(2, 1.0) if isinstance(key, CuSubsetKey) else DuIlCapacity(4, 1.0)
+    return IlSubset(key, (InstantiationLevel(f"il-{i}", _VM, role),))
+
+
+def test_flavor_subset_ranges_are_grouped_in_range_order_and_invisible():
+    from ranslicer.model import Flavor, GnbSubsetKey
+
+    cpri, ecpri = (SUBURBAN, FronthaulTech.CPRI), (SUBURBAN, FronthaulTech.ECPRI)
+    keys = (DuSubsetKey(*cpri, 3, 4), CuSubsetKey(2, 5), DuSubsetKey(*cpri, 1, 4), DuSubsetKey(*ecpri, 1, 2),
+            DuSubsetKey(*cpri, 1, 4), CuSubsetKey(1, 2), GnbSubsetKey((cpri,)))
+    subsets = tuple(_ranged_subset(i, key) for i, key in enumerate(keys))
+    flavor, fresh = (Flavor(1, frozenset(FronthaulTech), None, subsets) for _ in range(2))
+    assert flavor.subset_ranges == {
+        cpri: [(1, 4, 2), (1, 4, 4), (3, 4, 0)],  # the tie keeps flavor order
+        ecpri: [(1, 2, 3)],
+        (): [(1, 2, 5), (2, 5, 1)],
+    }
+    assert flavor.covering_subset(cpri, 3) is subsets[2] and flavor.covering_subset(cpri, 5) is None
+    assert flavor.covering_subset((), 2) is subsets[5] and flavor.covering_subset((), 3) is subsets[1]
+    assert flavor.covering_subset(("OTHER", FronthaulTech.CPRI), 1) is None
+    assert flavor == fresh and hash(flavor) == hash(fresh)
+    assert "subset_ranges" in vars(flavor) and "subset_ranges" not in vars(fresh)
+
+
+def test_subset_range_index_leaves_catalog_bytes_alone():
+    from ranslicer.builtin import builtin_catalog
+    from ranslicer.io import envelope_for, serialize_document
+
+    catalog = builtin_catalog()
+    before = serialize_document(envelope_for(catalog))
+    for flavor in (f for vnfd in (*catalog.du_vnfds, *catalog.cu_vnfds) for f in vnfd.flavors):
+        assert flavor.subset_ranges and all(flavor.covering_subset(group, ranges[0][0]) is not None
+                                            for group, ranges in flavor.subset_ranges.items())
+    assert serialize_document(envelope_for(catalog)) == before
+    assert catalog == builtin_catalog() and hash(catalog) == hash(builtin_catalog())
+
+
+_BOUNDS = st.integers(0, 5)  # a small span, so ranges repeat, nest, touch and invert
+_RANGED_KEYS = st.one_of(
+    st.builds(CuSubsetKey, _BOUNDS, _BOUNDS),
+    st.builds(DuSubsetKey, st.sampled_from([SUBURBAN, "OTHER"]), st.sampled_from(list(FronthaulTech)),
+              _BOUNDS, _BOUNDS),
+)
+
+
+def _group(key):
+    return () if isinstance(key, CuSubsetKey) else (key.region_class, key.fronthaul_tech)
+
+
+def _covering_oracle(subsets, group, size):
+    """Straight from the rule: of the group's subsets whose range holds
+    ``size``, the least (min, max), the earliest in flavor order among ties."""
+    def bounds(s):
+        return (s.key.min_dus, s.key.max_dus) if isinstance(s.key, CuSubsetKey) else (
+            s.key.min_cell_sites, s.key.max_cell_sites)
+    covering = [s for s in subsets if _group(s.key) == group and bounds(s)[0] <= size <= bounds(s)[1]]
+    return min(covering, key=bounds, default=None)  # min keeps the first of equal bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_RANGED_KEYS, max_size=10), st.integers(0, 6))
+def test_covering_subset_matches_the_oracle(keys, size):
+    from ranslicer.model import Flavor
+
+    subsets = tuple(_ranged_subset(i, key) for i, key in enumerate(keys))
+    flavor = Flavor(1, frozenset(FronthaulTech), None, subsets)
+    groups = {_group(key) for key in keys} | {(), (SUBURBAN, FronthaulTech.CPRI)}
+    for group in groups:
+        assert flavor.covering_subset(group, size) is _covering_oracle(subsets, group, size), group
