@@ -515,6 +515,7 @@ def verify_plan(
         problems.append(f"S-NSSAI {plan.s_nssai.sst.name}/{plan.s_nssai.sd} is not its NSST's "
                         f"{plan.nsst.s_nssai.sst.name}/{plan.nsst.s_nssai.sd}")
     cu_flavor = cu_vnfd.flavors[0] if cu_vnfd and cu_vnfd.flavors else None
+    du_flavors = {tech: du_vnfd.flavor_for_tech(tech) for tech in FronthaulTech} if du_vnfd else {}
     cu_id, du_id = (vnfd.descriptor_id if vnfd else None for vnfd in (cu_vnfd, du_vnfd))
 
     def selected(subset: IlSubset, first: IlSubset | None) -> bool:
@@ -550,7 +551,7 @@ def verify_plan(
             if (du.region_id, key, where) not in layout:  # a list: equal keys are found without hashing them
                 layout.append((du.region_id, key, where))
             sites = len(du.served_cell_sites)
-            du_flavor = du_vnfd.flavor_for_tech(where[1]) if du_vnfd and where else None
+            du_flavor = du_flavors.get(where[1]) if where else None
             if not selected(du.il_subset, du_flavor and du_flavor.covering_subset(where, sites)):
                 named = f" in ({where[0]}, {where[1].value})" if where else ""
                 problems.append(f"{du.du_id}: IL subset is not the DU VNFD's subset for {sites} cell sites{named}")
@@ -575,8 +576,9 @@ def verify_plan(
             key_text = " + ".join(f"({cls}, {tech.value})" for cls, tech in want_key.served_regions)
             problems.append(f"{gnb.gnb_id}: gNB IL subset is not gNB NSD {plan.nsst.nsd_ref} flavor "
                             f"{gnb.nsd_flavor_id}'s subset for {len(gnb.dus)} DUs in {key_text}")
-    du_ids = Counter(du.du_id for gnb in plan.gnbs for du in gnb.dus)
-    problems.extend(f"DU id {du_id} names {n} DUs" for du_id, n in du_ids.items() if n > 1)
+    du_ids = [du.du_id for gnb in plan.gnbs for du in gnb.dus]
+    if len(set(du_ids)) < len(du_ids):  # Counter only on a repeat: it costs twice the set
+        problems.extend(f"DU id {du_id} names {n} DUs" for du_id, n in Counter(du_ids).items() if n > 1)
     problems.extend(f"{gnb.gnb_id}: gNB NSD flavor {gnb.nsd_flavor_id} is not the flavor for fronthaul "
                     + (" + ".join(sorted(tech.value for tech in techs)) or "none")
                     for gnb in plan.gnbs if GNB_FLAVOR_TECHS.get(gnb.nsd_flavor_id) != techs)
@@ -596,7 +598,8 @@ def verify_plan(
                 f"region {region_id}: {len(dus)} DU(s) carry {capacity:g} Mbps, "
                 f"below its {load:g} Mbps offered load"
             )
-    problems.extend(f"selected RU {ru_id} listed {n} times" for ru_id, n in Counter(plan.selected_rus).items() if n > 1)
+    if len(set(plan.selected_rus)) < len(plan.selected_rus):
+        problems.extend(f"selected RU {ru_id} listed {n} times" for ru_id, n in Counter(plan.selected_rus).items() if n > 1)
     ru_sites: set[str] = set()
     off_region: dict[tuple[str, str, str], None] = {}  # (DU, its region, a served site's other region)
     for ru_id in plan.selected_rus:
