@@ -38,7 +38,7 @@ that rule:
 
 Each codec is built whole on first use and cached, and never changes:
 type hints are resolved, and an object's decoder is generated from source
-and compiled, once per class, as ``dataclasses`` generates ``__init__``.
+and compiled, once per class, as ``model.record`` generates ``__init__``.
 The decoder checks ``str``, ``int`` and ``float`` fields in place, calls
 the other fields' decoders, and passes the values to the class's own
 constructor; ``ranslicer plan`` compiles 33, about 4 ms per process.
@@ -62,7 +62,6 @@ import os
 import re
 import tempfile
 import typing
-from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
@@ -89,6 +88,7 @@ from .model import (
     SNssai,
     Sst,
     SubsetKey,
+    record,
 )
 from .planner import PlannerConfig, SlicePlan, verify_plan
 from .radio import ProfilerPolicy
@@ -97,7 +97,7 @@ from .topology import DeploymentArea, Pop, load_area
 SCHEMA_VERSION = "1.0.0"
 
 
-@dataclass(frozen=True)
+@record
 class SliceRequest:
     """A vertical's slice order: service type, optional differentiator,
     and the requirement vector."""
@@ -107,7 +107,7 @@ class SliceRequest:
     requirements: SliceRequirements
 
 
-@dataclass(frozen=True)
+@record
 class DocumentEnvelope:
     kind: str
     body: object
@@ -238,7 +238,7 @@ def _object_codec(make, entries, tag: str | None = None) -> _Codec:
 
     Entries are ``(key, get, codec, spread)``: ``get`` reads the value to
     encode, and a ``spread`` entry decodes to a tuple of several arguments.
-    The decoder is generated and compiled here, as ``dataclasses`` generates
+    The decoder is generated and compiled here, as ``model.record`` generates
     ``__init__``: it checks the ``_INLINE`` leaves in place, calls the other
     entries' decoders (``d0``, ``d1``, ...) and keeps the key it reads in ``k``.
     """

@@ -14,7 +14,7 @@ defective catalog can be loaded and diagnosed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
 from typing import NamedTuple, Sequence, Union
@@ -92,7 +92,65 @@ BAND_BW_LIMITS_MHZ: dict[BandRange, tuple[float, float]] = {
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
-@dataclass(frozen=True)
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def record(cls):
+    """``@dataclass(frozen=True)`` for the package's records, built for a
+    fraction of its import cost: dataclasses compiles six methods per class,
+    each by its own ``exec``.
+
+    The frozen guards and ``__repr__`` are shared by every record.
+    ``__init__`` (fields written through a bound ``object.__setattr__``,
+    then ``__post_init__``), ``__eq__`` and ``__hash__`` (dataclasses' tuple
+    forms) are generated per class and compiled by one ``exec``.  Then
+    ``dataclass(cls, init=False, repr=False, eq=False)`` adds the fields,
+    ``__match_args__`` and, from the generated ``__init__``, the ``__doc__``
+    of an undocumented class.  Fields, ``replace``, ``asdict``, equality,
+    hashes, ``repr``, ``FrozenInstanceError`` and pickling behave as on a
+    stock frozen dataclass; only ``__dataclass_params__`` differs, reading
+    ``frozen=False`` and ``eq=False``.  A record's fields are plain annotated
+    names, each with or without a default; records are not subclassed.
+    """
+    annotations = cls.__dict__.get("__annotations__", {})
+    defaults = {f"_dflt_{name}": cls.__dict__[name] for name in annotations if name in cls.__dict__}
+    params = [f"{name}=_dflt_{name}" if f"_dflt_{name}" in defaults else name for name in annotations]
+    mine, theirs = (f"({','.join(f'{obj}.{name}' for name in annotations)},)" for obj in ("self", "other"))
+    source = "\n".join([
+        f"def __init__(self, {', '.join(params)}):",
+        *(f" _set(self, {name!r}, {name})" for name in annotations),
+        *([" self.__post_init__()"] if hasattr(cls, "__post_init__") else []),
+        "def __eq__(self, other):",
+        " if other.__class__ is self.__class__:",
+        f"  return {mine}=={theirs}",
+        " return NotImplemented",
+        "def __hash__(self):",
+        f" return hash({mine})",
+    ])
+    ns = {"__name__": cls.__module__, "_set": object.__setattr__, **defaults}
+    exec(compile(source, f"<record {cls.__qualname__}>", "exec"), ns)
+    ns["__init__"].__annotations__ = {**annotations, "return": None}
+    for name in ("__init__", "__eq__", "__hash__"):
+        ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, ns[name])
+    cls.__setattr__, cls.__delattr__, cls.__repr__ = _frozen_setattr, _frozen_delattr, _record_repr
+    dataclass(cls, init=False, repr=False, eq=False)
+    if tuple(cls.__dataclass_fields__) != tuple(annotations):
+        raise TypeError(f"{cls.__qualname__}: a record's fields are its plain annotated names")
+    return cls
+
+
+@record
 class SNssai:
     """Slice identity: service type plus optional differentiator tag.
 
@@ -112,7 +170,7 @@ class SNssai:
                 raise ValueError(f"sd must be at most 6 hex characters, got {self.sd!r}")
 
 
-@dataclass(frozen=True)
+@record
 class FiveQi:
     """QoS class: priority, packet delay budget and packet error rate."""
 
@@ -130,7 +188,7 @@ class FiveQi:
             raise ValueError("packet error rate must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+@record
 class CarrierBand:
     band_range: BandRange
     carrier_bandwidth_mhz: float
@@ -144,7 +202,7 @@ class CarrierBand:
             )
 
 
-@dataclass(frozen=True)
+@record
 class RadioConfig:
     """The configuration-parameter half of a RAN NSST."""
 
@@ -166,7 +224,7 @@ class RadioConfig:
             raise ValueError("mu=3 is only supported in the 24250-52600 MHz range")
 
 
-@dataclass(frozen=True)
+@record
 class SliceRequirements:
     """Requirement vector a vertical submits for one slice."""
 
@@ -197,7 +255,7 @@ class SliceRequirements:
             raise ValueError("at least one target region is required")
 
 
-@dataclass(frozen=True)
+@record
 class RanNsst:
     """Deployment template for one slice subnet: identity, radio
     configuration, and a reference to the gNB NSD it instantiates."""
@@ -209,14 +267,14 @@ class RanNsst:
     requirement_profile: SliceRequirements
 
 
-@dataclass(frozen=True)
+@record
 class VmSpec:
     vcpu_count: int
     cpu_ghz: float
     ram_gb: float
 
 
-@dataclass(frozen=True)
+@record
 class VnfIlRef:
     """Pointer from a gNB NSD IL into a VNFD's flavor/IL space."""
 
@@ -225,19 +283,19 @@ class VnfIlRef:
     il_id: str
 
 
-@dataclass(frozen=True)
+@record
 class DuIlCapacity:
     max_cell_sites: int
     aggregate_capacity_mbps: float
 
 
-@dataclass(frozen=True)
+@record
 class CuIlCapacity:
     max_dus: int
     aggregate_capacity_mbps: float
 
 
-@dataclass(frozen=True)
+@record
 class GnbIlCapacity:
     """gNB-level IL: how many DUs the gNB runs and which CU/DU ILs they
     map to.  The declared aggregate capacity may not exceed what the
@@ -269,14 +327,14 @@ class GnbIlCapacity:
 RoleCapacity = Union[DuIlCapacity, CuIlCapacity, GnbIlCapacity]
 
 
-@dataclass(frozen=True)
+@record
 class InstantiationLevel:
     il_id: str
     vm_spec: VmSpec
     role_capacity: RoleCapacity
 
 
-@dataclass(frozen=True)
+@record
 class DuSubsetKey:
     """DU IL subsets are sized for a region archetype, a fronthaul
     technology and a range of cell sites served by one DU."""
@@ -290,7 +348,7 @@ class DuSubsetKey:
         return self.min_cell_sites <= cell_sites <= self.max_cell_sites
 
 
-@dataclass(frozen=True)
+@record
 class CuSubsetKey:
     """CU IL subsets are sized for a range of served DUs."""
 
@@ -301,7 +359,7 @@ class CuSubsetKey:
         return self.min_dus <= dus <= self.max_dus
 
 
-@dataclass(frozen=True)
+@record
 class GnbSubsetKey:
     """gNB NSD IL subsets are keyed by the multiset of
     (region class, fronthaul tech) pairs of the regions the gNB spans."""
@@ -320,13 +378,13 @@ class GnbSubsetKey:
 SubsetKey = Union[DuSubsetKey, CuSubsetKey, GnbSubsetKey]
 
 
-@dataclass(frozen=True)
+@record
 class IlSubset:
     key: SubsetKey
     levels: tuple[InstantiationLevel, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Flavor:
     """Deployment variant of a descriptor.
 
@@ -387,7 +445,7 @@ class Flavor:
             for lvl in s.levels)), None)
 
 
-@dataclass(frozen=True)
+@record
 class GnbNsd:
     descriptor_id: str
     flavors: tuple[Flavor, ...]
@@ -396,13 +454,13 @@ class GnbNsd:
         return next((f for f in self.flavors if f.flavor_id == flavor_id), None)
 
 
-@dataclass(frozen=True)
+@record
 class CuVnfd:
     descriptor_id: str
     flavors: tuple[Flavor, ...]
 
 
-@dataclass(frozen=True)
+@record
 class DuVnfd:
     descriptor_id: str
     flavors: tuple[Flavor, ...]
@@ -411,7 +469,7 @@ class DuVnfd:
         return next((f for f in self.flavors if tech in f.fronthaul_techs), None)
 
 
-@dataclass(frozen=True)
+@record
 class RuLocation:
     """Where an RU sits: its region, the cell site it radiates from, and
     planar coordinates in km for map rendering."""
@@ -422,7 +480,7 @@ class RuLocation:
     y_km: float
 
 
-@dataclass(frozen=True)
+@record
 class RuPnfd:
     ru_id: str
     location: RuLocation
@@ -436,7 +494,7 @@ class ResolvedIl(NamedTuple):
     level: InstantiationLevel
 
 
-@dataclass(frozen=True)
+@record
 class Catalog:
     """One onboarded descriptor set: slice templates plus the NFV
     documents they reference.  Immutable after construction; ``ru`` reads

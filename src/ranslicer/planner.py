@@ -22,7 +22,6 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import PlannerError, RanSliceError
@@ -44,6 +43,7 @@ from .model import (
     SNssai,
     Sst,
     level_capacity_mbps,
+    record,
 )
 from .radio import ProfilerPolicy, area_load_mbps, build_ran_nsst, default_policy
 from .topology import DeploymentArea, PopTier, Region, pop_latency, select_rus  # noqa: F401 (perfbench's tracer)
@@ -59,7 +59,7 @@ class DuFlavor(Enum):
 DU_FLAVOR_FOR_TECH = {tech: DuFlavor(f"SPLIT{split}_{tech.value}") for tech, split in SPLIT_FOR_TECH.items()}
 
 
-@dataclass(frozen=True)
+@record
 class PlannerConfig:
     cu_du_latency_budget_ms: float = 10.0
     exact_solver_limit: int = 12
@@ -71,7 +71,7 @@ class PlannerConfig:
             raise ValueError("exact solver limit must be non-negative")
 
 
-@dataclass(frozen=True)
+@record
 class DuPlan:
     du_id: str
     region_id: str
@@ -81,13 +81,13 @@ class DuPlan:
     host_pop: str
 
 
-@dataclass(frozen=True)
+@record
 class CuPlacement:
     host_pop: str
     il_subset: IlSubset
 
 
-@dataclass(frozen=True)
+@record
 class GnbPlan:
     gnb_id: str
     cu: CuPlacement
@@ -96,7 +96,7 @@ class GnbPlan:
     nsd_il_subset: IlSubset
 
 
-@dataclass(frozen=True)
+@record
 class GnbSkeleton:
     """CU placement with its DUs, before the gNB-level lookup."""
 
@@ -105,7 +105,7 @@ class GnbSkeleton:
     dus: tuple[DuPlan, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SlicePlan:
     s_nssai: SNssai
     nsst_ref: str
@@ -483,11 +483,12 @@ def verify_plan(
     Re-derives each CU's edge-PoP host, latency, CU capacity, coverage
     conservation and each region's DU capacity from the area and catalog
     instead of trusting the solver.  The plan's ``nsst_ref`` and S-NSSAI
-    must be its NSST's, no DU id or selected RU may repeat, and a region
-    with DUs needs an offered-load entry.  Each cited IL subset must be
-    the one the catalog's rules on ``model.Flavor`` select, compared by
-    identity, then equality: a CU's is ``covering_subset`` of the CU
-    VNFD's first flavor for its gNB's DU count; a DU's, ``covering_subset``
+    must be its NSST's; no gNB id, DU id, selected RU or offered-load
+    region may repeat, and a region with DUs needs an offered-load entry.
+    Each cited IL subset must be the one the catalog's rules on
+    ``model.Flavor`` select, compared by identity, then equality: a CU's
+    is ``covering_subset`` of the CU VNFD's first flavor for its gNB's DU
+    count; a DU's, ``covering_subset``
     of the DU VNFD's flavor for its tech (``DuVnfd.flavor_for_tech``)
     under its (region class, fronthaul tech) for its cell-site count; a gNB's,
     ``running_subset`` of its NSD flavor under the pairs of its DUs'
@@ -576,13 +577,19 @@ def verify_plan(
             key_text = " + ".join(f"({cls}, {tech.value})" for cls, tech in want_key.served_regions)
             problems.append(f"{gnb.gnb_id}: gNB IL subset is not gNB NSD {plan.nsst.nsd_ref} flavor "
                             f"{gnb.nsd_flavor_id}'s subset for {len(gnb.dus)} DUs in {key_text}")
+    gnb_ids = [gnb.gnb_id for gnb in plan.gnbs]
+    if len(set(gnb_ids)) < len(gnb_ids):  # Counter only on a repeat: it costs twice the set
+        problems.extend(f"gNB id {gnb_id} names {n} gNBs" for gnb_id, n in Counter(gnb_ids).items() if n > 1)
     du_ids = [du.du_id for gnb in plan.gnbs for du in gnb.dus]
-    if len(set(du_ids)) < len(du_ids):  # Counter only on a repeat: it costs twice the set
+    if len(set(du_ids)) < len(du_ids):
         problems.extend(f"DU id {du_id} names {n} DUs" for du_id, n in Counter(du_ids).items() if n > 1)
     problems.extend(f"{gnb.gnb_id}: gNB NSD flavor {gnb.nsd_flavor_id} is not the flavor for fronthaul "
                     + (" + ".join(sorted(tech.value for tech in techs)) or "none")
                     for gnb in plan.gnbs if GNB_FLAVOR_TECHS.get(gnb.nsd_flavor_id) != techs)
     loaded = {region_id for region_id, _ in plan.offered_load_mbps}
+    if len(loaded) < len(plan.offered_load_mbps):
+        problems.extend(f"region {region_id}: {n} offered load entries" for region_id, n
+                        in Counter(region_id for region_id, _ in plan.offered_load_mbps).items() if n > 1)
     problems.extend(f"region {region_id}: {len(dus)} DU(s) but no offered load entry"
                     for region_id, dus in region_dus.items() if region_id not in loaded)
     for region_id, load in plan.offered_load_mbps:

@@ -18,7 +18,6 @@ the planner's regional peak load from ``ProfilerPolicy.activity_factor``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ProfilerError
 from .model import (
@@ -34,10 +33,11 @@ from .model import (
     SliceRequirements,
     SNssai,
     Sst,
+    record,
 )
 
 
-@dataclass(frozen=True)
+@record
 class SlotFormatRow:
     """One TDD slot format and the downlink/uplink ratio interval it
     serves.  ``max_dl_ul_ratio`` None means unbounded above."""
@@ -50,7 +50,7 @@ class SlotFormatRow:
     flexible_symbols: int
 
 
-@dataclass(frozen=True)
+@record
 class ProfilerPolicy:
     """Threshold tables for the requirement-to-parameter mapping.
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -33,6 +32,7 @@ from .model import (
     FronthaulTech,
     RuLocation,
     RuPnfd,
+    record,
 )
 
 
@@ -41,7 +41,7 @@ class PopTier(Enum):
     EDGE = "EDGE"
 
 
-@dataclass(frozen=True)
+@record
 class Region:
     region_id: str
     region_class: str
@@ -51,7 +51,7 @@ class Region:
     aggregation_pop: str
 
 
-@dataclass(frozen=True)
+@record
 class Pop:
     pop_id: str
     tier: PopTier
@@ -59,14 +59,14 @@ class Pop:
     host_capacity_ram_gb: float
 
 
-@dataclass(frozen=True)
+@record
 class TransportLink:
     a: str
     b: str
     latency_ms: float
 
 
-@dataclass(frozen=True)
+@record
 class DeploymentArea:
     regions: tuple[Region, ...]
     pops: tuple[Pop, ...]

@@ -368,12 +368,10 @@ def _suburban_region(region_id: str, agg_id: str, sites: tuple[str, ...]) -> Reg
     return Region(region_id, "SUBURBAN", 8.0, FronthaulTech.CPRI, sites, agg_id)
 
 
-def scaled_greedy_plan(rng: random.Random, n_regions: int = 30, n_edges: int = 4):
-    """A plan on the greedy CU path: ``n_regions`` copies of the reference
-    suburban region, each aggregation PoP linked to one or two of
-    ``n_edges`` edge PoPs within the CU-DU budget, planned with the URLLC
-    request against ``suburban_catalog``."""
-    catalog = suburban_catalog()
+def scaled_greedy_area(rng: random.Random, n_regions: int = 30, n_edges: int = 4) -> DeploymentArea:
+    """``n_regions`` copies of the reference suburban region, each
+    aggregation PoP linked to one or two of ``n_edges`` edge PoPs within the
+    CU-DU budget."""
     edge_ids = [f"pop-edge-{e}" for e in range(1, n_edges + 1)]
     pops = [Pop(pop_id, PopTier.EDGE, 512, 1024.0) for pop_id in edge_ids]
     regions, links, rus = [], [], []
@@ -386,9 +384,15 @@ def scaled_greedy_plan(rng: random.Random, n_regions: int = 30, n_edges: int = 4
             links.append(TransportLink(agg_id, pop_id, round(rng.uniform(0.2, 9.0), 2)))
         rus += [RuPnfd(f"ru-{r:02d}-{i}", RuLocation(region_id, site, float(i), float(r)), FronthaulTech.CPRI)
                 for i, site in enumerate(sites, start=1)]
-    area = load_area(DeploymentArea(tuple(regions), tuple(pops), tuple(links), tuple(rus)))
-    request = replace(reference_requests()[Sst.URLLC], target_regions=tuple(r.region_id for r in regions))
-    return plan_slice(request, Sst.URLLC, area, catalog)
+    return load_area(DeploymentArea(tuple(regions), tuple(pops), tuple(links), tuple(rus)))
+
+
+def scaled_greedy_plan(rng: random.Random, n_regions: int = 30, n_edges: int = 4):
+    """A plan on the greedy CU path: ``scaled_greedy_area`` planned with the
+    URLLC request against ``suburban_catalog``."""
+    area = scaled_greedy_area(rng, n_regions, n_edges)
+    request = replace(reference_requests()[Sst.URLLC], target_regions=tuple(r.region_id for r in area.regions))
+    return plan_slice(request, Sst.URLLC, area, suburban_catalog())
 
 
 def _jittered_grid(n: int, size_km: float, rng: random.Random) -> list[tuple[float, float]]:

@@ -1,4 +1,11 @@
+import ast
+import copy
+import dataclasses
+import importlib
+import inspect
 import itertools
+import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -281,3 +288,102 @@ def test_covering_subset_matches_the_oracle(keys, size):
     groups = {_group(key) for key in keys} | {(), (SUBURBAN, FronthaulTech.CPRI)}
     for group in groups:
         assert flavor.covering_subset(group, size) is _covering_oracle(subsets, group, size), group
+
+
+# ---------------------------------------------------------------------------
+# model.record: every record behaves as a stock frozen dataclass
+
+PACKAGE = Path(__file__).parent.parent / "src" / "ranslicer"
+ROOT = Path(__file__).parent.parent
+
+
+def _record_classes() -> dict[type, str | None]:
+    """Every class of the package declared ``@record``, with its authored
+    docstring (None for an undocumented class)."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list):
+                cls = getattr(importlib.import_module(f"ranslicer.{path.stem}"), node.name)
+                found[cls] = cls.__doc__ if ast.get_docstring(node) is not None else None
+    return found
+
+
+def _parsed_instances() -> dict[type, list]:
+    """Record instances reachable from the documents in ``fixtures/`` and the
+    pinned plans in ``tests/data/``, plus those a document of the other
+    kinds (planner config, profiler policy) and a CU skeleton hold."""
+    from ranslicer.io import envelope_for, parse_document, parse_path, serialize_document
+    from ranslicer.planner import GnbPlan, GnbSkeleton, PlannerConfig
+    from ranslicer.radio import default_policy
+
+    envelopes = [parse_path(path) for path in [*sorted((ROOT / "fixtures").glob("*.json")),
+                                               *sorted((ROOT / "tests" / "data").glob("plan_*.json"))]]
+    envelopes += [parse_document(serialize_document(envelope_for(body)))
+                  for body in (PlannerConfig(), PlannerConfig(5.0, 0), default_policy())]
+    found: dict[type, dict[int, object]] = {}
+
+    def walk(value):
+        if isinstance(value, (tuple, frozenset)):
+            for item in value:
+                walk(item)
+        elif dataclasses.is_dataclass(value) and id(value) not in found.setdefault(type(value), {}):
+            found[type(value)][id(value)] = value
+            for f in dataclasses.fields(value):
+                walk(getattr(value, f.name))
+
+    for envelope in envelopes:
+        walk(envelope)
+    for gnb in found[GnbPlan].values():
+        walk(GnbSkeleton(gnb.cu.host_pop, gnb.cu.il_subset, gnb.dus))
+    return {cls: list(by_id.values()) for cls, by_id in found.items()}
+
+
+def _stock_twin(cls, doc):
+    """``cls`` as ``@dataclass(frozen=True)`` builds it: the same fields,
+    defaults, ``__post_init__``, name and authored docstring."""
+    fields = [(f.name, f.type) if f.default is dataclasses.MISSING else (f.name, f.type, f.default)
+              for f in dataclasses.fields(cls)]
+    namespace = {"__doc__": doc, **({"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {})}
+    return dataclasses.make_dataclass(cls.__name__, fields, namespace=namespace, frozen=True)
+
+
+def _frozen_messages(obj, name) -> list[str]:
+    messages = []
+    for act in (lambda: setattr(obj, name, 1), lambda: delattr(obj, name)):
+        with pytest.raises(dataclasses.FrozenInstanceError) as err:
+            act()
+        messages.append(str(err.value))
+    return messages
+
+
+def test_records_match_stock_frozen_dataclasses():
+    records, instances = _record_classes(), _parsed_instances()
+    assert len(records) > 30 and set(records) <= set(instances)
+    for cls, doc in records.items():
+        twin = _stock_twin(cls, doc)
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert [(f.name, f.type, f.default) for f in dataclasses.fields(cls)] == [
+            (f.name, f.type, f.default) for f in dataclasses.fields(twin)], cls
+        assert cls.__match_args__ == twin.__match_args__ == tuple(names), cls
+        assert cls.__doc__ == twin.__doc__ and inspect.signature(cls) == inspect.signature(twin), cls
+        xs = instances[cls]
+        ys = [twin(**{name: getattr(x, name) for name in names}) for x in xs]
+        for x, y in zip(xs, ys):
+            assert repr(x) == repr(y), cls
+            assert hash(x) == hash(y), cls
+            assert x.__eq__(y) is NotImplemented and y.__eq__(x) is NotImplemented, cls
+            assert x.__eq__(None) is NotImplemented and x != y and not x == y, cls
+            assert dataclasses.asdict(x) == dataclasses.asdict(y), cls
+            back = pickle.loads(pickle.dumps(x))  # a rebuilt frozenset may iterate in another order
+            assert type(back) is cls and back is not x and back == x and hash(back) == hash(x), cls
+        # each instance with the next (mostly unequal) and with an equal copy, both ways
+        for (x1, y1), (x2, y2) in [*zip(zip(xs, ys), zip(xs[1:], ys[1:])),
+                                   ((xs[0], ys[0]), (copy.deepcopy(xs[0]), copy.deepcopy(ys[0])))]:
+            assert (x1 == x2, x2 == x1, x1 != x2, x2 != x1) == (y1 == y2, y2 == y1, y1 != y2, y2 != y1), cls
+        changes = {names[-1]: getattr(xs[-1], names[-1])}
+        assert dataclasses.replace(xs[0]) == xs[0], cls
+        assert repr(dataclasses.replace(xs[0], **changes)) == repr(dataclasses.replace(ys[0], **changes)), cls
+        for name in (names[0], "not_a_field"):
+            assert _frozen_messages(xs[0], name) == _frozen_messages(ys[0], name), (cls, name)

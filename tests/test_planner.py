@@ -3,6 +3,7 @@ oracle, gNB IL-subset lookup, scaling, and the end-to-end reference
 plans."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -869,6 +870,7 @@ NOT_THE_CU_VNFDS = "gnb-01: CU IL subset is not the CU VNFD's subset for 2 DUs"
 NOT_THE_GNB_NSDS = "gNB IL subset is not gNB NSD nsd-gnb-v1 flavor"
 CC_SITES_FROM_MARS = "du-city-center-01: serves a cell site of region city-center, outside its region mars"
 MARS_WITHOUT_LOAD = "region mars: 1 DU(s) but no offered load entry"
+SCALED = "scaled"  # a case on _scaled_inputs' plan instead of a reference plan
 
 VERIFIER_REPORTS = {
     "cu-wrong-key-kind": (
@@ -995,13 +997,52 @@ VERIFIER_REPORTS = {
         lambda p: dataclasses.replace(p, selected_rus=p.selected_rus + p.selected_rus[:1]),
         ["selected RU ru-cc-01 listed 2 times"],
     ),
+    "gnb-id-twice": (
+        SCALED,
+        lambda p: dataclasses.replace(p, gnbs=(p.gnbs[0], dataclasses.replace(p.gnbs[1], gnb_id="gnb-01"),
+                                               *p.gnbs[2:])),
+        ["gNB id gnb-01 names 2 gNBs"],
+    ),
+    "region-load-twice": (
+        Sst.EMBB,
+        lambda p: dataclasses.replace(p, offered_load_mbps=p.offered_load_mbps * 2),
+        ["region city-center: 2 offered load entries"],
+    ),
+    "region-load-twice-scaled": (
+        SCALED,
+        lambda p: dataclasses.replace(p, offered_load_mbps=p.offered_load_mbps[:1] + p.offered_load_mbps),
+        ["region sub-01: 2 offered load entries"],
+    ),
 }
+
+
+@functools.cache
+def _scaled_inputs():
+    """``docgen.scaled_greedy_plan(random.Random(5))`` (8 gNBs), its area, and
+    ``suburban_catalog`` with the area's RUs, so coverage checks without an area too."""
+    area = docgen.scaled_greedy_area(random.Random(5))
+    catalog = dataclasses.replace(docgen.suburban_catalog(), ru_pnfds=area.rus)
+    return docgen.scaled_greedy_plan(random.Random(5)), area, catalog
+
+
+def _case_inputs(source, catalog, area, requests):
+    """The plan a VERIFIER_REPORTS case mutates, with its area and catalog:
+    the reference plan of an Sst, or the scaled plan for ``SCALED``."""
+    if source == SCALED:
+        return _scaled_inputs()
+    return plan_slice(requests[source], source, area, catalog), area, catalog
+
+
+def test_scaled_case_plan_verifies_clean():
+    plan, area, catalog = _scaled_inputs()
+    assert len(plan.gnbs) == 8
+    assert verify_plan(plan, area, catalog) == verify_plan(plan, None, catalog) == []
 
 
 @pytest.mark.parametrize("name", sorted(VERIFIER_REPORTS))
 def test_verifier_single_mutation_exact_report(name, catalog, area, requests):
-    sst, mutate, expected = VERIFIER_REPORTS[name]
-    plan = plan_slice(requests[sst], sst, area, catalog)
+    source, mutate, expected = VERIFIER_REPORTS[name]
+    plan, area, catalog = _case_inputs(source, catalog, area, requests)
     assert verify_plan(mutate(plan), area, catalog) == expected
 
 
@@ -1032,8 +1073,8 @@ WITHOUT_AREA = {
 
 @pytest.mark.parametrize("name", sorted(VERIFIER_REPORTS))
 def test_verifier_without_an_area_checks_the_area_free_facts(name, catalog, area, requests):
-    sst, mutate, expected = VERIFIER_REPORTS[name]
-    plan = plan_slice(requests[sst], sst, area, catalog)
+    source, mutate, expected = VERIFIER_REPORTS[name]
+    plan, _, catalog = _case_inputs(source, catalog, area, requests)
     assert verify_plan(mutate(plan), None, catalog) == WITHOUT_AREA.get(name, expected)
 
 
