@@ -14,6 +14,7 @@ defective catalog can be loaded and diagnosed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -344,9 +345,6 @@ class DuSubsetKey:
     min_cell_sites: int
     max_cell_sites: int
 
-    def covers(self, cell_sites: int) -> bool:
-        return self.min_cell_sites <= cell_sites <= self.max_cell_sites
-
 
 @record
 class CuSubsetKey:
@@ -354,9 +352,6 @@ class CuSubsetKey:
 
     min_dus: int
     max_dus: int
-
-    def covers(self, dus: int) -> bool:
-        return self.min_dus <= dus <= self.max_dus
 
 
 @record
@@ -540,3 +535,9 @@ class Catalog:
 def level_capacity_mbps(level: InstantiationLevel) -> float:
     """Aggregate traffic capacity of an IL, uniform across DU/CU/gNB roles."""
     return level.role_capacity.aggregate_capacity_mbps
+
+
+def repeats(ids: Sequence[str]) -> dict[str, int]:
+    """The one repeated-id rule: each id listed more than once, with its count, in first-seen
+    order.  It counts only after a ``set`` shows a repeat, as a ``Counter`` costs twice as much."""
+    return {} if len(set(ids)) == len(ids) else {i: n for i, n in Counter(ids).items() if n > 1}

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from collections.abc import Sequence
 from enum import Enum
 
@@ -44,6 +43,7 @@ from .model import (
     Sst,
     level_capacity_mbps,
     record,
+    repeats,
 )
 from .radio import ProfilerPolicy, area_load_mbps, build_ran_nsst, default_policy
 from .topology import DeploymentArea, PopTier, Region, pop_latency, select_rus  # noqa: F401 (perfbench's tracer)
@@ -577,19 +577,16 @@ def verify_plan(
             key_text = " + ".join(f"({cls}, {tech.value})" for cls, tech in want_key.served_regions)
             problems.append(f"{gnb.gnb_id}: gNB IL subset is not gNB NSD {plan.nsst.nsd_ref} flavor "
                             f"{gnb.nsd_flavor_id}'s subset for {len(gnb.dus)} DUs in {key_text}")
-    gnb_ids = [gnb.gnb_id for gnb in plan.gnbs]
-    if len(set(gnb_ids)) < len(gnb_ids):  # Counter only on a repeat: it costs twice the set
-        problems.extend(f"gNB id {gnb_id} names {n} gNBs" for gnb_id, n in Counter(gnb_ids).items() if n > 1)
-    du_ids = [du.du_id for gnb in plan.gnbs for du in gnb.dus]
-    if len(set(du_ids)) < len(du_ids):
-        problems.extend(f"DU id {du_id} names {n} DUs" for du_id, n in Counter(du_ids).items() if n > 1)
+    problems.extend(f"gNB id {gnb_id} names {n} gNBs"
+                    for gnb_id, n in repeats([gnb.gnb_id for gnb in plan.gnbs]).items())
+    problems.extend(f"DU id {du_id} names {n} DUs"
+                    for du_id, n in repeats([du.du_id for gnb in plan.gnbs for du in gnb.dus]).items())
     problems.extend(f"{gnb.gnb_id}: gNB NSD flavor {gnb.nsd_flavor_id} is not the flavor for fronthaul "
                     + (" + ".join(sorted(tech.value for tech in techs)) or "none")
                     for gnb in plan.gnbs if GNB_FLAVOR_TECHS.get(gnb.nsd_flavor_id) != techs)
-    loaded = {region_id for region_id, _ in plan.offered_load_mbps}
-    if len(loaded) < len(plan.offered_load_mbps):
-        problems.extend(f"region {region_id}: {n} offered load entries" for region_id, n
-                        in Counter(region_id for region_id, _ in plan.offered_load_mbps).items() if n > 1)
+    problems.extend(f"region {region_id}: {n} offered load entries"
+                    for region_id, n in repeats([region_id for region_id, _ in plan.offered_load_mbps]).items())
+    loaded = {region_id for region_id, _ in plan.offered_load_mbps}  # a set: tested once per region with DUs
     problems.extend(f"region {region_id}: {len(dus)} DU(s) but no offered load entry"
                     for region_id, dus in region_dus.items() if region_id not in loaded)
     for region_id, load in plan.offered_load_mbps:
@@ -605,8 +602,7 @@ def verify_plan(
                 f"region {region_id}: {len(dus)} DU(s) carry {capacity:g} Mbps, "
                 f"below its {load:g} Mbps offered load"
             )
-    if len(set(plan.selected_rus)) < len(plan.selected_rus):
-        problems.extend(f"selected RU {ru_id} listed {n} times" for ru_id, n in Counter(plan.selected_rus).items() if n > 1)
+    problems.extend(f"selected RU {ru_id} listed {n} times" for ru_id, n in repeats(plan.selected_rus).items())
     ru_sites: set[str] = set()
     off_region: dict[tuple[str, str, str], None] = {}  # (DU, its region, a served site's other region)
     for ru_id in plan.selected_rus:

@@ -33,6 +33,7 @@ from .model import (
     RuLocation,
     RuPnfd,
     record,
+    repeats,
 )
 
 
@@ -137,11 +138,9 @@ class DeploymentArea:
 def check_area(area: DeploymentArea) -> list[str]:
     """Structural problems in a deployment area; empty means loadable."""
     problems: list[str] = []
-    pop_ids = [p.pop_id for p in area.pops]
-    if len(set(pop_ids)) != len(pop_ids):
+    if repeats([p.pop_id for p in area.pops]):
         problems.append("duplicate PoP ids")
-    region_ids = [r.region_id for r in area.regions]
-    if len(set(region_ids)) != len(region_ids):
+    if repeats([r.region_id for r in area.regions]):
         problems.append("duplicate region ids")
     site_owner: dict[str, str] = {}
     agg_used: dict[str, str] = {}
@@ -174,8 +173,7 @@ def check_area(area: DeploymentArea) -> list[str]:
         for end in (link.a, link.b):
             if area.pop(end) is None:
                 problems.append(f"link endpoint {end} is not a PoP")
-    ru_ids = [r.ru_id for r in area.rus]
-    if len(set(ru_ids)) != len(ru_ids):
+    if repeats([r.ru_id for r in area.rus]):
         problems.append("duplicate RU ids")
     covered: set[str] = set()
     for ru in area.rus:

@@ -63,6 +63,7 @@ from .model import (
     GnbSubsetKey,
     IlSubset,
     InstantiationLevel,
+    repeats,
 )
 
 if TYPE_CHECKING:
@@ -104,11 +105,7 @@ def _check_duplicate_ids(catalog: Catalog, report: list[Violation]) -> None:
         ("vnfd", [d.descriptor_id for d in (*catalog.cu_vnfds, *catalog.du_vnfds)]),
         ("ru_pnfd", [r.ru_id for r in catalog.ru_pnfds]),
     ):
-        seen: set[str] = set()
-        for doc_id in ids:
-            if doc_id in seen:
-                report.append(Violation(doc_id, "", "duplicate-id", f"duplicate {name} id"))
-            seen.add(doc_id)
+        report.extend(Violation(doc_id, "", "duplicate-id", f"duplicate {name} id") for doc_id in repeats(ids))
 
 
 def _check_descriptor(descriptor: GnbNsd | DuVnfd | CuVnfd, catalog: Catalog, report: list[Violation]) -> None:
@@ -119,17 +116,15 @@ def _check_descriptor(descriptor: GnbNsd | DuVnfd | CuVnfd, catalog: Catalog, re
         report.append(Violation(doc_id, "flavors", "flavor-count",
                                 f"expected {kind.flavor_count} {noun}, found {len(flavors)}"))
     report.extend(Violation(doc_id, "flavors", "flavor-tech-mapping", m) for m in kind.flavors_rule(flavors))
-    il_ids: set[str] = set()
+    # Every flavor's, subset's and level's IL ids, so a wrong-kind subset's count too.
+    report.extend(Violation(doc_id, f"il:{il_id}", "duplicate-id", "duplicate IL id") for il_id in repeats(
+        [level.il_id for flavor in flavors for subset in flavor.il_subsets for level in subset.levels]))
     for fi, flavor in enumerate(flavors):
         fpath = f"flavors[{fi}]"
         report.extend(Violation(doc_id, fpath, "flavor-tech-mapping", m) for m in kind.flavor_rule(flavor))
         if not flavor.il_subsets:
             report.append(Violation(doc_id, fpath, "empty-subsets", "flavor has no IL subsets"))
         for si, subset in enumerate(flavor.il_subsets):
-            for level in subset.levels:  # before the key check: a wrong-kind subset's IL ids count too
-                if level.il_id in il_ids:
-                    report.append(Violation(doc_id, f"il:{level.il_id}", "duplicate-id", "duplicate IL id"))
-                il_ids.add(level.il_id)
             spath = f"{fpath}.il_subsets[{si}]"
             if not isinstance(subset.key, kind.key_type):
                 report.append(Violation(doc_id, spath, "bad-subset-key", f"expected a {kind.key_noun} key"))
