@@ -484,7 +484,8 @@ def verify_plan(
     conservation and each region's DU capacity from the area and catalog
     instead of trusting the solver.  The plan's ``nsst_ref`` and S-NSSAI
     must be its NSST's; no gNB id, DU id, selected RU or offered-load
-    region may repeat, and a region with DUs needs an offered-load entry.
+    region may repeat, a region with DUs needs an offered-load entry, and
+    no offered load may be negative or NaN.
     Each cited IL subset must be the one the catalog's rules on
     ``model.Flavor`` select, compared by identity, then equality: a CU's
     is ``covering_subset`` of the CU VNFD's first flavor for its gNB's DU
@@ -584,12 +585,14 @@ def verify_plan(
     problems.extend(f"{gnb.gnb_id}: gNB NSD flavor {gnb.nsd_flavor_id} is not the flavor for fronthaul "
                     + (" + ".join(sorted(tech.value for tech in techs)) or "none")
                     for gnb in plan.gnbs if GNB_FLAVOR_TECHS.get(gnb.nsd_flavor_id) != techs)
-    problems.extend(f"region {region_id}: {n} offered load entries"
-                    for region_id, n in repeats([region_id for region_id, _ in plan.offered_load_mbps]).items())
-    loaded = {region_id for region_id, _ in plan.offered_load_mbps}  # a set: tested once per region with DUs
+    load_regions = [region_id for region_id, _ in plan.offered_load_mbps]
+    problems.extend(f"region {region_id}: {n} offered load entries" for region_id, n in repeats(load_regions).items())
+    loaded = set(load_regions)  # a set: a list would cost O(regions^2) in the test below
     problems.extend(f"region {region_id}: {len(dus)} DU(s) but no offered load entry"
                     for region_id, dus in region_dus.items() if region_id not in loaded)
     for region_id, load in plan.offered_load_mbps:
+        if not load >= 0:  # NaN too; +0.0 is allowed, a tiny region's load can round to it
+            problems.append(f"region {region_id}: offered load {load:g} Mbps must be non-negative")
         dus = region_dus.get(region_id)
         if not dus:
             problems.append(f"region {region_id}: no DU carries its {load:g} Mbps offered load")

@@ -16,6 +16,8 @@ role type and its count field, and hooks for the kind's own rules.
 tries them, and reports one whose range an earlier one covers.
 ``flavor-tech-mapping`` checks flavors against the fixed flavor rules in
 ``ranslicer.model`` (``GNB_FLAVOR_TECHS``, ``SPLIT_FOR_TECH``, ``CU_SPLIT_OPTION``).
+``duplicate-id`` applies ``model.repeats`` to each document-id list and to
+each descriptor's IL ids, taken from all its flavors, subsets and levels.
 
 Rule ids:
 
@@ -42,7 +44,6 @@ ru-tech-mismatch     RU connection tech differs from its region's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .model import (
@@ -70,8 +71,7 @@ if TYPE_CHECKING:
     from .topology import DeploymentArea
 
 
-@dataclass(frozen=True, order=True)
-class Violation:
+class Violation(NamedTuple):
     document_id: str
     path: str
     rule: str

@@ -20,7 +20,17 @@ from ranslicer.model import (
     VmSpec,
     VnfIlRef,
 )
-from ranslicer.validate import validate_catalog
+from ranslicer.validate import Violation, validate_catalog
+
+
+def test_violation_is_an_immutable_tuple_in_field_order():
+    first, second = Violation("doc", "a", "z", "m"), Violation("doc", "b", "a", "m")
+    assert Violation._fields == ("document_id", "path", "rule", "message")
+    assert repr(first) == "Violation(document_id='doc', path='a', rule='z', message='m')"
+    assert sorted({second, first, Violation(*first)}) == [first, second]
+    assert hash(first) == hash(("doc", "a", "z", "m"))
+    with pytest.raises(AttributeError):
+        first.rule = "other"
 
 
 def test_builtin_catalog_is_clean(catalog, area):
@@ -490,6 +500,19 @@ EXACT_REPORTS = {
         lambda c: dataclasses.replace(c, ru_pnfds=c.ru_pnfds + c.ru_pnfds[:1]),
         [
             ("ru-cc-01", "", "duplicate-id", "duplicate ru_pnfd id"),
+        ],
+    ),
+    "several-ids-repeat": (  # nsst-embb and gnb-f1-sub-l1 (one per gNB flavor) thrice, the rest twice
+        lambda c: dataclasses.replace(
+            _put(c, _level(_level(_level(_gnb(c), 1, 0, 0, il_id="gnb-f1-sub-l1"), 2, 0, 0, il_id="gnb-f1-sub-l1"),
+                           2, 1, 1, il_id="gnb-f2-cc-l2")),
+            nssts=c.nssts + c.nssts[:1] * 2, ru_pnfds=c.ru_pnfds + c.ru_pnfds[1::-1]),
+        [
+            ("nsd-gnb-v1", "il:gnb-f1-sub-l1", "duplicate-id", "duplicate IL id"),
+            ("nsd-gnb-v1", "il:gnb-f2-cc-l2", "duplicate-id", "duplicate IL id"),
+            ("nsst-embb", "", "duplicate-id", "duplicate nsst id"),
+            ("ru-cc-01", "", "duplicate-id", "duplicate ru_pnfd id"),
+            ("ru-cc-02", "", "duplicate-id", "duplicate ru_pnfd id"),
         ],
     ),
     "ru-unknown-region": (

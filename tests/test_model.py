@@ -31,6 +31,7 @@ from ranslicer.model import (
     Sst,
     VmSpec,
     VnfIlRef,
+    repeats,
 )
 
 
@@ -356,6 +357,12 @@ def _frozen_messages(obj, name) -> list[str]:
             act()
         messages.append(str(err.value))
     return messages
+
+
+def test_repeats_counts_each_repeated_id_in_first_seen_order():
+    assert repeats([]) == repeats(("a", "b")) == {}
+    found = repeats(["d", "b", "a", "d", "b", "c", "d"])
+    assert list(found.items()) == [("d", 3), ("b", 2)]
 
 
 def test_records_match_stock_frozen_dataclasses():

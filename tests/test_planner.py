@@ -7,6 +7,7 @@ import functools
 import itertools
 import math
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -51,6 +52,8 @@ from ranslicer.planner import (
 from ranslicer.model import Sst
 from ranslicer.radio import area_load_mbps, default_policy, select_operation_bands
 from ranslicer.topology import Region, pop_latency
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_select_gnb_flavor():
@@ -707,14 +710,16 @@ class TestPlanSlice:
             assert verify_plan(tampered, area, catalog) == expected
 
     def test_verifier_accepts_parsed_reference_plans(self, catalog, area, requests):
-        from ranslicer.io import envelope_for, parse_document, serialize_document
+        from ranslicer.io import envelope_for, parse_document, parse_path, serialize_document
 
         for sst in (Sst.EMBB, Sst.MMTC, Sst.URLLC):
             plan = plan_slice(requests[sst], sst, area, catalog)
             parsed = parse_document(serialize_document(envelope_for(plan))).body
             assert parsed.gnbs[0].cu.il_subset is not plan.gnbs[0].cu.il_subset
-            assert verify_plan(parsed, area, catalog) == []
-            assert verify_plan(parsed, None, catalog) == []
+            pinned = parse_path(DATA / f"plan_{sst.name.lower()}.json").body
+            for checked in (parsed, pinned):
+                assert verify_plan(checked, area, catalog) == []
+                assert verify_plan(checked, None, catalog) == []
 
     def test_verifier_checks_du_capacity_covers_offered_load(self, catalog, area, requests):
         for sst in (Sst.EMBB, Sst.MMTC, Sst.URLLC):
@@ -866,6 +871,21 @@ def _cu_levels_capped(plan, max_dus):
     )
 
 
+def _with_ids_repeated(plan):
+    """The scaled plan with gNB ids, DU ids, offered-load regions and
+    selected RUs repeated, the first-seen repeat of each kind listed three
+    times and sorting after the second."""
+    gnb_ids = ["gnb-01", "gnb-05", "gnb-03", "gnb-05", "gnb-05", "gnb-06", "gnb-03", "gnb-08"]
+    renamed = {"du-sub-20-01": "du-sub-01-01", "du-sub-29-01": "du-sub-21-01", "du-sub-30-01": "du-sub-21-01"}
+    gnbs = tuple(dataclasses.replace(gnb, gnb_id=gnb_id, dus=tuple(
+        dataclasses.replace(du, du_id=renamed.get(du.du_id, du.du_id)) for du in gnb.dus))
+        for gnb, gnb_id in zip(plan.gnbs, gnb_ids, strict=True))
+    loads = dict(plan.offered_load_mbps)
+    return dataclasses.replace(
+        plan, gnbs=gnbs, offered_load_mbps=tuple((rid, loads[rid]) for rid in ("sub-09", "sub-02", "sub-09"))
+        + plan.offered_load_mbps, selected_rus=("ru-02-1", "ru-01-1", "ru-02-1") + plan.selected_rus)
+
+
 NOT_THE_CU_VNFDS = "gnb-01: CU IL subset is not the CU VNFD's subset for 2 DUs"
 NOT_THE_GNB_NSDS = "gNB IL subset is not gNB NSD nsd-gnb-v1 flavor"
 CC_SITES_FROM_MARS = "du-city-center-01: serves a cell site of region city-center, outside its region mars"
@@ -1013,7 +1033,32 @@ VERIFIER_REPORTS = {
         lambda p: dataclasses.replace(p, offered_load_mbps=p.offered_load_mbps[:1] + p.offered_load_mbps),
         ["region sub-01: 2 offered load entries"],
     ),
+    "several-ids-repeat-scaled": (  # each kind's first repeat sorts after its second and is listed thrice
+        SCALED,
+        _with_ids_repeated,
+        [
+            "gNB id gnb-05 names 3 gNBs",
+            "gNB id gnb-03 names 2 gNBs",
+            "DU id du-sub-21-01 names 3 DUs",
+            "DU id du-sub-01-01 names 2 DUs",
+            "region sub-09: 3 offered load entries",
+            "region sub-02: 2 offered load entries",
+            "selected RU ru-02-1 listed 3 times",
+            "selected RU ru-01-1 listed 2 times",
+        ],
+    ),
+    "region-load-negative": (
+        Sst.EMBB,
+        lambda p: dataclasses.replace(p, offered_load_mbps=tuple((rid, -load) for rid, load in p.offered_load_mbps)),
+        ["region city-center: offered load -150000 Mbps must be non-negative"],
+    ),
+    "region-load-nan-scaled": (
+        SCALED,
+        lambda p: dataclasses.replace(p, offered_load_mbps=(("sub-01", math.nan),) + p.offered_load_mbps[1:]),
+        ["region sub-01: offered load nan Mbps must be non-negative"],
+    ),
 }
+
 
 
 @functools.cache
@@ -1134,6 +1179,17 @@ def test_emit_refuses_a_plan_with_another_gnb_flavor_or_another_regions_site(cat
         with pytest.raises(DocumentError) as err:
             emit_onboarding_bundle(plan, plan_catalog)
         assert err.value.code == "DANGLING_PLAN_REFERENCE"
+
+
+def test_emit_refuses_a_negative_offered_load(catalog):
+    from ranslicer.errors import DocumentError
+    from ranslicer.io import emit_onboarding_bundle, parse_path
+
+    plan = parse_path(DATA / "plan_embb.json").body
+    negated = dataclasses.replace(plan, offered_load_mbps=tuple((rid, -load) for rid, load in plan.offered_load_mbps))
+    with pytest.raises(DocumentError) as err:
+        emit_onboarding_bundle(negated, catalog)
+    assert "offered load -150000 Mbps must be non-negative" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

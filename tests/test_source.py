@@ -55,10 +55,6 @@ def test_unused_import_check_sees_what_it_should():
     assert _unused_imports(text) == ["line 3: osp", "line 4: pi"]
 
 
-# The one frozen dataclass that is not a record: ``record`` has no ``order=True``.
-STOCK_FROZEN_DATACLASSES = {("validate.py", "Violation")}
-
-
 def _frozen_dataclasses(text: str) -> list[str]:
     """Classes of ``text`` decorated with ``dataclass(...)`` or
     ``dataclasses.dataclass(...)`` whose ``frozen`` is not a false constant."""
@@ -80,8 +76,7 @@ def _frozen_dataclasses(text: str) -> list[str]:
 def test_records_are_declared_with_model_record(module):
     """``@dataclass(frozen=True)`` compiles six methods per class on every
     import, where ``model.record`` compiles three by one ``exec``."""
-    assert [name for name in _frozen_dataclasses((SOURCE / module).read_text())
-            if (module, name) not in STOCK_FROZEN_DATACLASSES] == []
+    assert _frozen_dataclasses((SOURCE / module).read_text()) == []
 
 
 def test_frozen_dataclass_check_sees_what_it_should():

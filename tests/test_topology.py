@@ -260,6 +260,26 @@ class TestAreaIndex:
             "cell site cs-dup-01 (city-center) hosts no RU",
         ]
 
+    def test_several_repeated_ids_report_once_per_kind_in_place(self):
+        """pop-edge-2 and suburban listed three times, pop-agg-city-center,
+        industrial, ru-cc-01 and ru-cc-02 twice; ru-cc-02 thrice."""
+        area = reference_area()
+        industrial, suburban = (dataclasses.replace(area.region(r), cell_sites=()) for r in ("industrial", "suburban"))
+        dup = dataclasses.replace(area, pops=area.pops + area.pops[4:] * 2 + area.pops[:1],
+                                  regions=area.regions + (suburban, suburban, industrial),
+                                  rus=area.rus + area.rus[1:2] * 2 + area.rus[:1])
+        assert check_area(dup) == [
+            "duplicate PoP ids",
+            "duplicate region ids",
+            "region suburban: no cell sites",
+            "aggregation PoP pop-agg-suburban serves both suburban and suburban",
+            "region suburban: no cell sites",
+            "aggregation PoP pop-agg-suburban serves both suburban and suburban",
+            "region industrial: no cell sites",
+            "aggregation PoP pop-agg-industrial serves both industrial and industrial",
+            "duplicate RU ids",
+        ]
+
     def test_edge_pops_are_indexed_once_in_id_order(self):
         area = reference_area()
         edges = area.edge_pops()
