@@ -5,9 +5,15 @@ archetypes and are compiled from their requirement profiles with the
 default profiler policy.  VM sizings and IL capacities are illustrative
 catalog data sized so that planning over the reference deployment area
 is feasible; they are not normative.
+
+``paper_example`` plans the three reference requests on this catalog and
+the reference area, and checks every derived parameter against the
+reference values pinned here (``ranslicer paper-example``).
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 from .model import (
     CITY_CENTER,
@@ -15,6 +21,7 @@ from .model import (
     INDUSTRIAL,
     SPLIT_FOR_TECH,
     SUBURBAN,
+    BandRange,
     Catalog,
     CuIlCapacity,
     CuSubsetKey,
@@ -29,12 +36,16 @@ from .model import (
     GnbSubsetKey,
     IlSubset,
     InstantiationLevel,
+    McsSet,
     Priority,
+    RadioConfig,
+    SchedulerPolicy,
     SliceRequirements,
     Sst,
     VmSpec,
     VnfIlRef,
 )
+from .planner import plan_slice
 from .radio import build_ran_nsst
 from .topology import reference_area
 
@@ -312,3 +323,122 @@ def builtin_catalog() -> Catalog:
         du_vnfds=(_builtin_du_vnfd(),),
         ru_pnfds=reference_area().rus,
     )
+
+
+# ---------------------------------------------------------------------------
+# the reference example: the three reference requests, planned and checked
+
+def _rus(prefix: str, count: int) -> tuple[str, ...]:
+    return tuple(f"ru-{prefix}-{i:02d}" for i in range(1, count + 1))
+
+
+_SLICES = {"eMBB": Sst.EMBB, "mMTC": Sst.MMTC, "uRLLC": Sst.URLLC}
+
+_SUB6, _MMWAVE = BandRange.SUB6_450_6000, BandRange.MMWAVE_24250_52600
+_FIVEQI_FIELDS = attrgetter("id", "priority_level", "packet_delay_budget_ms", "packet_error_rate")
+
+# One row per check, in the order they run: its name, how to read it off a
+# plan, and its reference value for each slice in _SLICES order (None: not
+# pinned; uRLLC's carrier bandwidths are left to the band range).
+_EXPECTED = (
+    ("numerology", lambda p: p.nsst.radio_config.numerology_mu, (2, 0, 3)),
+    ("band ranges", lambda p: tuple(b.band_range for b in p.nsst.radio_config.bands),
+     ((_SUB6, _MMWAVE), (_SUB6,), (_MMWAVE,))),
+    ("carrier bandwidths", lambda p: tuple(b.carrier_bandwidth_mhz for b in p.nsst.radio_config.bands),
+     ((100.0, 400.0), (5.0,), None)),
+    ("slot format", lambda p: p.nsst.radio_config.slot_format_id, (28, 45, 10)),
+    ("5QI", lambda p: _FIVEQI_FIELDS(p.nsst.radio_config.five_qi),
+     ((80, 66, 10.0, 1e-6), (4, 50, 300.0, 1e-6), (81, 11, 5.0, 1e-5))),
+    ("MCS set", lambda p: p.nsst.radio_config.mcs_set,
+     (McsSet.EXTENDED_256QAM, McsSet.LTE_COMPATIBLE, McsSet.LTE_COMPATIBLE)),
+    ("scheduler", lambda p: p.nsst.radio_config.scheduler_policy,
+     (SchedulerPolicy.DYNAMIC_GUARANTEED_THROUGHPUT, SchedulerPolicy.SEMI_PERSISTENT,
+      SchedulerPolicy.DYNAMIC_GUARANTEED_DELAY)),
+    ("gNB NSD flavor", lambda p: {g.nsd_flavor_id for g in p.gnbs}, ({2}, {3}, {1})),
+    ("selected RUs", lambda p: p.selected_rus,
+     (_rus("cc", 8), _rus("cc", 8) + _rus("ind", 4) + _rus("sub", 6), _rus("sub", 6))),
+    ("RU count", lambda p: len(p.selected_rus), (8, 18, 6)),
+    ("gNB count", lambda p: len(p.gnbs), (1, 1, 1)),
+    ("gNB IL subset key", lambda p: {g.nsd_il_subset.key for g in p.gnbs}, (
+        {GnbSubsetKey(((CITY_CENTER, FronthaulTech.ECPRI),))},
+        {GnbSubsetKey(((CITY_CENTER, FronthaulTech.ECPRI), (INDUSTRIAL, FronthaulTech.ECPRI),
+                       (SUBURBAN, FronthaulTech.CPRI)))},
+        {GnbSubsetKey(((SUBURBAN, FronthaulTech.CPRI),))},
+    )),
+)
+
+_BAND_SHORT = {_SUB6: "SUB6", _MMWAVE: "MMWAVE"}
+
+
+def _fmt_bands(config: RadioConfig) -> str:
+    return " + ".join(
+        f"{_BAND_SHORT[b.band_range]} {b.carrier_bandwidth_mhz:g} MHz" for b in config.bands
+    )
+
+
+def _fmt_fiveqi(config: RadioConfig) -> str:
+    q = config.five_qi
+    return (
+        f"5QI={q.id} (prio {q.priority_level}, delay {q.packet_delay_budget_ms:g} ms, "
+        f"loss {q.packet_error_rate:g})"
+    )
+
+
+def _fmt_subset_key(pairs) -> str:
+    return " + ".join(f"{cls}/{tech.value}" for cls, tech in pairs)
+
+
+def _render_table(rows: list[tuple[str, list[str]]], headers: list[str]) -> str:
+    widths = [len(h) for h in headers]
+    for label, cells in rows:
+        widths[0] = max(widths[0], len(label))
+        for i, cell in enumerate(cells, start=1):
+            widths[i] = max(widths[i], len(cell))
+    def line(label, cells):
+        parts = [label.ljust(widths[0])] + [c.ljust(widths[i + 1]) for i, c in enumerate(cells)]
+        return " | ".join(parts).rstrip()
+    out = [line(headers[0], headers[1:])]
+    out.append("-+-".join("-" * w for w in widths))
+    for label, cells in rows:
+        out.append(line(label, cells))
+    return "\n".join(out)
+
+
+def paper_example() -> tuple[str, list[str]]:
+    """Plan the three reference requests against the builtin catalog and the
+    reference area, and compare every pinned parameter of ``_EXPECTED``.
+
+    Returns the report (a table of the derived parameters and the count of
+    checks matched) and one ``"<slice>: <check>: expected ..., got ..."``
+    line per mismatch."""
+    catalog, area, requests = builtin_catalog(), reference_area(), reference_requests()
+    plans = [plan_slice(requests[sst], sst, area, catalog) for sst in _SLICES.values()]
+    checks = [(f"{label}: {name}", read(plan), wants[i])
+              for i, (label, plan) in enumerate(zip(_SLICES, plans))
+              for name, read, wants in _EXPECTED if wants[i] is not None]
+    failures = [f"{check}: expected {want!r}, got {got!r}" for check, got, want in checks if got != want]
+
+    def row(name: str, fn) -> tuple[str, list[str]]:
+        return name, [fn(plan) for plan in plans]
+
+    rows = [
+        row("numerology", lambda p: f"mu={p.nsst.radio_config.numerology_mu}"),
+        row("operation bands", lambda p: _fmt_bands(p.nsst.radio_config)),
+        row("slot format", lambda p: f"#{p.nsst.radio_config.slot_format_id}"),
+        row("5QI", lambda p: _fmt_fiveqi(p.nsst.radio_config)),
+        row("MCS set", lambda p: p.nsst.radio_config.mcs_set.value),
+        row("scheduler", lambda p: p.nsst.radio_config.scheduler_policy.value),
+        row("selected RUs", lambda p: f"{len(p.selected_rus)} RUs ("
+                                      + "+".join(r for r, _ in p.offered_load_mbps) + ")"),
+        row("gNB count", lambda p: str(len(p.gnbs))),
+        row("gNB NSD flavor", lambda p: f"#{p.gnbs[0].nsd_flavor_id}"),
+        row("gNB IL subset", lambda p: _fmt_subset_key(p.gnbs[0].nsd_il_subset.key.served_regions)),
+    ]
+    report = "\n".join([
+        "reference slice requests vs derived templates and plans",
+        "",
+        _render_table(rows, ["parameter", *_SLICES]),
+        "",
+        f"checks: {len(checks) - len(failures)}/{len(checks)} matched",
+    ])
+    return report, failures

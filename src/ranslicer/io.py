@@ -109,6 +109,8 @@ class SliceRequest:
 
 @record
 class DocumentEnvelope:
+    """A document: its ``kind`` (``CATALOG``, ``SLICE_PLAN``, ...) and a body of that kind's class."""
+
     kind: str
     body: object
 

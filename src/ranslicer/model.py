@@ -115,11 +115,12 @@ def record(cls):
     ``__init__`` (fields written through a bound ``object.__setattr__``,
     then ``__post_init__``), ``__eq__`` and ``__hash__`` (dataclasses' tuple
     forms) are generated per class and compiled by one ``exec``.  Then
-    ``dataclass(cls, init=False, repr=False, eq=False)`` adds the fields,
-    ``__match_args__`` and, from the generated ``__init__``, the ``__doc__``
-    of an undocumented class.  Fields, ``replace``, ``asdict``, equality,
-    hashes, ``repr``, ``FrozenInstanceError`` and pickling behave as on a
-    stock frozen dataclass; only ``__dataclass_params__`` differs, reading
+    ``dataclass(cls, init=False, repr=False, eq=False)`` adds the fields and
+    ``__match_args__``.  Every record has an authored docstring, so
+    dataclasses builds no ``__doc__`` from its signature.  Fields,
+    ``replace``, ``asdict``, equality, hashes, ``repr``,
+    ``FrozenInstanceError`` and pickling behave as on a stock frozen
+    dataclass; only ``__dataclass_params__`` differs, reading
     ``frozen=False`` and ``eq=False``.  A record's fields are plain annotated
     names, each with or without a default; records are not subclassed.
     """
@@ -191,6 +192,9 @@ class FiveQi:
 
 @record
 class CarrierBand:
+    """One operating band: its 3GPP frequency range and a carrier bandwidth within
+    that range's limits (``BAND_BW_LIMITS_MHZ``)."""
+
     band_range: BandRange
     carrier_bandwidth_mhz: float
 
@@ -270,6 +274,8 @@ class RanNsst:
 
 @record
 class VmSpec:
+    """The virtual machine an instantiation level asks for."""
+
     vcpu_count: int
     cpu_ghz: float
     ram_gb: float
@@ -286,12 +292,16 @@ class VnfIlRef:
 
 @record
 class DuIlCapacity:
+    """What a DU IL carries: cell sites and aggregate throughput."""
+
     max_cell_sites: int
     aggregate_capacity_mbps: float
 
 
 @record
 class CuIlCapacity:
+    """What a CU IL carries: DUs and aggregate throughput."""
+
     max_dus: int
     aggregate_capacity_mbps: float
 
@@ -330,6 +340,8 @@ RoleCapacity = Union[DuIlCapacity, CuIlCapacity, GnbIlCapacity]
 
 @record
 class InstantiationLevel:
+    """One size a VNF or the gNB can be deployed at: its VM and what it carries."""
+
     il_id: str
     vm_spec: VmSpec
     role_capacity: RoleCapacity
@@ -375,6 +387,8 @@ SubsetKey = Union[DuSubsetKey, CuSubsetKey, GnbSubsetKey]
 
 @record
 class IlSubset:
+    """The instantiation levels for one subset key, smallest first."""
+
     key: SubsetKey
     levels: tuple[InstantiationLevel, ...]
 
@@ -442,6 +456,8 @@ class Flavor:
 
 @record
 class GnbNsd:
+    """The gNB network service descriptor: one flavor per fronthaul technology set."""
+
     descriptor_id: str
     flavors: tuple[Flavor, ...]
 
@@ -451,12 +467,16 @@ class GnbNsd:
 
 @record
 class CuVnfd:
+    """The CU's VNF descriptor: one flavor, keyed by the CU-DU split marker."""
+
     descriptor_id: str
     flavors: tuple[Flavor, ...]
 
 
 @record
 class DuVnfd:
+    """The DU's VNF descriptor: one flavor per fronthaul technology."""
+
     descriptor_id: str
     flavors: tuple[Flavor, ...]
 
@@ -477,6 +497,9 @@ class RuLocation:
 
 @record
 class RuPnfd:
+    """A radio unit's physical network function descriptor: where it sits and
+    the fronthaul it connects over."""
+
     ru_id: str
     location: RuLocation
     connection_tech: FronthaulTech

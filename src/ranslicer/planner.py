@@ -61,6 +61,9 @@ DU_FLAVOR_FOR_TECH = {tech: DuFlavor(f"SPLIT{split}_{tech.value}") for tech, spl
 
 @record
 class PlannerConfig:
+    """Planner settings: the CU-DU latency budget, and the largest DU count
+    the exact CU solver takes (more DUs are placed greedily)."""
+
     cu_du_latency_budget_ms: float = 10.0
     exact_solver_limit: int = 12
 
@@ -73,6 +76,9 @@ class PlannerConfig:
 
 @record
 class DuPlan:
+    """One DU: the cell sites of its region it serves, its flavor and IL
+    subset, and the PoP hosting it."""
+
     du_id: str
     region_id: str
     served_cell_sites: tuple[str, ...]
@@ -83,12 +89,16 @@ class DuPlan:
 
 @record
 class CuPlacement:
+    """A gNB's CU: the edge PoP hosting it and its IL subset."""
+
     host_pop: str
     il_subset: IlSubset
 
 
 @record
 class GnbPlan:
+    """One gNB: its CU, its DUs, and the NSD flavor and IL subset it runs."""
+
     gnb_id: str
     cu: CuPlacement
     dus: tuple[DuPlan, ...]
@@ -107,6 +117,9 @@ class GnbSkeleton:
 
 @record
 class SlicePlan:
+    """The deployment plan of one slice: its NSST, its gNBs, the selected RUs
+    and the offered load of each target region."""
+
     s_nssai: SNssai
     nsst_ref: str
     nsst: RanNsst
@@ -484,8 +497,9 @@ def verify_plan(
     conservation and each region's DU capacity from the area and catalog
     instead of trusting the solver.  The plan's ``nsst_ref`` and S-NSSAI
     must be its NSST's; no gNB id, DU id, selected RU or offered-load
-    region may repeat, a region with DUs needs an offered-load entry, and
-    no offered load may be negative or NaN.
+    region may repeat, the offered-load regions must be the NSST's target
+    regions, a region with DUs needs an offered-load entry, and no offered
+    load may be negative or NaN.
     Each cited IL subset must be the one the catalog's rules on
     ``model.Flavor`` select, compared by identity, then equality: a CU's
     is ``covering_subset`` of the CU VNFD's first flavor for its gNB's DU
@@ -588,9 +602,16 @@ def verify_plan(
     load_regions = [region_id for region_id, _ in plan.offered_load_mbps]
     problems.extend(f"region {region_id}: {n} offered load entries" for region_id, n in repeats(load_regions).items())
     loaded = set(load_regions)  # a set: a list would cost O(regions^2) in the test below
-    problems.extend(f"region {region_id}: {len(dus)} DU(s) but no offered load entry"
-                    for region_id, dus in region_dus.items() if region_id not in loaded)
+    targets = plan.nsst.requirement_profile.target_regions
+    for region_id in dict.fromkeys([*region_dus, *targets]):  # a region lacking a load entry, once
+        if region_id not in loaded:
+            dus = region_dus.get(region_id)
+            problems.append(f"region {region_id}: {len(dus)} DU(s) but no offered load entry" if dus
+                            else f"region {region_id}: target region of its NSST but no offered load entry")
+    targeted = set(targets)
     for region_id, load in plan.offered_load_mbps:
+        if region_id not in targeted:
+            problems.append(f"region {region_id}: offered load entry but not a target region of its NSST")
         if not load >= 0:  # NaN too; +0.0 is allowed, a tiny region's load can round to it
             problems.append(f"region {region_id}: offered load {load:g} Mbps must be non-negative")
         dus = region_dus.get(region_id)

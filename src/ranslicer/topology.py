@@ -44,6 +44,9 @@ class PopTier(Enum):
 
 @record
 class Region:
+    """An area region: its class, size, fronthaul technology, cell sites and
+    the aggregation PoP that hosts its DUs."""
+
     region_id: str
     region_class: str
     area_km2: float
@@ -54,6 +57,8 @@ class Region:
 
 @record
 class Pop:
+    """A point of presence: its tier and host capacity."""
+
     pop_id: str
     tier: PopTier
     host_capacity_vcpu: int
@@ -62,6 +67,8 @@ class Pop:
 
 @record
 class TransportLink:
+    """An undirected transport link between two PoPs and its latency."""
+
     a: str
     b: str
     latency_ms: float
@@ -69,6 +76,9 @@ class TransportLink:
 
 @record
 class DeploymentArea:
+    """The physical infrastructure a slice is planned on: regions, PoPs,
+    transport links and RUs."""
+
     regions: tuple[Region, ...]
     pops: tuple[Pop, ...]
     links: tuple[TransportLink, ...]

@@ -737,7 +737,10 @@ class TestPlanSlice:
         problems = verify_plan(dataclasses.replace(plan, offered_load_mbps=loads), area, catalog)
         assert len(problems) == 1 and problems[0].startswith("region suburban: 2 DU(s) carry ")
         orphan = dataclasses.replace(plan, offered_load_mbps=plan.offered_load_mbps + (("mars", 1.0),))
-        assert verify_plan(orphan, area, catalog) == ["region mars: no DU carries its 1 Mbps offered load"]
+        assert verify_plan(orphan, area, catalog) == [
+            "region mars: offered load entry but not a target region of its NSST",
+            "region mars: no DU carries its 1 Mbps offered load",
+        ]
 
 
 class TestScaledPlans:
@@ -1051,6 +1054,15 @@ VERIFIER_REPORTS = {
         Sst.EMBB,
         lambda p: dataclasses.replace(p, offered_load_mbps=tuple((rid, -load) for rid, load in p.offered_load_mbps)),
         ["region city-center: offered load -150000 Mbps must be non-negative"],
+    ),
+    "nsst-targets-another-region": (
+        Sst.EMBB,
+        lambda p: dataclasses.replace(p, nsst=dataclasses.replace(p.nsst, requirement_profile=dataclasses.replace(
+            p.nsst.requirement_profile, target_regions=("suburban",)))),
+        [
+            "region suburban: target region of its NSST but no offered load entry",
+            "region city-center: offered load entry but not a target region of its NSST",
+        ],
     ),
     "region-load-nan-scaled": (
         SCALED,

@@ -98,3 +98,36 @@ def test_frozen_dataclass_check_sees_what_it_should():
         "    class F: pass",
     ])
     assert _frozen_dataclasses(text) == ["A", "B", "F"]
+
+
+def _undocumented_records(text: str) -> list[str]:
+    """Classes of ``text`` decorated ``@record`` that have no docstring of their own."""
+    return [node.name for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ClassDef) and ast.get_docstring(node) is None
+            and any(isinstance(dec, ast.Name) and dec.id == "record" for dec in node.decorator_list)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_records_have_authored_docstrings(module):
+    """For an undocumented record, dataclasses builds ``__doc__`` from
+    ``inspect.signature`` on every import, about 1 ms over 20 records."""
+    assert _undocumented_records((SOURCE / module).read_text()) == []
+
+
+def test_undocumented_record_check_sees_what_it_should():
+    text = "\n".join([
+        "@record",
+        "class A:",
+        "    x: int",
+        "@record",
+        "class B:",
+        '    """B."""',
+        "@dataclass",
+        "class C:",
+        "    x: int",
+        "def f():",
+        "    @record",
+        "    class D:",
+        "        x: int",
+    ])
+    assert _undocumented_records(text) == ["A", "D"]
