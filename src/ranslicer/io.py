@@ -37,8 +37,10 @@ that rule:
   must be a valid S-NSSAI differentiator.
 
 Each codec is built whole on first use and cached, and never changes:
-type hints are resolved, and an object's decoder is generated from source
-and compiled, once per class, as ``model.record`` generates ``__init__``.
+type hints are resolved (each annotation text evaluated once per module,
+without ``typing.get_type_hints``), and an object's decoder is generated
+from source and compiled, once per class, as ``model.record`` generates
+``__init__``.
 The decoder checks ``str``, ``int`` and ``float`` fields in place, calls
 the other fields' decoders, and passes the values to the class's own
 constructor; ``ranslicer plan`` compiles 33, about 4 ms per process.
@@ -60,6 +62,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 import typing
 from enum import Enum
@@ -268,8 +271,20 @@ def _object_codec(make, entries, tag: str | None = None) -> _Codec:
     return _Codec(encode, ns["decode"])
 
 
+@functools.cache
+def _hint(module: str, text: str):
+    """An annotation text evaluated in the globals of ``module``, once per (module, text)."""
+    return eval(text, vars(sys.modules[module]))
+
+
+def _type_hints(cls) -> dict[str, typing.Any]:
+    """``typing.get_type_hints(cls)`` for a record, whose annotations are texts
+    (``from __future__ import annotations``), at a fraction of its cost."""
+    return {name: _hint(cls.__module__, text) for name, text in cls.__annotations__.items()}
+
+
 def _dataclass_codec(cls, tag: str | None = None) -> _Codec:
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     fields = []
     for f in dataclasses.fields(cls):
         override = _OVERRIDES.get((cls, f.name))
@@ -675,8 +690,7 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> dict[str, str]:
             du_ref_pool.extend(role.du_il_refs)
 
         def du_vnfd_ids(du) -> list[str]:
-            il_ids = {lvl.il_id for lvl in du.il_subset.levels}
-            return sorted({ref.vnfd_id for ref in du_ref_pool if ref.il_id in il_ids})
+            return sorted({ref.vnfd_id for ref in du_ref_pool if ref.il_id in du.il_subset.level_ids})
         gnb_sites = {site for du in gnb.dus for site in du.served_cell_sites}
         gnb_rus = sorted(ru.ru_id for ru in rus if ru.location.cell_site in gnb_sites)
         manifest_gnbs.append(

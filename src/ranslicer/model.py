@@ -14,6 +14,7 @@ defective catalog can be loaded and diagnosed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum, IntEnum
@@ -320,14 +321,17 @@ class GnbIlCapacity:
     def runs(self, cu: tuple[str | None, IlSubset], du_vnfd_id: str | None, du_subsets: Sequence[IlSubset]) -> bool:
         """Whether this level runs ``cu`` (VNFD id, IL subset) and one DU per
         entry of ``du_subsets``: as many DUs and DU refs, a CU ref to an IL of the
-        CU's subset, and DU refs to ``du_vnfd_id`` matched first-fit, one per DU."""
+        CU's subset, and DU refs to ``du_vnfd_id`` matched first-fit, one per DU.
+        IL ids are looked up in each subset's ``IlSubset.level_ids``."""
         if (self.du_count != len(du_subsets) or len(self.du_il_refs) != len(du_subsets)
-                or self.cu_il_ref.vnfd_id != cu[0] or all(lvl.il_id != self.cu_il_ref.il_id for lvl in cu[1].levels)):
+                or self.cu_il_ref.vnfd_id != cu[0] or self.cu_il_ref.il_id not in cu[1].level_ids):
             return False
-        free: list[set[str] | None] = [{level.il_id for level in s.levels} for s in du_subsets]
+        free: list[frozenset[str] | None] = [s.level_ids for s in du_subsets]
         for ref in self.du_il_refs:
+            if ref.vnfd_id != du_vnfd_id:
+                return False
             for i, ids in enumerate(free):
-                if ids is not None and ref.il_id in ids and ref.vnfd_id == du_vnfd_id:
+                if ids is not None and ref.il_id in ids:
                     free[i] = None
                     break
             else:
@@ -387,10 +391,17 @@ SubsetKey = Union[DuSubsetKey, CuSubsetKey, GnbSubsetKey]
 
 @record
 class IlSubset:
-    """The instantiation levels for one subset key, smallest first."""
+    """The instantiation levels for one subset key, smallest first.
+    ``level_ids``, the set of their IL ids, is built on first use and,
+    like every index on a record, stays out of equality, hashing, ``repr``
+    and the fields."""
 
     key: SubsetKey
     levels: tuple[InstantiationLevel, ...]
+
+    @cached_property
+    def level_ids(self) -> frozenset[str]:
+        return frozenset([level.il_id for level in self.levels])
 
 
 @record
@@ -401,9 +412,10 @@ class Flavor:
     VNFD's single flavor is keyed by the CU-DU split marker instead.
     ``split_option`` is ``SPLIT_FOR_TECH`` of the tech for DU flavors,
     ``CU_SPLIT_OPTION`` for the CU flavor, None for gNB NSD flavors.
-    ``subsets_keyed`` and ``subset_ranges`` read subset indexes built on
-    first use.  ``covering_subset`` and ``running_subset`` are the
-    catalog's one home for the IL-subset selection rules.
+    ``subsets_keyed``, ``subset_ranges`` and ``covering_subset`` read subset
+    indexes built on first use from ``il_subsets`` alone, so no query adds
+    to them.  ``covering_subset`` and ``running_subset`` are the catalog's
+    one home for the IL-subset selection rules.
     """
 
     flavor_id: int
@@ -439,11 +451,26 @@ class Flavor:
             ranges.sort()
         return groups
 
+    @cached_property
+    def _covering_index(self) -> dict[tuple, tuple[list[int], list[IlSubset | None]]]:
+        """Per group of ``subset_ranges``: the sorted sizes where the covering
+        subset can change (each range's min and max + 1), and the covering
+        subset from each of them up to the next."""
+        index = {}
+        for group, ranges in self.subset_ranges.items():
+            starts = sorted({size for lo, hi, _ in ranges if lo <= hi for size in (lo, hi + 1)})
+            index[group] = (starts, [next((self.il_subsets[i] for lo, hi, i in ranges if lo <= size <= hi), None)
+                                     for size in starts])
+        return index
+
     def covering_subset(self, group: tuple, size: int) -> IlSubset | None:
         """The DU and CU subset rule: the first subset of ``group``, in
         ``subset_ranges`` order, whose range covers ``size`` (a DU's cell
-        sites or a CU's DUs); None if none does."""
-        return next((self.il_subsets[i] for lo, hi, i in self.subset_ranges.get(group, ()) if lo <= size <= hi), None)
+        sites or a CU's DUs); None if none does.  One bisection of the
+        group's breakpoints in an index built once from ``subset_ranges``."""
+        starts, subsets = self._covering_index.get(group, ((), ()))
+        k = bisect_right(starts, size)
+        return subsets[k - 1] if k else None
 
     def running_subset(self, key: GnbSubsetKey, cu: tuple[str | None, IlSubset], du_vnfd_id: str | None,
                        du_subsets: Sequence[IlSubset]) -> IlSubset | None:
@@ -515,8 +542,8 @@ class ResolvedIl(NamedTuple):
 @record
 class Catalog:
     """One onboarded descriptor set: slice templates plus the NFV
-    documents they reference.  Immutable after construction; ``ru`` reads
-    an RU-id index built on first use (the first entry wins)."""
+    documents they reference.  Immutable after construction; ``ru`` and
+    ``resolve_vnf_il`` read indexes built on first use (the first entry wins)."""
 
     nssts: tuple[RanNsst, ...] = ()
     gnb_nsds: tuple[GnbNsd, ...] = ()
@@ -540,19 +567,24 @@ class Catalog:
     def ru(self, ru_id: str) -> RuPnfd | None:
         return self._rus_by_id.get(ru_id)
 
+    @cached_property
+    def _resolved_ils(self) -> dict[tuple[str, int, str], ResolvedIl]:
+        index: dict[tuple[str, int, str], ResolvedIl] = {}
+        # reversed: the first VNFD with an id wins, as in ``vnfd``
+        for vnfd in {d.descriptor_id: d for d in reversed((*self.cu_vnfds, *self.du_vnfds))}.values():
+            for flavor in vnfd.flavors:
+                for subset in flavor.il_subsets:
+                    for level in subset.levels:
+                        key = (vnfd.descriptor_id, flavor.flavor_id, level.il_id)
+                        if key not in index:  # then the first flavor, subset and level
+                            index[key] = ResolvedIl(vnfd.descriptor_id, flavor, subset, level)
+        return index
+
     def resolve_vnf_il(self, ref: VnfIlRef) -> ResolvedIl | None:
-        """Follow a (vnfd, flavor, IL) reference; None if any hop dangles."""
-        vnfd = self.vnfd(ref.vnfd_id)
-        if vnfd is None:
-            return None
-        for flavor in vnfd.flavors:
-            if flavor.flavor_id != ref.flavor_id:
-                continue
-            for subset in flavor.il_subsets:
-                for level in subset.levels:
-                    if level.il_id == ref.il_id:
-                        return ResolvedIl(ref.vnfd_id, flavor, subset, level)
-        return None
+        """Follow a (vnfd, flavor, IL) reference; None if any hop dangles.
+        Reads an index built on first use that keeps a scan's first match:
+        the VNFD ``vnfd`` returns, then flavor, subset and level order."""
+        return self._resolved_ils.get((ref.vnfd_id, ref.flavor_id, ref.il_id))
 
 
 def level_capacity_mbps(level: InstantiationLevel) -> float:

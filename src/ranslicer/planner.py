@@ -148,9 +148,10 @@ def dimension_dus(region: Region, peak_load_mbps: float, du_vnfd: DuVnfd) -> lis
     For a DU count n the sites, in id order, split into n groups whose
     sizes differ by at most one, larger groups first; each group takes the
     IL subset ``Flavor.covering_subset`` picks for its size under the
-    region's (class, tech).  n is feasible when every group has one and
-    the top IL capacity of the largest group's subset (0 for a subset
-    without levels), times n, carries the region's peak load.
+    region's (class, tech), asked once per size, so at most twice per n.
+    n is feasible when every group has one and the top IL capacity of the
+    largest group's subset (0 for a subset without levels), times n,
+    carries the region's peak load.
     """
     if not region.cell_sites:
         raise ValueError(f"region {region.region_id} has no cell sites")
@@ -166,13 +167,15 @@ def dimension_dus(region: Region, peak_load_mbps: float, du_vnfd: DuVnfd) -> lis
     sites = sorted(region.cell_sites)
     for n in range(1, len(sites) + 1):
         small, larger = divmod(len(sites), n)
-        sizes = [small + 1] * larger + [small] * (n - larger)
-        chosen = [flavor.covering_subset(group, size) for size in sizes]
-        if None in chosen:
+        rest = flavor.covering_subset(group, small)
+        top = flavor.covering_subset(group, small + 1) if larger else rest
+        if top is None or rest is None:
             continue
-        levels = chosen[0].levels
+        levels = top.levels
         if (level_capacity_mbps(levels[-1]) if levels else 0.0) * n < peak_load_mbps:
             continue
+        sizes = [small + 1] * larger + [small] * (n - larger)
+        chosen = [top] * larger + [rest] * (n - larger)
         starts = list(itertools.accumulate(sizes, initial=0))
         return [
             DuPlan(

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import docgen
+from ranslicer import io as io_module
 from ranslicer.builtin import builtin_catalog
 from ranslicer.errors import DocumentError
 from ranslicer.io import (
@@ -100,9 +101,32 @@ def test_codecs_are_built_once_per_type(catalog, area, requests, monkeypatch):
         raise AssertionError("type reflection after the codecs were built")
 
     monkeypatch.setattr(typing, "get_type_hints", no_reflection)
+    monkeypatch.setattr(io_module, "_type_hints", no_reflection)
     monkeypatch.setattr(dataclasses, "fields", no_reflection)
     monkeypatch.setattr(dataclasses, "is_dataclass", no_reflection)
     round_trip()
+
+
+def test_codec_type_hints_are_typings():
+    """For every class a codec of the six body types reads, the codec's
+    resolved hints equal ``typing.get_type_hints``."""
+    todo, seen = list(io_module._BODY_TYPES.values()), set()
+
+    def classes_in(hint):
+        if dataclasses.is_dataclass(hint):
+            yield hint
+        for arg in typing.get_args(hint):
+            yield from classes_in(arg)
+
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        hints = typing.get_type_hints(cls)
+        assert io_module._type_hints(cls) == hints, cls.__qualname__
+        todo += [c for hint in hints.values() for c in classes_in(hint)]
+    assert len(seen) > 30  # the walk reached the records inside the bodies
 
 
 def test_canonical_output_has_sorted_keys(catalog):

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import inspect
 import itertools
+import operator
 import pickle
 from pathlib import Path
 
@@ -192,6 +193,24 @@ def test_gnb_level_runs_matches_the_brute_force_oracle(layout, cu_vnfd_id):
     assert role.runs(cu, "vnfd-du", du_subsets) == _runs_oracle(role, cu, "vnfd-du", du_subsets)
 
 
+def test_level_ids_leave_a_subset_equal_and_its_bytes_alone():
+    from ranslicer.io import _codec, canonical_json
+
+    def make():
+        return IlSubset(DuSubsetKey(SUBURBAN, FronthaulTech.CPRI, 1, 4), tuple(
+            InstantiationLevel(f"du-l{j}", _VM, DuIlCapacity(4, 1_000.0 * j)) for j in (1, 2)))
+
+    subset, fresh = make(), make()
+    role = GnbIlCapacity(1, VnfIlRef("vnfd-cu", 1, "cu-l1"), (VnfIlRef("vnfd-du", 1, "du-l2"),), 1_000.0)
+    assert role.runs(("vnfd-cu", _CU_SUBSET), "vnfd-du", [subset])
+    assert subset.level_ids == {"du-l1", "du-l2"} and "level_ids" in vars(subset)
+    assert "level_ids" not in vars(fresh)
+    assert subset == fresh and hash(subset) == hash(fresh) and repr(subset) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(subset)] == ["key", "levels"]
+    encode = _codec(IlSubset).encode
+    assert canonical_json(encode(subset)) == canonical_json(encode(fresh))
+
+
 def test_flavor_subsets_keyed_are_in_flavor_order_and_invisible():
     from ranslicer.model import Flavor
 
@@ -279,16 +298,95 @@ def _covering_oracle(subsets, group, size):
     return min(covering, key=bounds, default=None)  # min keeps the first of equal bounds
 
 
+_UNKNOWN_GROUPS = [("UNKNOWN", FronthaulTech.CPRI), ("UNKNOWN",), (SUBURBAN,)]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_RANGED_KEYS, max_size=10), st.integers(0, 6))
-def test_covering_subset_matches_the_oracle(keys, size):
+@given(st.lists(_RANGED_KEYS, max_size=10))
+def test_covering_subset_matches_the_oracle(keys):
+    """Every size from below every range (the bounds are 0..5) through the
+    gaps between ranges to beyond all of them, in each drawn group, the
+    groups no key draws and groups no flavor can have."""
     from ranslicer.model import Flavor
 
     subsets = tuple(_ranged_subset(i, key) for i, key in enumerate(keys))
     flavor = Flavor(1, frozenset(FronthaulTech), None, subsets)
-    groups = {_group(key) for key in keys} | {(), (SUBURBAN, FronthaulTech.CPRI)}
+    groups = {_group(key) for key in keys} | {(), (SUBURBAN, FronthaulTech.CPRI), *_UNKNOWN_GROUPS}
     for group in groups:
-        assert flavor.covering_subset(group, size) is _covering_oracle(subsets, group, size), group
+        for size in range(-2, 10):
+            assert flavor.covering_subset(group, size) is _covering_oracle(subsets, group, size), (group, size)
+
+
+def test_covering_index_depends_on_the_catalog_alone():
+    """After the first query, further queries (new sizes, unknown groups) add
+    nothing to the flavor: its index is derived from ``il_subsets`` only."""
+    from ranslicer.model import Flavor
+
+    cpri = (SUBURBAN, FronthaulTech.CPRI)
+    keys = (DuSubsetKey(*cpri, 1, 2), DuSubsetKey(*cpri, 4, 6), CuSubsetKey(1, 3), DuSubsetKey(*cpri, 2, 5))
+    flavor = Flavor(1, frozenset(FronthaulTech), None, tuple(_ranged_subset(i, key) for i, key in enumerate(keys)))
+    assert flavor.covering_subset(cpri, 3) is flavor.il_subsets[3]
+
+    def snapshot():
+        return {name: repr(value) for name, value in vars(flavor).items()}
+
+    before = snapshot()
+    for size in range(-100, 1_000):
+        for group in (cpri, (), (SUBURBAN, FronthaulTech.ECPRI), *_UNKNOWN_GROUPS):
+            flavor.covering_subset(group, size)
+    assert snapshot() == before
+
+
+# ---------------------------------------------------------------------------
+# Catalog.resolve_vnf_il against a scan of the catalog
+
+_IL_IDS = st.sampled_from(["x", "y", "z"])
+
+
+@st.composite
+def _vnfd_catalogs(draw):
+    """CU and DU VNFDs whose VNFD, flavor and IL ids repeat within and across descriptors."""
+    from ranslicer.model import Catalog, CuVnfd, DuVnfd, Flavor
+
+    serial = itertools.count()  # every level differs, so a wrong pick is not equal to the right one
+
+    def level():
+        return InstantiationLevel(draw(_IL_IDS), _VM, CuIlCapacity(next(serial), 1.0))
+
+    def subset():
+        return IlSubset(CuSubsetKey(1, 2), tuple(level() for _ in range(draw(st.integers(0, 3)))))
+
+    def flavor():
+        subsets = tuple(subset() for _ in range(draw(st.integers(0, 2))))
+        return Flavor(draw(st.integers(1, 2)), frozenset(), None, subsets)
+
+    def vnfds(cls):
+        return tuple(cls(draw(st.sampled_from(["a", "b"])), tuple(flavor() for _ in range(draw(st.integers(0, 2)))))
+                     for _ in range(draw(st.integers(0, 3))))
+
+    return Catalog(cu_vnfds=vnfds(CuVnfd), du_vnfds=vnfds(DuVnfd))
+
+
+def _resolve_oracle(catalog, ref):
+    """The scan: the first VNFD with the id (CU VNFDs first), then its first
+    flavor with the id, in which the first subset and level with the IL id."""
+    vnfd = next((d for d in (*catalog.cu_vnfds, *catalog.du_vnfds) if d.descriptor_id == ref.vnfd_id), None)
+    if vnfd is None:
+        return None
+    return next(((flavor, subset, level) for flavor in vnfd.flavors if flavor.flavor_id == ref.flavor_id
+                 for subset in flavor.il_subsets for level in subset.levels if level.il_id == ref.il_id), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vnfd_catalogs())
+def test_resolve_vnf_il_matches_a_scan(catalog):
+    for ref in itertools.starmap(VnfIlRef, itertools.product(["a", "b", "c"], [1, 2, 3], ["x", "y", "z", "w"])):
+        resolved, expected = catalog.resolve_vnf_il(ref), _resolve_oracle(catalog, ref)
+        if expected is None:
+            assert resolved is None, ref
+        else:
+            assert resolved.vnfd_id == ref.vnfd_id, ref
+            assert all(map(operator.is_, resolved[1:], expected)), ref
 
 
 # ---------------------------------------------------------------------------
