@@ -5,14 +5,13 @@ with ``schema_version``, ``kind`` and a kind-specific ``body``.  Parsing
 is strict (unknown or missing fields are diagnostics, not warnings) and
 serialization is canonical: sorted keys, two-space indent, trailing
 newline, so equal documents always render to equal bytes and
-``serialize(parse(serialize(x))) == serialize(x)``.  One writer,
-``canonical_json``, makes all canonical text (documents and bundle files);
-its output equals ``json.dumps(payload, sort_keys=True, indent=2,
-ensure_ascii=True, allow_nan=False) + "\n"`` byte for byte.  An
-``IlSubset`` (a plan cites the catalog's own subset objects many times) is
-written once per object: its canonical text, at depth 0, is kept on the
-object outside its fields, and the writer re-indents that text to the
-depth it meets the subset at, keeping the text of the last depth.
+``serialize(parse(serialize(x))) == serialize(x)``.  Canonical text is
+the bytes of ``json.dumps(payload, sort_keys=True, indent=2,
+ensure_ascii=True, allow_nan=False) + "\n"`` for the JSON value the
+mapping below gives, but no such value is built: each record class has
+one writer that appends its text straight to a list of parts.
+``canonical_json`` writes plain JSON values (the bundle manifest's dict)
+the same way.
 
 A body is one of the model's frozen dataclasses, and a single codec maps
 every dataclass to JSON from its fields and their type hints.  Fields map
@@ -38,15 +37,29 @@ that rule:
 
 Each codec is built whole on first use and cached, and never changes:
 type hints are resolved (each annotation text evaluated once per module,
-without ``typing.get_type_hints``), and an object's decoder is generated
-from source and compiled, once per class, as ``model.record`` generates
-``__init__``.
-The decoder checks ``str``, ``int`` and ``float`` fields in place, calls
-the other fields' decoders, and passes the values to the class's own
-constructor; ``ranslicer plan`` compiles 33, about 4 ms per process.
-Error paths are built only when a decode fails: a decoder takes just the
-JSON value, and each enclosing object or array catches a PARSE_ERROR on
-its way out and prepends ``.key`` or ``[i]``.
+without ``typing.get_type_hints``), and the codec pairs a writer with a
+decoder.
+
+A writer is a closure, ``write(value, append, depth)``.  The first time
+a record's writer meets a depth, it cuts the record's text there into
+the fixed pieces between field values, keys sorted and each ``"key": ``
+quoted once, and keeps them for that depth.  A ``str``, ``int`` or
+``float`` field is written by its value's exact runtime type, as
+``canonical_json`` writes it, so a ``bool`` in an ``int`` field is
+``true``.  An enum member's text is made once.  An ``IlSubset`` (a plan
+cites the catalog's own subset objects many times) is written once per
+object: its depth-0 text is kept on the object, outside its fields, and
+re-indented to the depth the subset is met at, keeping the text of the
+last depth.
+
+An object's decoder is generated from source and compiled, once per
+class, as ``model.record`` generates ``__init__``.  The decoder checks
+``str``, ``int`` and ``float`` fields in place, calls the other fields'
+decoders, and passes the values to the class's own constructor;
+``ranslicer plan`` compiles 33, about 4 ms per process.  Writers compile
+nothing.  Error paths are built only when a decode fails: a decoder takes
+just the JSON value, and each enclosing object or array catches a
+PARSE_ERROR on its way out and prepends ``.key`` or ``[i]``.
 
 The onboarding bundle is just its files: ``emit_onboarding_bundle``
 returns a dict of file name -> canonical text, and ``write_bundle``
@@ -200,17 +213,26 @@ def _valid_sd(request: SliceRequest) -> SliceRequest:
 # the codec
 
 class _Codec:
-    """``encode``: model value -> JSON value, or None to write the value as it is.
-    ``decode``: JSON value -> model value.  Both are set when the codec is built."""
+    """A type's writer and decoder, both set when the codec is built.
 
-    __slots__ = ("encode", "decode")
+    ``write(value, append, depth)`` appends the canonical text of a model
+    value met at ``depth`` (its indent), without a trailing newline, in
+    pieces to ``append``; a container's writer calls its fields' and items'
+    writers with the same ``append``, so a document is one list of parts
+    joined once.  ``decode``: JSON value -> model value.
+    """
 
-    def __init__(self, encode: Callable | None, decode: Callable):
-        self.encode, self.decode = encode, decode
+    __slots__ = ("write", "decode")
+
+    def __init__(self, write: Callable, decode: Callable):
+        self.write, self.decode = write, decode
 
 
-def _itself(value):
-    return value
+def _text_of(write: Callable, value) -> str:
+    """Canonical text of a model value at depth 0, without the trailing newline."""
+    parts: list[str] = []
+    write(value, parts.append, 0)
+    return "".join(parts)
 
 
 def _shape(value, keys: frozenset) -> None:
@@ -238,29 +260,20 @@ _INLINE = {_str: "(v := {}).__class__ is str", _int: "(v := {}).__class__ is int
            _num: "(v := {}).__class__ is float and not v - v"}
 
 
-def _object_codec(make, entries, tag: str | None = None) -> _Codec:
-    """A JSON object with one key per entry, decoded into ``make(*values)``.
+def _object_decoder(make, entries, tag: str | None = None) -> Callable:
+    """The decoder of a JSON object with one key per entry, into ``make(*values)``.
 
-    Entries are ``(key, get, codec, spread)``: ``get`` reads the value to
-    encode, and a ``spread`` entry decodes to a tuple of several arguments.
-    The decoder is generated and compiled here, as ``model.record`` generates
-    ``__init__``: it checks the ``_INLINE`` leaves in place, calls the other
-    entries' decoders (``d0``, ``d1``, ...) and keeps the key it reads in ``k``.
+    Entries are ``(key, decode, spread)``; a ``spread`` entry decodes to a
+    tuple of several arguments.  The decoder is generated and compiled here,
+    as ``model.record`` generates ``__init__``: it checks the ``_INLINE``
+    leaves in place, calls the other entries' decoders (``d0``, ``d1``, ...)
+    and keeps the key it reads in ``k``.
     """
     keys = frozenset([key for key, *_ in entries] + (["kind"] if tag else []))
-    writers = [(key, get, codec.encode) for key, get, codec, _ in entries]
-
-    def encode(value) -> dict:
-        out = {"kind": tag} if tag else {}
-        for key, get, write in writers:
-            field = get(value)
-            out[key] = field if write is None else write(field)
-        return out
-
     ns = {"make": make, "keys": keys, "_shape": _shape, "_fault": _fault, "faults": (DocumentError, ValueError)}
     args = []
-    for i, (key, _, sub, spread) in enumerate(entries):
-        ns[f"d{i}"], get, inline = sub.decode, f"value[k := {key!r}]", _INLINE.get(sub.decode)
+    for i, (key, decode, spread) in enumerate(entries):
+        ns[f"d{i}"], get, inline = decode, f"value[k := {key!r}]", _INLINE.get(decode)
         args.append(f"v if {inline.format(get)} else d{i}(v)" if inline else f"{'*' * spread}d{i}({get})")
     source = ("def decode(value):\n"
               " if value.__class__ is not dict or value.keys() != keys: _shape(value, keys)\n"
@@ -268,7 +281,54 @@ def _object_codec(make, entries, tag: str | None = None) -> _Codec:
               "  return make(\n   " + ",\n   ".join(args) + ")\n"
               " except faults as err: _fault(err, k)")
     exec(compile(source, f"<decoder of {make.__qualname__}>", "exec"), ns)  # the name shows in tracebacks
-    return _Codec(encode, ns["decode"])
+    return ns["decode"]
+
+
+def _object_writer(fields, tag: str | None = None) -> Callable:
+    """The writer of a record as a JSON object: ``fields`` are ``(key, name,
+    write)``, an ``"outer.inner"`` key nesting its field in an object under
+    ``outer``, and ``tag`` is the constant ``kind``.
+
+    At the first depth the writer meets, the object's canonical text there,
+    with a marker in place of each field value, is cut at the markers into
+    the fixed pieces between values, and one ``attrgetter`` is made that
+    reads the fields in text order.  A ``str``, ``int`` or ``float`` field
+    is written by its value's exact type, in the writer's own loop.
+    """
+
+    def layout(depth: int) -> tuple:
+        """The getter, rows of (piece, field writer or None for a leaf, the field's depth), and the tail."""
+        template: dict = {"kind": tag} if tag else {}
+        for i, (key, _, _) in enumerate(fields):
+            outer, _, inner = key.rpartition(".")
+            (template.setdefault(outer, {}) if outer else template)[inner] = f"\0{i}"
+        parts: list[str] = []
+        _write_value(template, parts.append, depth)
+        head, *cuts = "".join(parts).split('"\\u0000')  # each cut: 'i"' and the piece after field i
+        order = [fields[int(cut.partition('"')[0])] for cut in cuts]
+        names = [name for _, name, _ in order]
+        pieces = [head, *[cut.partition('"')[2] for cut in cuts]]
+        return (attrgetter(*names) if len(names) > 1 else lambda value: (getattr(value, names[0]),),
+                [(piece, None if write is _write_value else write, depth + 1 + ("." in key))
+                 for piece, (key, _, write) in zip(pieces, order)], pieces[-1])
+
+    by_depth = _ByDepth(layout)
+    scalar = _SCALAR_TEXT.get
+
+    def write(value, append, depth: int) -> None:
+        get, rows, end = by_depth[depth]
+        for (piece, write_field, field_depth), field in zip(rows, get(value)):
+            if write_field is None:
+                text = scalar(field.__class__)
+                if text is not None:
+                    append(piece + text(field))
+                    continue
+                write_field = _write_value
+            append(piece)
+            write_field(field, append, field_depth)
+        append(end)
+
+    return write
 
 
 @functools.cache
@@ -290,22 +350,21 @@ def _dataclass_codec(cls, tag: str | None = None) -> _Codec:
         override = _OVERRIDES.get((cls, f.name))
         key = override if isinstance(override, str) else f.name
         codec = override(hints[f.name]) if callable(override) else _codec(hints[f.name])
-        fields.append((key, attrgetter(f.name), codec, False))
+        fields.append((key, f.name, codec))
     entries = []
-    for outer, group in itertools.groupby(fields, key=lambda entry: entry[0].partition(".")[0]):
+    for outer, group in itertools.groupby(fields, key=lambda field: field[0].partition(".")[0]):
         group = list(group)
         if outer == group[0][0]:
-            entries += group
+            entries += [(key, codec.decode, False) for key, _, codec in group]
         else:  # "outer.inner" keys: these fields nest in one object under "outer"
-            inner = [(key.partition(".")[2], *rest) for key, *rest in group]
-            entries.append((outer, _itself, _object_codec(lambda *values: values, inner), True))
-    return _object_codec(cls, entries, tag)
+            inner = [(key.partition(".")[2], codec.decode, False) for key, _, codec in group]
+            entries.append((outer, _object_decoder(lambda *values: values, inner), True))
+    write = _object_writer([(key, name, codec.write) for key, name, codec in fields], tag)
+    return _Codec(write, _object_decoder(cls, entries, tag))
 
 
-def _array(item: _Codec, make, write) -> _Codec:
-    """A tuple or frozenset as a JSON array: ``make`` builds the model value
-    from the decoded items, ``write`` the array from the encoded ones."""
-    decode_item, encode_item = item.decode, item.encode
+def _array_decoder(decode_item: Callable, make) -> Callable:
+    """The decoder of a JSON array into ``make(items)``."""
 
     def decode(value):
         if not isinstance(value, list):
@@ -319,23 +378,57 @@ def _array(item: _Codec, make, write) -> _Codec:
             raise
         return make(items)
 
-    return _Codec(write if encode_item is None else lambda value: write(map(encode_item, value)), decode)
+    return decode
+
+
+def _array_writer(write_item: Callable) -> Callable:
+    """The writer of a sequence as a JSON array of its items."""
+    scalar = _SCALAR_TEXT.get if write_item is _write_value else {}.get  # scalars: text by exact type
+
+    def write(items, append, depth: int) -> None:
+        if not items:
+            append("[]")
+            return
+        lead, sep, end = _BRACKETS[depth]
+        depth += 1
+        for item in items:
+            text = scalar(item.__class__)
+            if text is None:
+                append(lead)
+                write_item(item, append, depth)
+            else:
+                append(lead + text(item))
+            lead = sep
+        append(end)
+
+    return write
 
 
 def _optional(inner: _Codec) -> _Codec:
-    decode_inner = inner.decode
+    decode_inner, write_inner = inner.decode, inner.write
 
     def decode(value):
         return None if value is None else decode_inner(value)
 
-    if inner.encode is None:
-        return _Codec(None, decode)
-    return _Codec(lambda value: None if value is None else inner.encode(value), decode)
+    if write_inner is _write_value:  # a leaf's writer writes None too
+        return _Codec(_write_value, decode)
+    return _Codec(lambda value, append, depth: append("null") if value is None else write_inner(value, append, depth),
+                  decode)
 
 
-def _fixed(encode, decode):
-    """Override: a codec given outright."""
-    return lambda hint: _Codec(encode, decode)
+def _members(cls, value_of: Callable, decode: Callable) -> _Codec:
+    """The codec of an enum, written as ``value_of(member)``: each member's
+    text is made once, and a value that is not a member is converted by
+    ``value_of`` when it is written."""
+    texts = {member: canonical_json(value_of(member))[:-1] for member in cls}
+
+    def write(value, append, depth: int) -> None:
+        try:
+            append(texts[value])
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            _write_value(value_of(value), append, depth)
+
+    return _Codec(write, decode)
 
 
 def _checked(check):
@@ -344,18 +437,31 @@ def _checked(check):
     def build(cls) -> _Codec:
         codec = _dataclass_codec(cls)
         decode = codec.decode
-        return _Codec(codec.encode, lambda value: check(decode(value)))
+        return _Codec(codec.write, lambda value: check(decode(value)))
 
     return build
 
 
 class _Text:
     """Canonical text of a value at depth 0, without the trailing newline,
-    for ``canonical_json`` to write in the value's place; ``last`` is the
-    depth it was last written at and its text there."""
+    for a writer to write in the value's place; ``last`` is the depth it
+    was last written at and its text there."""
 
     def __init__(self, text: str):
         self.text, self.last = text, (0, text)
+
+    def at(self, depth: int) -> str:
+        """The text with every newline indented to ``depth`` (canonical text
+        escapes the newlines inside strings)."""
+        last = self.last  # one read and one write: threads may share the text
+        if last[0] != depth:
+            last = self.last = (depth, self.text.replace("\n", _INDENT[depth]))
+        return last[1]
+
+
+def _written(hint, value) -> _Text:
+    """A model value's text, for ``canonical_json`` to write in its place."""
+    return _Text(_text_of(_codec(hint).write, value))
 
 
 def _written_once(cls) -> _Codec:
@@ -365,15 +471,15 @@ def _written_once(cls) -> _Codec:
     Filling it is idempotent: two threads that race on an object compute
     the same text."""
     codec = _dataclass_codec(cls)
-    encode = codec.encode
+    write_fields = codec.write
 
-    def encode_text(value) -> _Text:
+    def write(value, append, depth: int) -> None:
         text = value.__dict__.get("_canonical_text")
         if text is None:
-            text = value.__dict__["_canonical_text"] = _Text(canonical_json(encode(value))[:-1])
-        return text
+            text = value.__dict__["_canonical_text"] = _Text(_text_of(write_fields, value))
+        append(text.at(depth))
 
-    return _Codec(encode_text, codec.decode)
+    return _Codec(write, codec.decode)
 
 
 def _pairs(label: str):
@@ -382,18 +488,24 @@ def _pairs(label: str):
 
     def build(hint) -> _Codec:
         first, second = map(_codec, typing.get_args(typing.get_args(hint)[0]))
-        write_first, write_second = first.encode or _itself, second.encode or _itself
+        write_first, write_second = first.write, second.write
         read_first, read_second = first.decode, second.decode
 
-        def encode(pairs) -> list:
-            return [[write_first(a), write_second(b)] for a, b in pairs]
+        def write_pair(pair, append, depth: int) -> None:
+            a, b = pair
+            lead, sep, end = _BRACKETS[depth]
+            append(lead)
+            write_first(a, append, depth + 1)
+            append(sep)
+            write_second(b, append, depth + 1)
+            append(end)
 
         def pair(item) -> tuple:
             if not isinstance(item, list) or len(item) != 2:
                 raise _fail(f"expected a {label} pair")
             return read_first(item[0]), read_second(item[1])
 
-        return _Codec(encode, _array(_Codec(None, pair), tuple, list).decode)
+        return _Codec(_array_writer(write_pair), _array_decoder(pair, tuple))
 
     return build
 
@@ -405,7 +517,7 @@ def _tagged(noun: str, kind_noun: str, members: dict[str, type]):
     def build(union) -> _Codec:
         codecs = {tag: _dataclass_codec(cls, tag) for tag, cls in members.items()}
         by_tag = {tag: codec.decode for tag, codec in codecs.items()}
-        by_type = {members[tag]: codec.encode for tag, codec in codecs.items()}
+        by_type = {members[tag]: codec.write for tag, codec in codecs.items()}
 
         def decode(value):
             if not isinstance(value, dict) or "kind" not in value:
@@ -416,9 +528,17 @@ def _tagged(noun: str, kind_noun: str, members: dict[str, type]):
                 raise _fail(f"unknown {kind_noun} kind {kind!r}")
             return decode_member(value)
 
-        return _Codec(lambda value: by_type[type(value)](value), decode)
+        def write(value, append, depth: int) -> None:
+            by_type[type(value)](value, append, depth)
+
+        return _Codec(write, decode)
 
     return build
+
+
+def _write_loads(loads, append, depth: int) -> None:
+    """``SlicePlan.offered_load_mbps`` as an object of region id -> Mbps."""
+    _write_value(dict(loads), append, depth)
 
 
 # Every departure of the JSON from the fields.  A (class, field) key gives
@@ -428,14 +548,14 @@ _OVERRIDES = {
     (InstantiationLevel, "role_capacity"): "role",
     (Pop, "host_capacity_vcpu"): "host_capacity.vcpu",
     (Pop, "host_capacity_ram_gb"): "host_capacity.ram_gb",
-    (SlicePlan, "offered_load_mbps"): _fixed(dict, _loads),
+    (SlicePlan, "offered_load_mbps"): lambda hint: _Codec(_write_loads, _loads),
     (GnbSubsetKey, "served_regions"): _pairs("[region_class, fronthaul_tech]"),
     (ProfilerPolicy, "latency_to_mu_thresholds"): _pairs("[max_latency_ms, mu]"),
     RoleCapacity: _tagged("a role object", "role",
                           {"DU": DuIlCapacity, "CU": CuIlCapacity, "GNB": GnbIlCapacity}),
     SubsetKey: _tagged("a subset key", "subset key",
                        {"DU": DuSubsetKey, "CU": CuSubsetKey, "GNB": GnbSubsetKey}),
-    Sst: _fixed(int, _sst),
+    Sst: lambda hint: _members(Sst, int, _sst),
     IlSubset: _written_once,
     DeploymentArea: _checked(_loaded_area),
     SliceRequest: _checked(_valid_sd),
@@ -450,18 +570,23 @@ def _codec(hint) -> _Codec:
     if hint in _OVERRIDES:
         return _OVERRIDES[hint](hint)
     if hint in _PRIMITIVES:
-        return _Codec(None, _PRIMITIVES[hint])
+        return _Codec(_write_value, _PRIMITIVES[hint])
     if isinstance(hint, type) and issubclass(hint, Enum):
-        return _Codec(attrgetter("value"), functools.partial(_enum, {m.value: m for m in hint}))
+        return _members(hint, attrgetter("value"), functools.partial(_enum, {m.value: m for m in hint}))
     if dataclasses.is_dataclass(hint):
         return _dataclass_codec(hint)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, UnionType) and len(args) == 2 and NoneType in args:
         return _optional(_codec(args[0] if args[1] is NoneType else args[1]))
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        return _array(_codec(args[0]), tuple, list)
-    if origin is frozenset:
-        return _array(_codec(args[0]), frozenset, sorted)
+        item = _codec(args[0])
+        return _Codec(_array_writer(item.write), _array_decoder(item.decode, tuple))
+    if origin is frozenset:  # an array sorted by the items' JSON values
+        item = _codec(args[0])
+        write = _array_writer(item.write)
+        value_of = attrgetter("value") if isinstance(args[0], type) and issubclass(args[0], Enum) else None
+        return _Codec(lambda items, append, depth: write(sorted(items, key=value_of), append, depth),
+                      _array_decoder(item.decode, frozenset))
     raise TypeError(f"no document codec for {hint!r}")
 
 
@@ -515,11 +640,10 @@ def serialize_document(envelope: DocumentEnvelope) -> str:
         raise DocumentError("UNKNOWN_KIND", f"unknown document kind {envelope.kind!r}")
     if not isinstance(envelope.body, body_type):
         raise TypeError(f"a {envelope.kind} body must be a {body_type.__name__}, not {type(envelope.body).__name__}")
-    return canonical_json({
-        "schema_version": SCHEMA_VERSION,
-        "kind": envelope.kind,
-        "body": _codec(body_type).encode(envelope.body),
-    })
+    parts = ['{\n  "body": ']
+    _codec(body_type).write(envelope.body, parts.append, 1)
+    parts.append(f',\n  "kind": {_quote(envelope.kind)},\n  "schema_version": {_quote(SCHEMA_VERSION)}\n}}\n')
+    return "".join(parts)
 
 
 def _float_text(value) -> str:
@@ -550,6 +674,61 @@ _SCALAR_TEXT = {
 }
 
 
+class _ByDepth(dict):
+    """Text for each depth, made by ``make(depth)`` on first use.  Making it
+    is idempotent, so threads may race on a depth."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, depth: int):
+        self[depth] = text = self.make(depth)
+        return text
+
+
+_INDENT = _ByDepth(lambda depth: "\n" + "  " * depth)  # a newline and the indent of a depth
+# An array's or object's opening, separator and close at a depth.
+_BRACKETS = _ByDepth(lambda depth: ("[" + _INDENT[depth + 1], "," + _INDENT[depth + 1], _INDENT[depth] + "]"))
+_BRACES = _ByDepth(lambda depth: ("{" + _INDENT[depth + 1], "," + _INDENT[depth + 1], _INDENT[depth] + "}"))
+
+
+def _write_value(value, append, depth: int) -> None:
+    """Append the canonical text of a JSON value met at ``depth``.
+
+    This is ``canonical_json``'s walker, and the writer of a ``str``,
+    ``int`` or ``float`` field: a scalar is written by its exact type.  A
+    ``_Text`` is written as the value it was made from.
+    """
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        append(text(value))
+    elif isinstance(value, (list, tuple)):
+        _write_array(value, append, depth)
+    elif not isinstance(value, dict):
+        append(value.at(depth) if type(value) is _Text else _subclass_text(value))
+    elif not value:
+        append("{}")
+    else:
+        lead, sep, end = _BRACES[depth]
+        scalar = _SCALAR_TEXT.get
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            text = scalar(type(item))
+            if text is None:
+                append(f"{lead}{_quote(key)}: ")
+                _write_value(item, append, depth + 1)
+            else:
+                append(f"{lead}{_quote(key)}: {text(item)}")
+            lead = sep
+        append(end)
+
+
+_write_array = _array_writer(_write_value)
+
+
 def canonical_json(payload) -> str:
     """Canonical text of a JSON value: the bytes of ``json.dumps(payload,
     sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False) + "\\n"``.
@@ -559,65 +738,13 @@ def canonical_json(payload) -> str:
     back to CPython's pure-Python encoder; this writer skips its generator
     chain and writes scalars inside each container's own loop.
 
-    A ``_Text`` from the codec is written as the value it was made from:
-    its depth-0 text with every newline indented to the depth it is met at
-    (canonical text escapes the newlines inside strings).
+    A ``_Text`` (a record's text from its writer) is written as the value
+    it was made from: its depth-0 text with every newline indented to the
+    depth it is met at.
     """
     parts: list[str] = []
-    append = parts.append
-    scalar = _SCALAR_TEXT.get
-    indents = ["\n"]  # indents[d]: a newline and the indent of depth d
-
-    def write(value, depth: int) -> None:
-        text = scalar(type(value))
-        if text is not None:
-            append(text(value))
-            return
-        is_dict = isinstance(value, dict)
-        if not is_dict and not isinstance(value, (list, tuple)):
-            if type(value) is not _Text:
-                append(_subclass_text(value))
-                return
-            last = value.last  # one read and one write: threads may share the marker
-            if last[0] != depth:
-                last = value.last = (depth, value.text.replace("\n", indents[depth]))
-            append(last[1])
-            return
-        if not value:
-            append("{}" if is_dict else "[]")
-            return
-        depth += 1
-        if depth == len(indents):
-            indents.append(indents[-1] + "  ")
-        lead, sep = indents[depth], "," + indents[depth]
-        if is_dict:
-            append("{")
-            for key in sorted(value):
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                item = value[key]
-                text = scalar(type(item))
-                if text is None:
-                    append(f"{lead}{_quote(key)}: ")
-                    write(item, depth)
-                else:
-                    append(f"{lead}{_quote(key)}: {text(item)}")
-                lead = sep
-            append(indents[depth - 1] + "}")
-        else:
-            append("[")
-            for item in value:
-                text = scalar(type(item))
-                if text is None:
-                    append(lead)
-                    write(item, depth)
-                else:
-                    append(lead + text(item))
-                lead = sep
-            append(indents[depth - 1] + "]")
-
-    write(payload, 0)
-    append("\n")
+    _write_value(payload, parts.append, 0)
+    parts.append("\n")
     return "".join(parts)
 
 
@@ -672,7 +799,6 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> dict[str, str]:
         raise _dangling("; ".join(problems))
     nsd = catalog.gnb_nsd(plan.nsst.nsd_ref)
     rus = [catalog.ru(ru_id) for ru_id in plan.selected_rus]
-    subset_key = _codec(SubsetKey).encode
     used_vnf_refs: dict[str, set[int]] = {}
     manifest_gnbs = []
     for gnb in plan.gnbs:
@@ -698,11 +824,11 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> dict[str, str]:
                 "gnb_id": gnb.gnb_id,
                 "nsd_ref": nsd.descriptor_id,
                 "flavor_id": gnb.nsd_flavor_id,
-                "il_subset_key": subset_key(gnb.nsd_il_subset.key),
+                "il_subset_key": _written(SubsetKey, gnb.nsd_il_subset.key),
                 "cu": {
                     "host_pop": gnb.cu.host_pop,
                     "vnfd_ids": sorted({ref.vnfd_id for ref in cu_refs}),
-                    "il_subset_key": subset_key(gnb.cu.il_subset.key),
+                    "il_subset_key": _written(SubsetKey, gnb.cu.il_subset.key),
                 },
                 "dus": [
                     {
@@ -710,7 +836,7 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> dict[str, str]:
                         "region_id": du.region_id,
                         "vnfd_ids": du_vnfd_ids(du),
                         "vnfd_flavor": du.vnfd_flavor.value,
-                        "il_subset_key": subset_key(du.il_subset.key),
+                        "il_subset_key": _written(SubsetKey, du.il_subset.key),
                         "served_cell_sites": list(du.served_cell_sites),
                         "host_pop": du.host_pop,
                     }
@@ -721,13 +847,13 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> dict[str, str]:
         )
     files = {
         "manifest.json": canonical_json({
-            "s_nssai": _codec(SNssai).encode(plan.s_nssai),
+            "s_nssai": _written(SNssai, plan.s_nssai),
             "nsst_ref": plan.nsst_ref,
-            "radio_config": _codec(RadioConfig).encode(plan.nsst.radio_config),
+            "radio_config": _written(RadioConfig, plan.nsst.radio_config),
             "offered_load_mbps": dict(plan.offered_load_mbps),
             "gnbs": manifest_gnbs,
         }),
-        "pnfd-list.json": canonical_json([_codec(RuPnfd).encode(ru) for ru in rus]),
+        "pnfd-list.json": canonical_json(_written(tuple[RuPnfd, ...], rus)),
     }
     excerpts = [("nsd", nsd, {gnb.nsd_flavor_id for gnb in plan.gnbs})]
     excerpts += [("vnfd", catalog.vnfd(vnfd_id), used_vnf_refs[vnfd_id])  # every ref resolved above
@@ -735,7 +861,7 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> dict[str, str]:
     for prefix, descriptor, flavor_ids in excerpts:
         files[f"{prefix}-{descriptor.descriptor_id}.json"] = canonical_json({
             "descriptor_id": descriptor.descriptor_id,
-            "flavors": [_codec(Flavor).encode(f) for f in descriptor.flavors if f.flavor_id in flavor_ids],
+            "flavors": _written(tuple[Flavor, ...], [f for f in descriptor.flavors if f.flavor_id in flavor_ids]),
         })
     return files
 

@@ -543,7 +543,8 @@ class ResolvedIl(NamedTuple):
 class Catalog:
     """One onboarded descriptor set: slice templates plus the NFV
     documents they reference.  Immutable after construction; ``ru`` and
-    ``resolve_vnf_il`` read indexes built on first use (the first entry wins)."""
+    ``resolve_vnf_il`` read indexes built on first use (the first entry wins),
+    as are the sets ``cu_vnfd_ids`` and ``du_vnfd_ids``."""
 
     nssts: tuple[RanNsst, ...] = ()
     gnb_nsds: tuple[GnbNsd, ...] = ()
@@ -559,6 +560,14 @@ class Catalog:
             if d.descriptor_id == descriptor_id:
                 return d
         return None
+
+    @cached_property
+    def cu_vnfd_ids(self) -> frozenset[str]:
+        return frozenset(d.descriptor_id for d in self.cu_vnfds)
+
+    @cached_property
+    def du_vnfd_ids(self) -> frozenset[str]:
+        return frozenset(d.descriptor_id for d in self.du_vnfds)
 
     @cached_property
     def _rus_by_id(self) -> dict[str, RuPnfd]:

@@ -199,9 +199,7 @@ def _check_gnb_il(doc_id: str, path: str, flavor: Flavor, key: GnbSubsetKey, lev
                       f"du_count={role.du_count} but {len(role.du_il_refs)} DU IL references")
         )
     cu = catalog.resolve_vnf_il(role.cu_il_ref)
-    if cu is None or not isinstance(cu.level.role_capacity, CuIlCapacity) or not any(
-        cu.vnfd_id == d.descriptor_id for d in catalog.cu_vnfds
-    ):
+    if cu is None or not isinstance(cu.level.role_capacity, CuIlCapacity) or cu.vnfd_id not in catalog.cu_vnfd_ids:
         report.append(
             Violation(doc_id, f"{path}.cu_il_ref", "dangling-reference",
                       f"CU IL {role.cu_il_ref} not found")
@@ -211,9 +209,7 @@ def _check_gnb_il(doc_id: str, path: str, flavor: Flavor, key: GnbSubsetKey, lev
     for ri, ref in enumerate(role.du_il_refs):
         rpath = f"{path}.du_il_refs[{ri}]"
         du = catalog.resolve_vnf_il(ref)
-        if du is None or not isinstance(du.level.role_capacity, DuIlCapacity) or not any(
-            du.vnfd_id == d.descriptor_id for d in catalog.du_vnfds
-        ):
+        if du is None or not isinstance(du.level.role_capacity, DuIlCapacity) or du.vnfd_id not in catalog.du_vnfd_ids:
             report.append(Violation(doc_id, rpath, "dangling-reference", f"DU IL {ref} not found"))
             continue
         du_capacity += du.level.role_capacity.aggregate_capacity_mbps

@@ -3,6 +3,7 @@
 import dataclasses
 import enum
 import gc
+import hashlib
 import json
 import os
 import pickle
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import docgen
 from ranslicer import io as io_module
-from ranslicer.builtin import builtin_catalog
+from ranslicer.builtin import builtin_catalog, reference_requests
 from ranslicer.errors import DocumentError
 from ranslicer.io import (
     DocumentEnvelope,
@@ -44,6 +45,7 @@ from ranslicer.model import (
     VnfIlRef,
 )
 from ranslicer.planner import PlannerConfig, plan_slice, verify_plan
+from ranslicer.topology import DeploymentArea, Pop, PopTier, TransportLink
 
 DATA = Path(__file__).parent / "data"
 
@@ -242,6 +244,57 @@ class TestCanonicalJson:
                 canonical_json(value)
 
 
+class _Name(str):
+    def __repr__(self):
+        return "not the name"
+
+    __str__ = __repr__
+
+
+class TestFieldValuesOffTheirHints:
+    """A field is written by its value's exact type, as ``canonical_json``
+    writes it, not by its hint; these texts are those of the codec's
+    earlier encoder, which built a JSON dict first."""
+
+    def test_bools_ints_and_subclasses_keep_their_text(self):
+        area = DeploymentArea((), (Pop(_Name("p\u00e9"), PopTier.EDGE, True, 2),),
+                              (TransportLink("a", _Name("b"), _Ratio(1.5)),), ())
+        assert serialize_document(envelope_for(area)) == """{
+  "body": {
+    "links": [
+      {
+        "a": "a",
+        "b": "b",
+        "latency_ms": 1.5
+      }
+    ],
+    "pops": [
+      {
+        "host_capacity": {
+          "ram_gb": 2,
+          "vcpu": true
+        },
+        "pop_id": "p\\u00e9",
+        "tier": "EDGE"
+      }
+    ],
+    "regions": [],
+    "rus": []
+  },
+  "kind": "TOPOLOGY",
+  "schema_version": "1.0.0"
+}
+"""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_floats_raise_value_error(self, bad):
+        for area, shown in ((DeploymentArea((), (Pop("p", PopTier.EDGE, 1, bad),), (), ()), repr(bad)),
+                            (DeploymentArea((), (), (TransportLink("a", "b", _Ratio(bad)),), ()), "not the number")):
+            with pytest.raises(ValueError) as info:
+                serialize_document(envelope_for(area))
+            assert str(info.value) == f"Out of range float values are not JSON compliant: {shown}"
+
+
 def _plans(catalog, area, requests) -> dict[str, object]:
     """Reference plans on ``catalog`` and a scaled greedy plan on a catalog of its own."""
     plans = {sst.name: plan_slice(requests[sst], sst, area, catalog) for sst in requests}
@@ -335,6 +388,28 @@ def test_concurrent_serializes_match_serial_ones(catalog, area, requests):
     assert len(threads) == 4 and not any(thread.is_alive() for thread in threads)
     for name, text in texts.items():
         assert results[name] == [text] * 20, name
+
+
+def _scaled_digests(n_regions: int) -> dict[str, str]:
+    """SHA-256 of the greedy plan of every region of a ``docgen.grid_area``
+    (one edge PoP per ten regions), and of the plan's bundle."""
+    area = docgen.grid_area(random.Random(n_regions), n_regions, n_regions // 10)
+    request = dataclasses.replace(reference_requests()[Sst.URLLC],
+                                  target_regions=tuple(region.region_id for region in area.regions))
+    catalog = dataclasses.replace(docgen.suburban_catalog(), ru_pnfds=area.rus)
+    plan = plan_slice(request, Sst.URLLC, area, catalog)
+    bundle = emit_onboarding_bundle(plan, catalog)
+    texts = {"plan": serialize_document(envelope_for(plan)),
+             "bundle": "".join(f"{name}\n{text}" for name, text in sorted(bundle.items()))}
+    return {part: hashlib.sha256(text.encode()).hexdigest() for part, text in texts.items()}
+
+
+@pytest.mark.parametrize("n_regions", [800, 1600])
+def test_greedy_plans_and_bundles_at_scale_match_their_pins(n_regions):
+    # No reference plan has more than 48 target regions, so these pins are what
+    # guards the greedy path's and the writers' bytes at scale.
+    pins = json.loads((DATA / "scaled_digests.json").read_text())
+    assert _scaled_digests(n_regions) == pins[str(n_regions)]
 
 
 class TestStrictParsing:

@@ -19,6 +19,7 @@ from cu_oracle import bellman_ford, greedy_oracle, make_cu_vnfd, make_instance, 
 from ranslicer import planner
 from ranslicer.builtin import builtin_catalog, reference_requests
 from ranslicer.errors import PlannerError, TopologyError
+from ranslicer.io import envelope_for, parse_document, serialize_document
 from ranslicer.model import (
     CITY_CENTER,
     INDUSTRIAL,
@@ -745,7 +746,15 @@ class TestPlanSlice:
 
 class TestScaledPlans:
     """End to end on ``docgen.grid_area`` areas of 100-400 regions and
-    10-40 edge PoPs, against the Bellman-Ford latency oracle."""
+    10-40 edge PoPs, against the Bellman-Ford latency oracle; each area and
+    plan also round-trips through its document."""
+
+    @staticmethod
+    def _round_trips(body) -> None:
+        text = serialize_document(envelope_for(body))
+        parsed = parse_document(text).body
+        assert parsed == body
+        assert serialize_document(envelope_for(parsed)) == text
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_regions=st.integers(100, 400), n_edges=st.integers(10, 40),
@@ -753,6 +762,7 @@ class TestScaledPlans:
     def test_plan_or_infeasible_latency_agrees_with_the_oracle(self, seed, n_regions, n_edges, budget):
         rng = random.Random(seed)
         area = docgen.grid_area(rng, n_regions, n_edges)
+        self._round_trips(area)
         targets = sorted(rng.sample([r.region_id for r in area.regions], rng.randint(13, 48)))
         request = dataclasses.replace(reference_requests()[Sst.URLLC], target_regions=tuple(targets))
         nearest = bellman_ford(area, [p.pop_id for p in area.edge_pops()])
@@ -770,6 +780,7 @@ class TestScaledPlans:
         for gnb in plan.gnbs:
             latency = bellman_ford(area, [gnb.cu.host_pop])
             assert all(latency[du.host_pop] <= budget for du in gnb.dus)
+        self._round_trips(plan)
 
 
 # ---------------------------------------------------------------------------
