@@ -14,43 +14,7 @@ from os.path import join
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Catalog",
-    "DeploymentArea",
-    "DocumentEnvelope",
-    "DocumentError",
-    "PlannerConfig",
-    "PlannerError",
-    "ProfilerError",
-    "ProfilerPolicy",
-    "RadioConfig",
-    "RanNsst",
-    "RanSliceError",
-    "SNssai",
-    "SlicePlan",
-    "SliceRequest",
-    "SliceRequirements",
-    "Sst",
-    "TopologyError",
-    "Violation",
-    "build_ran_nsst",
-    "builtin_catalog",
-    "cli_main",
-    "default_policy",
-    "emit_onboarding_bundle",
-    "parse_document",
-    "plan_slice",
-    "pop_latency",
-    "reference_area",
-    "reference_requests",
-    "select_il_for_traffic",
-    "select_rus",
-    "serialize_document",
-    "validate_catalog",
-    "verify_plan",
-]
-
-# The submodule each name of __all__ is read from.
+# The package's public names, each with the submodule it is read from.
 _HOMES = {
     name: module
     for module, names in {
@@ -66,6 +30,7 @@ _HOMES = {
     }.items()
     for name in names
 }
+__all__ = sorted(_HOMES)
 
 # One lock for every deferred module: a module's code imports others, so
 # per-module locks could be taken in opposite orders by two threads.

@@ -783,6 +783,10 @@ def _dangling(message: str) -> DocumentError:
     return DocumentError("DANGLING_PLAN_REFERENCE", message)
 
 
+# How many of a plan's problems a DANGLING_PLAN_REFERENCE message lists.
+_LISTED_PROBLEMS = 10
+
+
 def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> dict[str, str]:
     """The files a plan hands to the orchestrator, by file name: the
     flavor/IL manifest, the selected RUs' PNFDs, and an excerpt of the gNB
@@ -791,14 +795,20 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> dict[str, str]:
 
     The plan is first re-verified against the catalog alone, by
     ``verify_plan`` without an area; its problems, joined by "; ", fail
-    with one DANGLING_PLAN_REFERENCE.  So does a gNB IL's reference to a
-    VNFD IL that no longer resolves.
+    with one DANGLING_PLAN_REFERENCE.  Past ``_LISTED_PROBLEMS`` problems
+    the message lists that many and states the total.  A gNB IL's
+    reference to a VNFD IL that no longer resolves fails the same way.
     """
     problems = verify_plan(plan, None, catalog)
+    if len(problems) > _LISTED_PROBLEMS:
+        problems[_LISTED_PROBLEMS:] = [f"and {len(problems) - _LISTED_PROBLEMS} more, {len(problems)} in all"]
     if problems:
         raise _dangling("; ".join(problems))
     nsd = catalog.gnb_nsd(plan.nsst.nsd_ref)
     rus = [catalog.ru(ru_id) for ru_id in plan.selected_rus]
+    ru_ids_by_site: dict[str, list[str]] = {}
+    for ru in rus:
+        ru_ids_by_site.setdefault(ru.location.cell_site, []).append(ru.ru_id)
     used_vnf_refs: dict[str, set[int]] = {}
     manifest_gnbs = []
     for gnb in plan.gnbs:
@@ -818,7 +828,7 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> dict[str, str]:
         def du_vnfd_ids(du) -> list[str]:
             return sorted({ref.vnfd_id for ref in du_ref_pool if ref.il_id in du.il_subset.level_ids})
         gnb_sites = {site for du in gnb.dus for site in du.served_cell_sites}
-        gnb_rus = sorted(ru.ru_id for ru in rus if ru.location.cell_site in gnb_sites)
+        gnb_rus = sorted(ru_id for site in gnb_sites for ru_id in ru_ids_by_site.get(site, ()))
         manifest_gnbs.append(
             {
                 "gnb_id": gnb.gnb_id,

@@ -272,12 +272,11 @@ def _exact_cu_assignment(
             assigned = _match_slots(dus, compat, slots, capacity)
             if assigned is None:
                 continue
-            groups: list[tuple[str, list[DuPlan]]] = []
-            for pop in sorted(slots):
-                members = sorted((d for d in dus if assigned[d.du_id] == pop), key=lambda d: d.du_id)
-                for i in range(0, len(members), capacity):
-                    groups.append((pop, members[i:i + capacity]))
-            return groups
+            members: dict[str, list[DuPlan]] = {pop: [] for pop in sorted(slots)}
+            for du in dus:
+                members[assigned[du.du_id]].append(du)
+            return [(pop, group[i:i + capacity]) for pop, group in members.items()
+                    for i in range(0, len(group), capacity)]
     raise AssertionError("one CU per DU is always feasible here")  # pragma: no cover
 
 
@@ -286,26 +285,24 @@ def _greedy_cu_assignment(
 ) -> list[tuple[str, list[DuPlan]]]:
     """First-fit over edge PoPs ordered by feasible-DU count (ties by id).
 
-    Each PoP's unassigned feasible DUs, in ``du_id`` order, and their count
-    are built once; placing a CU drops the DUs it takes from the counts of
-    every PoP they reach.
+    ``dus`` come in ``du_id`` order.  Each PoP's unassigned feasible DUs,
+    in that order, and their count are built once; placing a CU drops the
+    DUs it takes from the counts of every PoP they reach.
     """
-    by_id = {du.du_id: du for du in dus}
-    reach = {du_id: list(dict.fromkeys(compat[du_id])) for du_id in by_id}  # a repeated PoP counts once
     feasible: dict[str, list[DuPlan]] = {}
-    for du_id in sorted(by_id):
-        for pop in reach[du_id]:
-            feasible.setdefault(pop, []).append(by_id[du_id])
+    for du in dus:
+        for pop in compat[du.du_id]:
+            feasible.setdefault(pop, []).append(du)
     counts = {pop: len(members) for pop, members in feasible.items()}
     assigned: set[str] = set()
     groups: list[tuple[str, list[DuPlan]]] = []
-    while len(assigned) < len(by_id):
+    while len(assigned) < len(compat):
         pop = min(counts, key=lambda p: (-counts[p], p))
         members = [du for du in feasible[pop] if du.du_id not in assigned]
         take, feasible[pop] = members[:capacity], members[capacity:]
         for du in take:
             assigned.add(du.du_id)
-            for other in reach[du.du_id]:
+            for other in compat[du.du_id]:
                 counts[other] -= 1
         groups.append((pop, take))
     return groups
@@ -329,7 +326,7 @@ def assign_dus_to_cus(
     if not dus:
         raise ValueError("at least one DU is required")
     budget = config.cu_du_latency_budget_ms
-    edge_pop_ids = [p.pop_id for p in area.edge_pops()]
+    edge_pop_ids = list(dict.fromkeys(p.pop_id for p in area.edge_pops()))  # a repeated PoP counts once
     reachable_from: dict[str, list[str]] = {host_pop: [] for host_pop in {du.host_pop for du in dus}}
     for pop_id in edge_pop_ids:
         row = area.latency_row(pop_id, budget)
@@ -357,7 +354,7 @@ def assign_dus_to_cus(
                 "NO_MATCHING_SUBSET",
                 f"CU VNFD {cu_vnfd.descriptor_id} has no IL subset for {len(members)} served DUs",
             )
-        skeletons.append(GnbSkeleton(pop, subset, tuple(sorted(members, key=lambda d: d.du_id))))
+        skeletons.append(GnbSkeleton(pop, subset, tuple(members)))
     return sorted(skeletons, key=lambda s: (s.cu_host_pop, s.dus[0].du_id))
 
 

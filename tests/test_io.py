@@ -412,6 +412,25 @@ def test_greedy_plans_and_bundles_at_scale_match_their_pins(n_regions):
     assert _scaled_digests(n_regions) == pins[str(n_regions)]
 
 
+@pytest.mark.parametrize("n_regions, missing_rus", [(100, 9), (100, 10), (800, 4800)])
+def test_dangling_message_lists_at_most_ten_problems(n_regions, missing_rus):
+    # The greedy plan of every region, emitted against a catalog that lacks
+    # the first RU PNFDs: one problem per missing RU, then one for their sites.
+    area = docgen.grid_area(random.Random(n_regions), n_regions, n_regions // 10)
+    request = dataclasses.replace(reference_requests()[Sst.URLLC],
+                                  target_regions=tuple(region.region_id for region in area.regions))
+    catalog = dataclasses.replace(docgen.suburban_catalog(), ru_pnfds=area.rus)
+    plan = plan_slice(request, Sst.URLLC, area, catalog)
+    lacking = dataclasses.replace(catalog, ru_pnfds=area.rus[missing_rus:])
+    problems = verify_plan(plan, None, lacking)
+    assert len(problems) == missing_rus + 1
+    with pytest.raises(DocumentError) as err:
+        emit_onboarding_bundle(plan, lacking)
+    assert (err.value.code, err.value.stage) == ("DANGLING_PLAN_REFERENCE", None)
+    more = [f"and {len(problems) - 10} more, {len(problems)} in all"] if len(problems) > 10 else []
+    assert err.value.args[0] == "; ".join(problems[:10] + more)
+
+
 class TestStrictParsing:
     def test_truncated_document_reports_position(self, catalog):
         text = serialize_document(envelope_for(catalog))[:200]

@@ -120,7 +120,7 @@ def test_public_names_resolve():
     assert set(ranslicer.__all__) <= set(dir(ranslicer))
     for name in ranslicer.__all__:
         assert namespace[name] is getattr(ranslicer, name), name
-        assert getattr(ranslicer, name).__module__.startswith("ranslicer."), name
+        assert getattr(ranslicer, name).__module__ == f"ranslicer.{ranslicer._HOMES[name]}", name
     assert set(namespace) - {"__builtins__"} == set(ranslicer.__all__)
 
 

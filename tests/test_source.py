@@ -11,8 +11,10 @@ MODULES = sorted(p.name for p in SOURCE.glob("*.py"))
 
 def _unused_imports(text: str) -> list[str]:
     """Names bound by the module-level imports of ``text`` that the module
-    neither reads nor lists in ``__all__``.  ``__future__`` imports and
-    import statements marked ``# noqa: F401`` are exempt."""
+    neither reads nor lists in ``__all__``.  Only an ``__all__`` written as
+    a literal list or tuple lists names; a computed one lists none.
+    ``__future__`` imports and import statements marked ``# noqa: F401``
+    are exempt."""
     tree = ast.parse(text)
     lines = text.splitlines()
     imported: dict[str, int] = {}
@@ -27,7 +29,8 @@ def _unused_imports(text: str) -> list[str]:
             imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used.update(ast.literal_eval(node.value))
     return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda item: item[1])
             if name not in used]
@@ -53,6 +56,14 @@ def test_unused_import_check_sees_what_it_should():
         "print(os.sep, inf)",
     ])
     assert _unused_imports(text) == ["line 3: osp", "line 4: pi"]
+    # A computed __all__ lists no names; a literal tuple does.
+    computed = "\n".join([
+        "from sys import argv",
+        "from os import sep",
+        "__all__ = sorted({'argv': 'sys'})",
+        "__all__ = ('sep',)",
+    ])
+    assert _unused_imports(computed) == ["line 1: argv"]
 
 
 def _frozen_dataclasses(text: str) -> list[str]:
