@@ -53,13 +53,18 @@ re-indented to the depth the subset is met at, keeping the text of the
 last depth.
 
 An object's decoder is generated from source and compiled, once per
-class, as ``model.record`` generates ``__init__``.  The decoder checks
-``str``, ``int`` and ``float`` fields in place, calls the other fields'
-decoders, and passes the values to the class's own constructor;
-``ranslicer plan`` compiles 33, about 4 ms per process.  Writers compile
-nothing.  Error paths are built only when a decode fails: a decoder takes
-just the JSON value, and each enclosing object or array catches a
-PARSE_ERROR on its way out and prepends ``.key`` or ``[i]``.
+class, as ``model.record`` generates ``__init__``.  The decoder tests the
+object's key count, checks ``str``, ``int`` and ``float`` fields in
+place, calls the other fields' decoders, and passes the values to the
+class's own constructor; ``ranslicer plan`` compiles 33, about 4 ms per
+process.  Its keys are compared with the class's only when the decode
+fails, so a wrong shape still wins over a field's fault.  An array of
+objects is decoded by one list comprehension; an array of ``str`` or
+``int`` items of exactly that type is taken after one pass over the item
+types.  Writers compile nothing.  Error paths are built only when a
+decode fails: a decoder takes just the JSON value, and each enclosing
+object or array catches a PARSE_ERROR on its way out and prepends
+``.key`` or ``[i]`` (an array finds the failing item's index then).
 
 The onboarding bundle is just its files: ``emit_onboarding_bundle``
 returns a dict of file name -> canonical text, and ``write_bundle``
@@ -104,6 +109,7 @@ from .model import (
     SNssai,
     Sst,
     SubsetKey,
+    listed,
     record,
 )
 from .planner import PlannerConfig, SlicePlan, verify_plan
@@ -267,7 +273,10 @@ def _object_decoder(make, entries, tag: str | None = None) -> Callable:
     tuple of several arguments.  The decoder is generated and compiled here,
     as ``model.record`` generates ``__init__``: it checks the ``_INLINE``
     leaves in place, calls the other entries' decoders (``d0``, ``d1``, ...)
-    and keeps the key it reads in ``k``.
+    and keeps the key it reads in ``k``.  Up front it tests only the key
+    count; an object with as many keys but other ones fails to decode (a
+    missing key, or a fault read first), and only then are the keys
+    compared, so a wrong shape still wins over any field's fault.
     """
     keys = frozenset([key for key, *_ in entries] + (["kind"] if tag else []))
     ns = {"make": make, "keys": keys, "_shape": _shape, "_fault": _fault, "faults": (DocumentError, ValueError)}
@@ -276,10 +285,15 @@ def _object_decoder(make, entries, tag: str | None = None) -> Callable:
         ns[f"d{i}"], get, inline = decode, f"value[k := {key!r}]", _INLINE.get(decode)
         args.append(f"v if {inline.format(get)} else d{i}(v)" if inline else f"{'*' * spread}d{i}({get})")
     source = ("def decode(value):\n"
-              " if value.__class__ is not dict or value.keys() != keys: _shape(value, keys)\n"
+              f" if value.__class__ is not dict or len(value) != {len(keys)}: _shape(value, keys)\n"
               " try:\n"
               "  return make(\n   " + ",\n   ".join(args) + ")\n"
-              " except faults as err: _fault(err, k)")
+              " except faults as err:\n"
+              "  _shape(value, keys)\n"
+              "  _fault(err, k)\n"
+              " except KeyError:\n"
+              "  _shape(value, keys)\n"
+              "  raise")
     exec(compile(source, f"<decoder of {make.__qualname__}>", "exec"), ns)  # the name shows in tracebacks
     return ns["decode"]
 
@@ -363,20 +377,35 @@ def _dataclass_codec(cls, tag: str | None = None) -> _Codec:
     return _Codec(write, _object_decoder(cls, entries, tag))
 
 
+def _first_rejected(decode_item: Callable, items: list) -> int:
+    """The index of the first item ``decode_item`` rejects, in an array whose decode failed."""
+    for i, item in enumerate(items):
+        try:
+            decode_item(item)
+        except DocumentError:
+            return i
+    raise AssertionError("an array decode failed once and not again")  # pragma: no cover
+
+
 def _array_decoder(decode_item: Callable, make) -> Callable:
-    """The decoder of a JSON array into ``make(items)``."""
+    """The decoder of a JSON array into ``make(items)``.  An array of
+    strings or integers whose items all have that exact type is taken as it
+    is, after one pass over the item types; any other item (a ``bool`` in an
+    integer array too) goes to ``decode_item``, which rejects it.  Other
+    arrays are decoded by one list comprehension, and the failing item's
+    index is found only when it raises."""
+    only = {_str: {str}, _int: {int}}.get(decode_item)
 
     def decode(value):
         if not isinstance(value, list):
             raise _fail("expected an array")
-        items: list = []
+        if only is not None and set(map(type, value)) <= only:
+            return make(value)
         try:
-            for x in value:
-                items.append(decode_item(x))
+            return make([decode_item(x) for x in value])
         except DocumentError as err:
-            err.path = f"[{len(items)}]{err.path}"
+            err.path = f"[{_first_rejected(decode_item, value)}]{err.path}"
             raise
-        return make(items)
 
     return decode
 
@@ -783,10 +812,6 @@ def _dangling(message: str) -> DocumentError:
     return DocumentError("DANGLING_PLAN_REFERENCE", message)
 
 
-# How many of a plan's problems a DANGLING_PLAN_REFERENCE message lists.
-_LISTED_PROBLEMS = 10
-
-
 def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> dict[str, str]:
     """The files a plan hands to the orchestrator, by file name: the
     flavor/IL manifest, the selected RUs' PNFDs, and an excerpt of the gNB
@@ -795,15 +820,13 @@ def emit_onboarding_bundle(plan: SlicePlan, catalog: Catalog) -> dict[str, str]:
 
     The plan is first re-verified against the catalog alone, by
     ``verify_plan`` without an area; its problems, joined by "; ", fail
-    with one DANGLING_PLAN_REFERENCE.  Past ``_LISTED_PROBLEMS`` problems
-    the message lists that many and states the total.  A gNB IL's
-    reference to a VNFD IL that no longer resolves fails the same way.
+    with one DANGLING_PLAN_REFERENCE.  Past ten problems the message lists
+    ten and states the total (``model.listed``).  A gNB IL's reference to a
+    VNFD IL that no longer resolves fails the same way.
     """
     problems = verify_plan(plan, None, catalog)
-    if len(problems) > _LISTED_PROBLEMS:
-        problems[_LISTED_PROBLEMS:] = [f"and {len(problems) - _LISTED_PROBLEMS} more, {len(problems)} in all"]
     if problems:
-        raise _dangling("; ".join(problems))
+        raise _dangling("; ".join(listed(problems)))
     nsd = catalog.gnb_nsd(plan.nsst.nsd_ref)
     rus = [catalog.ru(ru_id) for ru_id in plan.selected_rus]
     ru_ids_by_site: dict[str, list[str]] = {}

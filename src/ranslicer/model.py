@@ -107,19 +107,36 @@ def _record_repr(self) -> str:
     return f"{self.__class__.__qualname__}({fields})"
 
 
+def _record_getstate(self) -> list:
+    return [getattr(self, name) for name in self.__match_args__]
+
+
+def _record_setstate(self, state: list) -> None:
+    for name, value in zip(self.__match_args__, state):
+        object.__setattr__(self, name, value)
+
+
 def record(cls):
     """``@dataclass(frozen=True)`` for the package's records, built for a
     fraction of its import cost: dataclasses compiles six methods per class,
     each by its own ``exec``.
 
-    The frozen guards and ``__repr__`` are shared by every record.
-    ``__init__`` (fields written through a bound ``object.__setattr__``,
-    then ``__post_init__``), ``__eq__`` and ``__hash__`` (dataclasses' tuple
-    forms) are generated per class and compiled by one ``exec``.  Then
-    ``dataclass(cls, init=False, repr=False, eq=False)`` adds the fields and
-    ``__match_args__``.  Every record has an authored docstring, so
-    dataclasses builds no ``__doc__`` from its signature.  Fields,
-    ``replace``, ``asdict``, equality, hashes, ``repr``,
+    Records are slotted: ``__slots__`` holds the field names, plus
+    ``__dict__`` for a record that defines a ``cached_property`` index
+    (``IlSubset``, ``Flavor``, ``Catalog``, ``DeploymentArea``), whose
+    indexes live there.  Records take no weak references; nothing makes one.
+    A class that exists cannot gain slots, so the record is made again from
+    its namespace, as ``dataclass(slots=True)`` does.
+
+    The frozen guards, ``__repr__`` and ``__getstate__``/``__setstate__``
+    (the list of field values, so records pickle at every protocol and
+    copy) are shared by every record.  ``__init__`` (each field written
+    through its slot's setter, then ``__post_init__``), ``__eq__`` and
+    ``__hash__`` (dataclasses' tuple forms) are generated per class and
+    compiled by one ``exec``.  ``dataclass(cls, init=False, repr=False,
+    eq=False)`` adds the fields and ``__match_args__``.  Every record has an
+    authored docstring, so dataclasses builds no ``__doc__`` from its
+    signature.  Fields, ``replace``, ``asdict``, equality, hashes, ``repr``,
     ``FrozenInstanceError`` and pickling behave as on a stock frozen
     dataclass; only ``__dataclass_params__`` differs, reading
     ``frozen=False`` and ``eq=False``.  A record's fields are plain annotated
@@ -127,11 +144,22 @@ def record(cls):
     """
     annotations = cls.__dict__.get("__annotations__", {})
     defaults = {f"_dflt_{name}": cls.__dict__[name] for name in annotations if name in cls.__dict__}
+    dataclass(cls, init=False, repr=False, eq=False)
+    if tuple(cls.__dataclass_fields__) != tuple(annotations):
+        raise TypeError(f"{cls.__qualname__}: a record's fields are its plain annotated names")
+    namespace = {name: value for name, value in cls.__dict__.items()
+                 if name not in annotations and name not in ("__dict__", "__weakref__")}
+    indexed = any(isinstance(value, cached_property) for value in namespace.values())
+    namespace.update(__slots__=(*annotations, *(["__dict__"] if indexed else [])),
+                     __setattr__=_frozen_setattr, __delattr__=_frozen_delattr, __repr__=_record_repr,
+                     __getstate__=_record_getstate, __setstate__=_record_setstate)
+    qualname, cls = cls.__qualname__, type(cls.__name__, cls.__bases__, namespace)
+    cls.__qualname__ = qualname
     params = [f"{name}=_dflt_{name}" if f"_dflt_{name}" in defaults else name for name in annotations]
     mine, theirs = (f"({','.join(f'{obj}.{name}' for name in annotations)},)" for obj in ("self", "other"))
     source = "\n".join([
         f"def __init__(self, {', '.join(params)}):",
-        *(f" _set(self, {name!r}, {name})" for name in annotations),
+        *(f" _set{i}(self, {name})" for i, name in enumerate(annotations)),
         *([" self.__post_init__()"] if hasattr(cls, "__post_init__") else []),
         "def __eq__(self, other):",
         " if other.__class__ is self.__class__:",
@@ -140,16 +168,13 @@ def record(cls):
         "def __hash__(self):",
         f" return hash({mine})",
     ])
-    ns = {"__name__": cls.__module__, "_set": object.__setattr__, **defaults}
-    exec(compile(source, f"<record {cls.__qualname__}>", "exec"), ns)
+    setters = {f"_set{i}": cls.__dict__[name].__set__ for i, name in enumerate(annotations)}
+    ns = {"__name__": cls.__module__, **defaults, **setters}
+    exec(compile(source, f"<record {qualname}>", "exec"), ns)
     ns["__init__"].__annotations__ = {**annotations, "return": None}
     for name in ("__init__", "__eq__", "__hash__"):
-        ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        ns[name].__qualname__ = f"{qualname}.{name}"
         setattr(cls, name, ns[name])
-    cls.__setattr__, cls.__delattr__, cls.__repr__ = _frozen_setattr, _frozen_delattr, _record_repr
-    dataclass(cls, init=False, repr=False, eq=False)
-    if tuple(cls.__dataclass_fields__) != tuple(annotations):
-        raise TypeError(f"{cls.__qualname__}: a record's fields are its plain annotated names")
     return cls
 
 
@@ -605,3 +630,9 @@ def repeats(ids: Sequence[str]) -> dict[str, int]:
     """The one repeated-id rule: each id listed more than once, with its count, in first-seen
     order.  It counts only after a ``set`` shows a repeat, as a ``Counter`` costs twice as much."""
     return {} if len(set(ids)) == len(ids) else {i: n for i, n in Counter(ids).items() if n > 1}
+
+
+def listed(items: list[str]) -> list[str]:
+    """The one bound on a listing in a message: the first ten items, then
+    ``and N more, T in all`` when there are more."""
+    return items if len(items) <= 10 else [*items[:10], f"and {len(items) - 10} more, {len(items)} in all"]

@@ -18,6 +18,7 @@ Every emitted plan is re-checked by an independent verifier pass.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections.abc import Sequence
@@ -42,6 +43,7 @@ from .model import (
     SNssai,
     Sst,
     level_capacity_mbps,
+    listed,
     record,
     repeats,
 )
@@ -287,23 +289,32 @@ def _greedy_cu_assignment(
 
     ``dus`` come in ``du_id`` order.  Each PoP's unassigned feasible DUs,
     in that order, and their count are built once; placing a CU drops the
-    DUs it takes from the counts of every PoP they reach.
+    DUs it takes from the counts of every PoP they reach.  The next PoP is
+    the top of a heap of ``(-count, PoP id)``: counts only fall, so an
+    entry whose count is stale goes back with the current count, and the
+    first current entry is the PoP with the most DUs, the smallest id on a tie.
     """
     feasible: dict[str, list[DuPlan]] = {}
     for du in dus:
         for pop in compat[du.du_id]:
             feasible.setdefault(pop, []).append(du)
     counts = {pop: len(members) for pop, members in feasible.items()}
+    heap = [(-count, pop) for pop, count in counts.items()]
+    heapq.heapify(heap)
     assigned: set[str] = set()
     groups: list[tuple[str, list[DuPlan]]] = []
     while len(assigned) < len(compat):
-        pop = min(counts, key=lambda p: (-counts[p], p))
+        count, pop = heapq.heappop(heap)
+        if -count != counts[pop]:
+            heapq.heappush(heap, (-counts[pop], pop))
+            continue
         members = [du for du in feasible[pop] if du.du_id not in assigned]
         take, feasible[pop] = members[:capacity], members[capacity:]
         for du in take:
             assigned.add(du.du_id)
             for other in compat[du.du_id]:
                 counts[other] -= 1
+        heapq.heappush(heap, (-counts[pop], pop))
         groups.append((pop, take))
     return groups
 
@@ -318,8 +329,9 @@ def assign_dus_to_cus(
 
     A DU is compatible with an edge PoP when the transport latency from
     the PoP to the DU's aggregation PoP stays within the CU-DU budget.
-    Each edge PoP's latency row is read once, cut at the budget, and the
-    DUs on one aggregation PoP share one list of compatible edge PoPs.
+    The DUs on one aggregation PoP share its list of compatible edge PoPs,
+    read from the area's reach index for the budget
+    (``DeploymentArea.edge_reach``), which is built once per area and budget.
     Each CU takes the CU IL subset ``Flavor.covering_subset`` picks for its
     DU count; the CU capacity is the largest CU level's ``max_dus``.
     """
@@ -327,14 +339,9 @@ def assign_dus_to_cus(
         raise ValueError("at least one DU is required")
     budget = config.cu_du_latency_budget_ms
     edge_pop_ids = list(dict.fromkeys(p.pop_id for p in area.edge_pops()))  # a repeated PoP counts once
-    reachable_from: dict[str, list[str]] = {host_pop: [] for host_pop in {du.host_pop for du in dus}}
-    for pop_id in edge_pop_ids:
-        row = area.latency_row(pop_id, budget)
-        for host_pop, reachable in reachable_from.items():
-            if row.get(host_pop, math.inf) <= budget:
-                reachable.append(pop_id)
+    reach = area.edge_reach(budget)
     ordered = sorted(dus, key=lambda d: d.du_id)
-    compat = {du.du_id: reachable_from[du.host_pop] for du in ordered}
+    compat = {du.du_id: reach.get(du.host_pop, []) for du in ordered}
     stranded = [du_id for du_id, pops in compat.items() if not pops]
     if stranded:
         raise PlannerError(
@@ -517,7 +524,8 @@ def verify_plan(
     plan_slice selects (the catalog's for an id the area lacks), and a DU
     may serve only cell sites whose RU is in its region.  Without an area,
     coverage is checked against the catalog's RUs, and the CU hosts,
-    latencies, DU hosts and region ids go unchecked.
+    latencies, DU hosts and region ids go unchecked.  A coverage problem
+    names at most ten cell sites and states the total (``model.listed``).
     """
     config = config or PlannerConfig()
     problems: list[str] = []
@@ -642,7 +650,7 @@ def verify_plan(
                     for name, own, other in off_region)
     served = set(site_owner)
     if missing := sorted(ru_sites - served):
-        problems.append(f"cell sites of selected RUs not served: {', '.join(missing)}")
+        problems.append(f"cell sites of selected RUs not served: {', '.join(listed(missing))}")
     if extra := sorted(served - ru_sites):
-        problems.append(f"served cell sites without a selected RU: {', '.join(extra)}")
+        problems.append(f"served cell sites without a selected RU: {', '.join(listed(extra))}")
     return problems

@@ -7,14 +7,15 @@ are immutable once loaded; all queries are read-only.
 Lookups are indexed on first use and memoised per area object: the
 region-id, PoP-id and RU-id indexes (the first entry wins on duplicate ids,
 which ``check_area`` reports), the RUs of each region, the edge PoPs in
-id order, one adjacency map of the links and, for each source PoP asked
+id order, one adjacency map of the links, for each source PoP asked
 about, one row of shortest-path latencies together with the bound it is
-exact to.  The memo is not a dataclass field, so it is invisible to
+exact to, and for each CU-DU budget asked about, the edge PoPs within it
+of every PoP.  The memo is not a dataclass field, so it is invisible to
 equality, hashing, ``dataclasses.replace`` and serialization.  Filling it
 is idempotent and every row is exact up to its bound, so two threads that
-race on one source each get a correct row (the race can cost one more
-search later, never a wrong latency) and concurrent planning on one area
-stays safe.
+race on one source or budget each get a correct entry (the race can cost
+one more search later, never a wrong latency) and concurrent planning on
+one area stays safe.
 """
 
 from __future__ import annotations
@@ -120,6 +121,11 @@ class DeploymentArea:
         """Source PoP id -> (bound, the row ``latency_row`` returns for it)."""
         return {}
 
+    @cached_property
+    def _reaches(self) -> dict[float, dict[str, list[str]]]:
+        """Budget -> the index ``edge_reach`` returns for it."""
+        return {}
+
     def region(self, region_id: str) -> Region | None:
         return self._regions_by_id.get(region_id)
 
@@ -131,6 +137,21 @@ class DeploymentArea:
 
     def edge_pops(self) -> tuple[Pop, ...]:
         return self._edge_pops
+
+    def edge_reach(self, budget: float) -> dict[str, list[str]]:
+        """PoP id -> the ids of the edge PoPs within ``budget`` ms of it, in
+        ``edge_pops`` order (a repeated edge PoP once); a PoP no edge PoP
+        reaches is absent.  Built once per budget, by one walk over each edge
+        PoP's latency row cut at ``budget``."""
+        reach = self._reaches.get(budget)
+        if reach is None:
+            reach = {}
+            for edge_id in dict.fromkeys(p.pop_id for p in self._edge_pops):
+                for pop_id, latency in self.latency_row(edge_id, budget).items():
+                    if latency <= budget:
+                        reach.setdefault(pop_id, []).append(edge_id)
+            self._reaches[budget] = reach
+        return reach
 
     def latency_row(self, source: str, bound: float) -> dict[str, float]:
         """Shortest-path latency from ``source`` to every PoP within ``bound``

@@ -390,14 +390,21 @@ def test_concurrent_serializes_match_serial_ones(catalog, area, requests):
         assert results[name] == [text] * 20, name
 
 
-def _scaled_digests(n_regions: int) -> dict[str, str]:
-    """SHA-256 of the greedy plan of every region of a ``docgen.grid_area``
-    (one edge PoP per ten regions), and of the plan's bundle."""
+def _every_region_plan(n_regions: int):
+    """The area, catalog and greedy plan of every region of a
+    ``docgen.grid_area`` (one edge PoP per ten regions), planned against
+    ``suburban_catalog`` given the area's RU PNFDs."""
     area = docgen.grid_area(random.Random(n_regions), n_regions, n_regions // 10)
     request = dataclasses.replace(reference_requests()[Sst.URLLC],
                                   target_regions=tuple(region.region_id for region in area.regions))
     catalog = dataclasses.replace(docgen.suburban_catalog(), ru_pnfds=area.rus)
-    plan = plan_slice(request, Sst.URLLC, area, catalog)
+    return area, catalog, plan_slice(request, Sst.URLLC, area, catalog)
+
+
+def _scaled_digests(n_regions: int) -> dict[str, str]:
+    """SHA-256 of the greedy plan of every region of a ``docgen.grid_area``
+    (one edge PoP per ten regions), and of the plan's bundle."""
+    _, catalog, plan = _every_region_plan(n_regions)
     bundle = emit_onboarding_bundle(plan, catalog)
     texts = {"plan": serialize_document(envelope_for(plan)),
              "bundle": "".join(f"{name}\n{text}" for name, text in sorted(bundle.items()))}
@@ -416,11 +423,7 @@ def test_greedy_plans_and_bundles_at_scale_match_their_pins(n_regions):
 def test_dangling_message_lists_at_most_ten_problems(n_regions, missing_rus):
     # The greedy plan of every region, emitted against a catalog that lacks
     # the first RU PNFDs: one problem per missing RU, then one for their sites.
-    area = docgen.grid_area(random.Random(n_regions), n_regions, n_regions // 10)
-    request = dataclasses.replace(reference_requests()[Sst.URLLC],
-                                  target_regions=tuple(region.region_id for region in area.regions))
-    catalog = dataclasses.replace(docgen.suburban_catalog(), ru_pnfds=area.rus)
-    plan = plan_slice(request, Sst.URLLC, area, catalog)
+    area, catalog, plan = _every_region_plan(n_regions)
     lacking = dataclasses.replace(catalog, ru_pnfds=area.rus[missing_rus:])
     problems = verify_plan(plan, None, lacking)
     assert len(problems) == missing_rus + 1
@@ -429,6 +432,27 @@ def test_dangling_message_lists_at_most_ten_problems(n_regions, missing_rus):
     assert (err.value.code, err.value.stage) == ("DANGLING_PLAN_REFERENCE", None)
     more = [f"and {len(problems) - 10} more, {len(problems)} in all"] if len(problems) > 10 else []
     assert err.value.args[0] == "; ".join(problems[:10] + more)
+
+
+def test_coverage_problems_list_at_most_ten_sites():
+    # Without its selected RUs, the plan of every region of 800 serves
+    # 4,800 cell sites that no selected RU covers: one problem, ten sites named.
+    _, catalog, plan = _every_region_plan(800)
+    sites = sorted(site for gnb in plan.gnbs for du in gnb.dus for site in du.served_cell_sites)
+    bare = dataclasses.replace(plan, selected_rus=())
+    expected = (f"served cell sites without a selected RU: {', '.join(sites[:10])}, "
+                f"and {len(sites) - 10} more, {len(sites)} in all")
+    assert len(sites) == 4800 and verify_plan(bare, None, catalog) == [expected]
+    with pytest.raises(DocumentError) as err:
+        emit_onboarding_bundle(bare, catalog)
+    assert err.value.args[0] == expected
+    # The other coverage problem: selected RUs whose sites no DU serves.
+    unserved = dataclasses.replace(plan, gnbs=plan.gnbs[:1])
+    problems = verify_plan(unserved, None, catalog)
+    served = {site for du in plan.gnbs[0].dus for site in du.served_cell_sites}
+    missing = [site for site in sites if site not in served]
+    assert (f"cell sites of selected RUs not served: {', '.join(missing[:10])}, "
+            f"and {len(missing) - 10} more, {len(missing)} in all") in problems
 
 
 class TestStrictParsing:
@@ -979,6 +1003,30 @@ def document_bodies(catalog, area, policy, requests):
     return {envelope_for(b).kind: serialize_document(envelope_for(b)) for b in bodies}
 
 
+# Documents with several faults: (kind, [(location, value or _DROP), ...]) and
+# the one (code, path, message) the parser reports.  A wrong shape wins over
+# any field's fault, and an array reports its first failing item.
+_MULTI_FAULT_CASES = {
+    "shape-beats-earlier-field": (
+        "CATALOG", [(("ru_pnfds", 0, "location", "region_id"), 5), (("ru_pnfds", 0, "location", "x_km"), _DROP),
+                    (("ru_pnfds", 0, "location", "z_km"), 0.0)],
+        ("PARSE_ERROR", "body.ru_pnfds[0].location", "unknown field(s): z_km"),
+    ),
+    "shape-with-missing-last-field": (
+        "CATALOG", [(("ru_pnfds", 3, "location", "y_km"), _DROP), (("ru_pnfds", 3, "location", "z_km"), 0.0)],
+        ("PARSE_ERROR", "body.ru_pnfds[3].location", "unknown field(s): z_km"),
+    ),
+    "string-array-first-failing-item": (
+        "TOPOLOGY", [(("regions", 0, "cell_sites", 3), True), (("regions", 0, "cell_sites", 6), 7)],
+        ("PARSE_ERROR", "body.regions[0].cell_sites[3]", "expected a string"),
+    ),
+    "object-array-first-failing-item": (
+        "CATALOG", [(("ru_pnfds", 4, "ru_id"), 5), (("ru_pnfds", 9, "connection_tech"), "WIFI")],
+        ("PARSE_ERROR", "body.ru_pnfds[4].ru_id", "expected a string"),
+    ),
+}
+
+
 @pytest.mark.parametrize("case", sorted(_DIAGNOSTIC_CASES))
 def test_single_fault_diagnostics(case, document_bodies):
     kind, where, value, expected = _DIAGNOSTIC_CASES[case]
@@ -993,6 +1041,32 @@ def test_single_fault_diagnostics(case, document_bodies):
     with pytest.raises(DocumentError) as err:
         parse_document(json.dumps(raw))
     assert (err.value.code, err.value.path, err.value.args[0]) == expected
+
+
+@pytest.mark.parametrize("case", sorted(_MULTI_FAULT_CASES))
+def test_multi_fault_diagnostics(case, document_bodies):
+    kind, edits, expected = _MULTI_FAULT_CASES[case]
+    raw = json.loads(document_bodies[kind])
+    for where, value in edits:
+        parent = raw["body"]
+        for step in where[:-1]:
+            parent = parent[step]
+        if value is _DROP:
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = value
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(raw))
+    assert (err.value.code, err.value.path, err.value.args[0]) == expected
+
+
+def test_integer_array_rejects_a_boolean_at_its_index():
+    # No document carries an integer array, so its codec is read directly.
+    decode = io_module._codec(tuple[int, ...]).decode
+    assert decode([1, 2]) == (1, 2) and decode([]) == ()
+    with pytest.raises(DocumentError) as err:
+        decode([1, True])
+    assert (err.value.path, err.value.args[0]) == ("[1]", "expected an integer")
 
 
 # Keys whose value is an array of two-element arrays: a fault in either item

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import operator
 import pickle
+import weakref
 from pathlib import Path
 
 import pytest
@@ -481,8 +482,12 @@ def test_records_match_stock_frozen_dataclasses():
             assert x.__eq__(y) is NotImplemented and y.__eq__(x) is NotImplemented, cls
             assert x.__eq__(None) is NotImplemented and x != y and not x == y, cls
             assert dataclasses.asdict(x) == dataclasses.asdict(y), cls
-            back = pickle.loads(pickle.dumps(x))  # a rebuilt frozenset may iterate in another order
-            assert type(back) is cls and back is not x and back == x and hash(back) == hash(x), cls
+            # a rebuilt frozenset may iterate in another order
+            for back in [pickle.loads(pickle.dumps(x, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
+                assert type(back) is cls and back is not x and back == x and hash(back) == hash(x), cls
+            shallow = copy.copy(x)
+            assert type(shallow) is cls and shallow is not x and shallow == x, cls
+            assert all(getattr(shallow, name) is getattr(x, name) for name in names), cls
         # each instance with the next (mostly unequal) and with an equal copy, both ways
         for (x1, y1), (x2, y2) in [*zip(zip(xs, ys), zip(xs[1:], ys[1:])),
                                    ((xs[0], ys[0]), (copy.deepcopy(xs[0]), copy.deepcopy(ys[0])))]:
@@ -492,3 +497,22 @@ def test_records_match_stock_frozen_dataclasses():
         assert repr(dataclasses.replace(xs[0], **changes)) == repr(dataclasses.replace(ys[0], **changes)), cls
         for name in (names[0], "not_a_field"):
             assert _frozen_messages(xs[0], name) == _frozen_messages(ys[0], name), (cls, name)
+
+
+def test_records_are_slotted():
+    """A record's slots are its fields, plus ``__dict__`` for a record with
+    ``cached_property`` indexes (``tests/test_source.py`` checks which); it
+    takes no weak references."""
+    for cls, xs in _parsed_instances().items():
+        assert set(cls.__slots__) - {"__dict__"} == {f.name for f in dataclasses.fields(cls)}, cls
+        assert hasattr(xs[0], "__dict__") == ("__dict__" in cls.__slots__), cls
+        with pytest.raises(TypeError):
+            weakref.ref(xs[0])
+    assert not hasattr(SNssai(Sst.EMBB), "__dict__") and hasattr(IlSubset(CuSubsetKey(1, 2), ()), "__dict__")
+
+
+def test_post_init_writes_a_slotted_field():
+    # SNssai converts a plain int through object.__setattr__ in __post_init__.
+    nssai = SNssai(2, "a1")
+    assert nssai.sst is Sst.URLLC and nssai == SNssai(Sst.URLLC, "a1")
+    assert pickle.loads(pickle.dumps(nssai, 0)).sst is Sst.URLLC

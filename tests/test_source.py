@@ -1,6 +1,8 @@
-"""Static checks on the package source; ``ast`` only, so no linter is needed."""
+"""Static checks on the package source; ``ast`` only, so no linter is needed.  One
+check also imports the module, to compare a record's declaration with its class."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -142,3 +144,45 @@ def test_undocumented_record_check_sees_what_it_should():
         "        x: int",
     ])
     assert _undocumented_records(text) == ["A", "D"]
+
+
+def _indexed_records(text: str) -> dict[str, bool]:
+    """Classes of ``text`` decorated ``@record``, each with whether it defines
+    a ``cached_property``."""
+    def cached(node) -> bool:
+        return any(isinstance(dec, ast.Name) and dec.id == "cached_property" for dec in node.decorator_list)
+
+    return {node.name: any(isinstance(item, ast.FunctionDef) and cached(item) for item in node.body)
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(dec, ast.Name) and dec.id == "record" for dec in node.decorator_list)}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_records_keep_a_dict_only_for_their_indexes(module):
+    """A ``__dict__`` slot is where a record's ``cached_property`` indexes
+    live; a record without one builds, pickles and takes memory as fields
+    alone, so ``model.record`` must give the slot to exactly those records."""
+    records = _indexed_records((SOURCE / module).read_text())
+    if records:
+        found = vars(importlib.import_module(f"ranslicer.{module.removesuffix('.py')}"))
+        assert {name: "__dict__" in found[name].__slots__ for name in records} == records
+
+
+def test_indexed_record_check_sees_what_it_should():
+    text = "\n".join([
+        "@record",
+        "class A:",
+        "    x: int",
+        "    @cached_property",
+        "    def index(self): return {}",
+        "@record",
+        "class B:",
+        "    x: int",
+        "    @property",
+        "    def size(self): return 1",
+        "class C:",
+        "    @cached_property",
+        "    def index(self): return {}",
+    ])
+    assert _indexed_records(text) == {"A": True, "B": False}
