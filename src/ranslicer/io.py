@@ -59,12 +59,12 @@ place, calls the other fields' decoders, and passes the values to the
 class's own constructor; ``ranslicer plan`` compiles 33, about 4 ms per
 process.  Its keys are compared with the class's only when the decode
 fails, so a wrong shape still wins over a field's fault.  An array of
-objects is decoded by one list comprehension; an array of ``str`` or
-``int`` items of exactly that type is taken after one pass over the item
-types.  Writers compile nothing.  Error paths are built only when a
-decode fails: a decoder takes just the JSON value, and each enclosing
-object or array catches a PARSE_ERROR on its way out and prepends
-``.key`` or ``[i]`` (an array finds the failing item's index then).
+objects is decoded by one list comprehension; an array of ``str`` items
+is taken after one pass over the item types.  Writers compile nothing.
+Error paths are built only when a decode fails: a decoder takes just the
+JSON value, and each enclosing object or array catches a PARSE_ERROR on
+its way out and prepends ``.key`` or ``[i]`` (an array finds the failing
+item's index then).
 
 The onboarding bundle is just its files: ``emit_onboarding_bundle``
 returns a dict of file name -> canonical text, and ``write_bundle``
@@ -389,12 +389,11 @@ def _first_rejected(decode_item: Callable, items: list) -> int:
 
 def _array_decoder(decode_item: Callable, make) -> Callable:
     """The decoder of a JSON array into ``make(items)``.  An array of
-    strings or integers whose items all have that exact type is taken as it
-    is, after one pass over the item types; any other item (a ``bool`` in an
-    integer array too) goes to ``decode_item``, which rejects it.  Other
-    arrays are decoded by one list comprehension, and the failing item's
-    index is found only when it raises."""
-    only = {_str: {str}, _int: {int}}.get(decode_item)
+    strings whose items all are ``str`` is taken as it is, after one pass
+    over the item types.  Other arrays are decoded by one list
+    comprehension, and the failing item's index is found only when it
+    raises."""
+    only = {str} if decode_item is _str else None
 
     def decode(value):
         if not isinstance(value, list):
@@ -496,7 +495,8 @@ def _written(hint, value) -> _Text:
 def _written_once(cls) -> _Codec:
     """Override: the dataclass codec, but each object's canonical text is
     written once and kept, as a ``_Text``, in its ``__dict__`` (not a field,
-    so equality, hashing, ``repr`` and ``dataclasses`` do not see it).
+    so equality, hashing, ``repr`` and ``dataclasses`` do not see it); the
+    record's class declares ``__slots__ = ("__dict__",)`` for it.
     Filling it is idempotent: two threads that race on an object compute
     the same text."""
     codec = _dataclass_codec(cls)

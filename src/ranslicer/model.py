@@ -107,12 +107,12 @@ def _record_repr(self) -> str:
     return f"{self.__class__.__qualname__}({fields})"
 
 
-def _record_getstate(self) -> list:
-    return [getattr(self, name) for name in self.__match_args__]
+def _record_getstate(self) -> dict:
+    return {name: getattr(self, name) for name in self.__match_args__}
 
 
-def _record_setstate(self, state: list) -> None:
-    for name, value in zip(self.__match_args__, state):
+def _record_setstate(self, state: dict) -> None:
+    for name, value in state.items():
         object.__setattr__(self, name, value)
 
 
@@ -124,13 +124,16 @@ def record(cls):
     Records are slotted: ``__slots__`` holds the field names, plus
     ``__dict__`` for a record that defines a ``cached_property`` index
     (``IlSubset``, ``Flavor``, ``Catalog``, ``DeploymentArea``), whose
-    indexes live there.  Records take no weak references; nothing makes one.
+    indexes live there, or whose body declares ``__slots__ = ("__dict__",)``
+    for another cache (``IlSubset``, whose canonical text ``io`` keeps
+    there).  Records take no weak references; nothing makes one.
     A class that exists cannot gain slots, so the record is made again from
     its namespace, as ``dataclass(slots=True)`` does.
 
     The frozen guards, ``__repr__`` and ``__getstate__``/``__setstate__``
-    (the list of field values, so records pickle at every protocol and
-    copy) are shared by every record.  ``__init__`` (each field written
+    (a dict of field name to value, so records pickle at every protocol and
+    copy, and a pickle made while records kept their fields in ``__dict__``
+    still loads) are shared by every record.  ``__init__`` (each field written
     through its slot's setter, then ``__post_init__``), ``__eq__`` and
     ``__hash__`` (dataclasses' tuple forms) are generated per class and
     compiled by one ``exec``.  ``dataclass(cls, init=False, repr=False,
@@ -147,10 +150,13 @@ def record(cls):
     dataclass(cls, init=False, repr=False, eq=False)
     if tuple(cls.__dataclass_fields__) != tuple(annotations):
         raise TypeError(f"{cls.__qualname__}: a record's fields are its plain annotated names")
+    declared = cls.__dict__.get("__slots__", ())
+    if declared not in ((), ("__dict__",)):
+        raise TypeError(f"{cls.__qualname__}: a record may declare only __slots__ = ('__dict__',)")
     namespace = {name: value for name, value in cls.__dict__.items()
                  if name not in annotations and name not in ("__dict__", "__weakref__")}
-    indexed = any(isinstance(value, cached_property) for value in namespace.values())
-    namespace.update(__slots__=(*annotations, *(["__dict__"] if indexed else [])),
+    keeps_dict = declared or any(isinstance(value, cached_property) for value in namespace.values())
+    namespace.update(__slots__=(*annotations, *(["__dict__"] if keeps_dict else [])),
                      __setattr__=_frozen_setattr, __delattr__=_frozen_delattr, __repr__=_record_repr,
                      __getstate__=_record_getstate, __setstate__=_record_setstate)
     qualname, cls = cls.__qualname__, type(cls.__name__, cls.__bases__, namespace)
@@ -420,6 +426,8 @@ class IlSubset:
     ``level_ids``, the set of their IL ids, is built on first use and,
     like every index on a record, stays out of equality, hashing, ``repr``
     and the fields."""
+
+    __slots__ = ("__dict__",)  # io.py keeps the subset's canonical text here, as it writes it once
 
     key: SubsetKey
     levels: tuple[InstantiationLevel, ...]

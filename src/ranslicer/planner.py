@@ -221,7 +221,7 @@ def _cu_capacity(cu_vnfd: CuVnfd) -> int:
     return max(caps)
 
 
-def _match_slots(dus: list[DuPlan], compat: dict[str, list[str]], slots: dict[str, int], capacity: int) -> dict[str, str] | None:
+def _match_slots(dus: list[DuPlan], compat: dict[str, tuple[str, ...]], slots: dict[str, int], capacity: int) -> dict[str, str] | None:
     """Assign every DU to a PoP with free slot capacity; None if impossible.
 
     Kuhn-style augmenting search over PoPs with node capacities
@@ -256,7 +256,7 @@ def _match_slots(dus: list[DuPlan], compat: dict[str, list[str]], slots: dict[st
 
 
 def _exact_cu_assignment(
-    dus: list[DuPlan], compat: dict[str, list[str]], edge_pop_ids: list[str], capacity: int
+    dus: list[DuPlan], compat: dict[str, tuple[str, ...]], edge_pop_ids: list[str], capacity: int
 ) -> list[tuple[str, list[DuPlan]]]:
     """Minimal CU count by enumerating CU-slot multisets over edge PoPs.
 
@@ -283,7 +283,7 @@ def _exact_cu_assignment(
 
 
 def _greedy_cu_assignment(
-    dus: list[DuPlan], compat: dict[str, list[str]], capacity: int
+    dus: list[DuPlan], compat: dict[str, tuple[str, ...]], capacity: int
 ) -> list[tuple[str, list[DuPlan]]]:
     """First-fit over edge PoPs ordered by feasible-DU count (ties by id).
 
@@ -341,7 +341,7 @@ def assign_dus_to_cus(
     edge_pop_ids = list(dict.fromkeys(p.pop_id for p in area.edge_pops()))  # a repeated PoP counts once
     reach = area.edge_reach(budget)
     ordered = sorted(dus, key=lambda d: d.du_id)
-    compat = {du.du_id: reach.get(du.host_pop, []) for du in ordered}
+    compat = {du.du_id: reach.get(du.host_pop, ()) for du in ordered}
     stranded = [du_id for du_id, pops in compat.items() if not pops]
     if stranded:
         raise PlannerError(

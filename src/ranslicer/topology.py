@@ -122,9 +122,9 @@ class DeploymentArea:
         return {}
 
     @cached_property
-    def _reaches(self) -> dict[float, dict[str, list[str]]]:
-        """Budget -> the index ``edge_reach`` returns for it."""
-        return {}
+    def _reach(self) -> list[tuple[float, dict[str, tuple[str, ...]]]]:
+        """``[(budget, index)]``: the index ``edge_reach`` last built."""
+        return [(math.nan, {})]
 
     def region(self, region_id: str) -> Region | None:
         return self._regions_by_id.get(region_id)
@@ -138,20 +138,20 @@ class DeploymentArea:
     def edge_pops(self) -> tuple[Pop, ...]:
         return self._edge_pops
 
-    def edge_reach(self, budget: float) -> dict[str, list[str]]:
+    def edge_reach(self, budget: float) -> dict[str, tuple[str, ...]]:
         """PoP id -> the ids of the edge PoPs within ``budget`` ms of it, in
         ``edge_pops`` order (a repeated edge PoP once); a PoP no edge PoP
-        reaches is absent.  Built once per budget, by one walk over each edge
-        PoP's latency row cut at ``budget``."""
-        reach = self._reaches.get(budget)
-        if reach is None:
-            reach = {}
+        reaches is absent.  Built by one walk over each edge PoP's latency
+        row cut at ``budget``, and kept until another budget is asked for."""
+        last = self._reach[0]  # one read and one write: threads may share the area
+        if last[0] != budget:
+            reach: dict[str, list[str]] = {}
             for edge_id in dict.fromkeys(p.pop_id for p in self._edge_pops):
                 for pop_id, latency in self.latency_row(edge_id, budget).items():
                     if latency <= budget:
                         reach.setdefault(pop_id, []).append(edge_id)
-            self._reaches[budget] = reach
-        return reach
+            last = self._reach[0] = (budget, {pop_id: tuple(ids) for pop_id, ids in reach.items()})
+        return last[1]
 
     def latency_row(self, source: str, bound: float) -> dict[str, float]:
         """Shortest-path latency from ``source`` to every PoP within ``bound``

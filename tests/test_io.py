@@ -1060,15 +1060,6 @@ def test_multi_fault_diagnostics(case, document_bodies):
     assert (err.value.code, err.value.path, err.value.args[0]) == expected
 
 
-def test_integer_array_rejects_a_boolean_at_its_index():
-    # No document carries an integer array, so its codec is read directly.
-    decode = io_module._codec(tuple[int, ...]).decode
-    assert decode([1, 2]) == (1, 2) and decode([]) == ()
-    with pytest.raises(DocumentError) as err:
-        decode([1, True])
-    assert (err.value.path, err.value.args[0]) == ("[1]", "expected an integer")
-
-
 # Keys whose value is an array of two-element arrays: a fault in either item
 # of a pair is reported at the pair.
 _PAIR_KEYS = {"served_regions", "latency_to_mu_thresholds"}

@@ -464,11 +464,13 @@ def test_repeats_counts_each_repeated_id_in_first_seen_order():
     assert list(found.items()) == [("d", 3), ("b", 2)]
 
 
-def test_records_match_stock_frozen_dataclasses():
+def test_records_match_stock_frozen_dataclasses(monkeypatch):
     records, instances = _record_classes(), _parsed_instances()
     assert len(records) > 30 and set(records) <= set(instances)
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
     for cls, doc in records.items():
         twin = _stock_twin(cls, doc)
+        twin.__module__ = cls.__module__
         names = [f.name for f in dataclasses.fields(cls)]
         assert [(f.name, f.type, f.default) for f in dataclasses.fields(cls)] == [
             (f.name, f.type, f.default) for f in dataclasses.fields(twin)], cls
@@ -483,8 +485,15 @@ def test_records_match_stock_frozen_dataclasses():
             assert x.__eq__(None) is NotImplemented and x != y and not x == y, cls
             assert dataclasses.asdict(x) == dataclasses.asdict(y), cls
             # a rebuilt frozenset may iterate in another order
-            for back in [pickle.loads(pickle.dumps(x, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
+            for back in [pickle.loads(pickle.dumps(x, protocol)) for protocol in protocols]:
                 assert type(back) is cls and back is not x and back == x and hash(back) == hash(x), cls
+            # A pickle made while records kept their fields in __dict__, as
+            # the stock twin does, names the record's class and loads as one.
+            with monkeypatch.context() as patch:
+                patch.setattr(importlib.import_module(cls.__module__), cls.__name__, twin)
+                old = [pickle.dumps(y, protocol) for protocol in protocols]
+            for back in map(pickle.loads, old):
+                assert type(back) is cls and back == x, cls
             shallow = copy.copy(x)
             assert type(shallow) is cls and shallow is not x and shallow == x, cls
             assert all(getattr(shallow, name) is getattr(x, name) for name in names), cls

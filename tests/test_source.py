@@ -1,11 +1,14 @@
 """Static checks on the package source; ``ast`` only, so no linter is needed.  One
-check also imports the module, to compare a record's declaration with its class."""
+check also imports the module, to compare a record's declaration with its class
+and with the caches ``ranslicer.io`` keeps on it."""
 
 import ast
 import importlib
 from pathlib import Path
 
 import pytest
+
+from ranslicer import io
 
 SOURCE = Path(__file__).parent.parent / "src" / "ranslicer"
 MODULES = sorted(p.name for p in SOURCE.glob("*.py"))
@@ -146,30 +149,41 @@ def test_undocumented_record_check_sees_what_it_should():
     assert _undocumented_records(text) == ["A", "D"]
 
 
-def _indexed_records(text: str) -> dict[str, bool]:
+def _record_caches(text: str) -> dict[str, tuple[bool, bool]]:
     """Classes of ``text`` decorated ``@record``, each with whether it defines
-    a ``cached_property``."""
+    a ``cached_property`` and whether its body declares ``__slots__``."""
     def cached(node) -> bool:
         return any(isinstance(dec, ast.Name) and dec.id == "cached_property" for dec in node.decorator_list)
 
-    return {node.name: any(isinstance(item, ast.FunctionDef) and cached(item) for item in node.body)
+    def declares_slots(node) -> bool:
+        return any(isinstance(target, ast.Name) and target.id == "__slots__" for target in node.targets)
+
+    return {node.name: (any(isinstance(item, ast.FunctionDef) and cached(item) for item in node.body),
+                        any(isinstance(item, ast.Assign) and declares_slots(item) for item in node.body))
             for node in ast.walk(ast.parse(text))
             if isinstance(node, ast.ClassDef)
             and any(isinstance(dec, ast.Name) and dec.id == "record" for dec in node.decorator_list)}
 
 
 @pytest.mark.parametrize("module", MODULES)
-def test_records_keep_a_dict_only_for_their_indexes(module):
-    """A ``__dict__`` slot is where a record's ``cached_property`` indexes
-    live; a record without one builds, pickles and takes memory as fields
-    alone, so ``model.record`` must give the slot to exactly those records."""
-    records = _indexed_records((SOURCE / module).read_text())
+def test_records_keep_a_dict_only_for_their_caches(module):
+    """A ``__dict__`` slot is where a record's caches live: its
+    ``cached_property`` indexes, and the canonical text ``io`` writes once
+    for each class it registers with ``_written_once``, which must declare
+    ``__slots__ = ("__dict__",)``.  A record without one builds, pickles and
+    takes memory as fields alone, so ``model.record`` must give the slot to
+    exactly those records."""
+    records = _record_caches((SOURCE / module).read_text())
     if records:
         found = vars(importlib.import_module(f"ranslicer.{module.removesuffix('.py')}"))
-        assert {name: "__dict__" in found[name].__slots__ for name in records} == records
+        written_once = {cls for cls, override in io._OVERRIDES.items() if override is io._written_once}
+        assert {name: found[name] in written_once for name in records} == {
+            name: declared for name, (_, declared) in records.items()}
+        assert {name: "__dict__" in found[name].__slots__ for name in records} == {
+            name: cached or declared for name, (cached, declared) in records.items()}
 
 
-def test_indexed_record_check_sees_what_it_should():
+def test_record_cache_check_sees_what_it_should():
     text = "\n".join([
         "@record",
         "class A:",
@@ -184,5 +198,9 @@ def test_indexed_record_check_sees_what_it_should():
         "class C:",
         "    @cached_property",
         "    def index(self): return {}",
+        "@record",
+        "class D:",
+        "    __slots__ = ('__dict__',)",
+        "    x: int",
     ])
-    assert _indexed_records(text) == {"A": True, "B": False}
+    assert _record_caches(text) == {"A": (True, False), "B": (False, False), "D": (False, True)}

@@ -337,6 +337,14 @@ def _cut(row: dict[str, float], bound: float) -> dict[str, float]:
     return {pop_id: latency for pop_id, latency in row.items() if latency <= bound}
 
 
+def _reach_from_full_rows(area: DeploymentArea, budget: float) -> dict[str, tuple[str, ...]]:
+    """Per PoP, the edge PoPs whose full latency row holds it within ``budget``."""
+    edge_ids = list(dict.fromkeys(p.pop_id for p in area.edge_pops()))
+    rows = {e: topology._shortest_paths(area, e, math.inf) for e in edge_ids}
+    reach = {p.pop_id: tuple(e for e in edge_ids if rows[e].get(p.pop_id, math.inf) <= budget) for p in area.pops}
+    return {pop_id: ids for pop_id, ids in reach.items() if ids}
+
+
 def _plan_outcome(area, catalog, request, budget):
     """A plan's bytes, or its error's code, stage and message."""
     try:
@@ -414,6 +422,46 @@ class TestBoundedRows:
         assert verify_plan(plan, reference_area(), catalog, tight) == over
         island = dataclasses.replace(area, links=tuple(l for l in area.links if l.a != "pop-agg-suburban"))
         assert verify_plan(plan, island, catalog, tight) == [over[0]] + [p.replace("1.2 ms", "inf ms") for p in over[1:]]
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cut=st.floats(0.0, 20.0))
+    def test_edge_reach_is_the_reach_of_full_rows(self, seed, cut):
+        rng = random.Random(seed)
+        _, area, _, _ = make_scaled_instance(rng)
+        entries = sorted({v for e in area.edge_pops() for v in topology._shortest_paths(area, e.pop_id, 12.0).values()})
+        budgets = (cut, 10.0, *rng.sample(entries, min(2, len(entries))))
+        expected = {b: _reach_from_full_rows(area, b) for b in budgets}
+        fresh = dataclasses.replace(area)
+        for budget in (*budgets, *budgets[::-1], budgets[0]):  # each budget after another, then again
+            reach = fresh.edge_reach(budget)
+            assert reach == expected[budget] and fresh.edge_reach(budget) is reach
+            assert all(type(ids) is tuple for ids in reach.values())
+
+    def test_racing_reach_queries_get_their_budgets_reach(self):
+        _, area, _, _ = make_scaled_instance(random.Random(11))
+        budgets = (4.0, 10.0, 7.0, 10.0, 4.0, 2.5)
+        expected = {b: _reach_from_full_rows(area, b) for b in budgets}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                fresh = dataclasses.replace(area)
+                barrier = threading.Barrier(len(budgets))
+                reaches = {}
+
+                def query(i, budget):
+                    barrier.wait(timeout=10)
+                    reaches[i] = fresh.edge_reach(budget)
+
+                threads = [threading.Thread(target=query, args=item) for item in enumerate(budgets)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert all(reaches[i] == expected[budget] for i, budget in enumerate(budgets))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_racing_bounded_and_full_queries_get_exact_rows(self):
         _, area, _, _ = make_scaled_instance(random.Random(7))
